@@ -25,8 +25,8 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, ValidationError
-from .numerics import as_float_array
-from .zonoid import CallCurve, project_convex_decreasing, upper_boundary_from_calls
+from .numerics import as_float_array, legendre_min
+from .zonoid import CallCurve, project_convex_decreasing
 
 _MODELS = ("bachelier", "black_scholes")
 _U64 = np.uint64
@@ -169,6 +169,21 @@ def mc_call(config: SimConfig, k: float) -> McEstimate:
 # Empirical curves and the closed-form comparison pipeline
 # ---------------------------------------------------------------------------
 
+def _suffix_sums(v: np.ndarray) -> np.ndarray:
+    """suffix[i] = sum(v[i:]), with a trailing 0."""
+    return np.concatenate((np.cumsum(v[::-1])[::-1], [0.0]))
+
+
+def _sorted_call_curve(x_sorted: np.ndarray, suffix1: np.ndarray, kgrid: np.ndarray) -> CallCurve:
+    """Empirical call curve from the sorted sample and its suffix sums."""
+    n = x_sorted.size
+    idx = np.searchsorted(x_sorted, kgrid, side="right")
+    vals = (suffix1[idx] - (n - idx) * kgrid) / n
+    return CallCurve.from_grid(kgrid, vals, mean=float(np.sum(x_sorted) / n),
+                               positive=bool(x_sorted[0] > 0.0),
+                               provenance={"kind": "empirical", "n": int(n)})
+
+
 def empirical_call_curve(sample: np.ndarray, kgrid) -> CallCurve:
     """Exact empirical call values (1/n) sum (x_i - K)^+ at each grid strike,
     computed from sorted suffix sums."""
@@ -177,13 +192,7 @@ def empirical_call_curve(sample: np.ndarray, kgrid) -> CallCurve:
     if sample.ndim != 1 or sample.size < 2:
         raise ValidationError("sample must be a 1-d array with >= 2 points")
     x = np.sort(sample)
-    n = x.size
-    suffix = np.concatenate((np.cumsum(x[::-1])[::-1], [0.0]))
-    idx = np.searchsorted(x, kgrid, side="right")
-    vals = (suffix[idx] - (n - idx) * kgrid) / n
-    return CallCurve.from_grid(kgrid, vals, mean=float(np.sum(x) / n),
-                               positive=bool(x[0] > 0.0),
-                               provenance={"kind": "empirical", "n": int(n)})
+    return _sorted_call_curve(x, _suffix_sums(x), kgrid)
 
 
 def _payoff_se_at(x_sorted: np.ndarray, suffix1: np.ndarray, suffix2: np.ndarray,
@@ -290,19 +299,14 @@ def mc_check_propositions(config: SimConfig, pgrid=None,
     if kgrid is None:
         kgrid = _default_kgrid(config, sample)
     kgrid = as_float_array(kgrid, "kgrid")
-    raw = empirical_call_curve(sample, kgrid)
-    projected, distance = project_convex_decreasing(kgrid, raw.values)
-    curve = CallCurve.from_grid(kgrid, projected, mean=raw.mean,
-                                positive=raw.positive,
-                                provenance=dict(raw.provenance))
-    mc_vals = upper_boundary_from_calls(curve, pgrid).values
-    # standard errors are taken at the transform's argmin strikes
-    objective = curve.values[None, :] + pgrid[:, None] * kgrid[None, :]
-    amin = np.argmin(objective, axis=1)
     x_sorted = np.sort(sample)
-    suffix1 = np.concatenate((np.cumsum(x_sorted[::-1])[::-1], [0.0]))
-    suffix2 = np.concatenate((np.cumsum((x_sorted ** 2)[::-1])[::-1], [0.0]))
-    ses = _payoff_se_at(x_sorted, suffix1, suffix2, kgrid[amin])
+    suffix1 = _suffix_sums(x_sorted)
+    raw = _sorted_call_curve(x_sorted, suffix1, kgrid)
+    projected, distance = project_convex_decreasing(kgrid, raw.values)
+    CallCurve.from_grid(kgrid, projected, mean=raw.mean).validate()
+    # the transform's values, and its argmin strikes for the standard errors
+    mc_vals, amin = legendre_min(kgrid, projected, pgrid)
+    ses = _payoff_se_at(x_sorted, suffix1, _suffix_sums(x_sorted ** 2), kgrid[amin])
     exact = np.atleast_1d(exact_boundary(config.model, config.t, pgrid))
     dev_units = np.abs(mc_vals - exact) / np.maximum(ses, 1e-300)
     max_dev = float(np.max(dev_units))

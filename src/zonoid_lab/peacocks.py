@@ -27,8 +27,7 @@ from scipy import integrate
 
 from .densities import ConcavityReport, DensityModel
 from .errors import DomainError, UnsupportedError, ValidationError
-from .numerics import as_float_array, require_uniform, second_differences
-from .zonoid import _max_over_nodes
+from .numerics import as_float_array, legendre_min, require_uniform, second_differences
 
 _FAMILIES = ("linear", "geometric")
 _AXIS_KINDS = ("call-space", "zonoid-space")
@@ -362,8 +361,8 @@ def certify_peacock(spec: PeacockSpec, tgrid, pgrid=None,
         if not k_lo < k_hi:
             k_lo, k_hi = k_lo - max(1.0, abs(spec.s)), k_hi + max(1.0, abs(spec.s))
         kgrid = np.linspace(k_lo, k_hi, n_strikes)
-        calls = np.vstack([_max_over_nodes(pgrid, rows[i], kgrid)
-                           for i in range(tgrid.size)])
+        # C(t, K) = max_p [row(p) - K p] = -min_p [-row(p) + K p]
+        calls = -np.vstack([legendre_min(pgrid, -row, kgrid)[0] for row in rows])
         gaps = np.diff(calls, axis=0)
         i_flat = int(np.argmin(gaps))
         worst_gap = float(gaps.flat[i_flat])

@@ -15,7 +15,11 @@ They are conjugate to each other:
 
 with the exact endpoint values boundary(0) = 0 and boundary(1) = E(X).
 ``upper_boundary_from_calls`` and ``calls_from_upper_boundary`` implement the
-two directions; ``boundary_from_quantile_integral`` is an independent route
+two directions.  On grids both run the discrete Legendre transform
+``numerics.legendre_min``: O(N + M log N) for N nodes and M output points;
+nodes that are not convex add a few vectorised hull passes, and the
+monotone-chain loop only when those do not settle the hull.
+``boundary_from_quantile_integral`` is an independent route
 through the integral of the upper quantile function, and
 ``discrete_upper_boundary`` solves the finite-atom problem exactly by the
 threshold-rule construction.
@@ -32,7 +36,7 @@ from scipy import integrate
 
 from .densities import DensityModel
 from .errors import DomainError, UnsupportedError, ValidationError
-from .numerics import as_float_array, golden_section_min
+from .numerics import as_float_array, golden_section_min, legendre_min, lower_hull
 
 _P_EPS = 1e-9          # probability clipping for continuous searches
 _Q_EPS = 1e-12         # quantile clipping for quadrature supports
@@ -83,7 +87,14 @@ class CallCurve:
         if np.any(np.diff(strikes) <= 0.0):
             raise ValidationError("strikes must be strictly increasing")
         if mean is None:
-            # left-end asymptote C(K) ~ mean - K fixes the mean
+            # the left-end asymptote C(K) ~ mean - K fixes the mean, but only
+            # once the grid has reached it (slope -1)
+            slope = float((values[1] - values[0]) / (strikes[1] - strikes[0]))
+            if abs(slope + 1.0) > 1e-6:
+                raise ValidationError(
+                    f"cannot infer the mean: the leftmost grid slope is {slope:.6g}, "
+                    f"not -1, so the grid stops short of the intrinsic asymptote; "
+                    f"pass the mean")
             mean = float(values[0] + strikes[0])
         return cls(float(mean), float(strikes[0]), float(strikes[-1]),
                    strikes=strikes, values=values, positive=bool(positive),
@@ -303,22 +314,6 @@ class DiscreteDistribution:
 # Transforms
 # ---------------------------------------------------------------------------
 
-def _min_over_nodes(strikes, values, pgrid, chunk: int = 256) -> np.ndarray:
-    out = np.empty(pgrid.size)
-    for start in range(0, pgrid.size, chunk):
-        p = pgrid[start:start + chunk, None]
-        out[start:start + chunk] = np.min(values[None, :] + p * strikes[None, :], axis=1)
-    return out
-
-
-def _max_over_nodes(probs, bvals, kgrid, chunk: int = 256) -> np.ndarray:
-    out = np.empty(kgrid.size)
-    for start in range(0, kgrid.size, chunk):
-        k = kgrid[start:start + chunk, None]
-        out[start:start + chunk] = np.max(bvals[None, :] - k * probs[None, :], axis=1)
-    return out
-
-
 def _check_pgrid(pgrid) -> np.ndarray:
     pgrid = as_float_array(pgrid, "pgrid")
     if pgrid.ndim != 1 or pgrid.size < 2 or np.any(np.diff(pgrid) <= 0.0):
@@ -333,8 +328,9 @@ def upper_boundary_from_calls(curve: CallCurve, pgrid=None, *,
     """Conjugate transform boundary(p) = min_K [C(K) + p K] on a p grid.
 
     Endpoint values are pinned exactly: boundary(0) = 0, boundary(1) = mean.
-    Grid-backed curves are minimised over their nodes (exact for piecewise
-    linear curves); closed-form curves by vectorised golden-section over the
+    Grid-backed curves are minimised over their nodes by the linear-time
+    discrete Legendre transform (exact for piecewise linear curves);
+    closed-form curves by vectorised golden-section over the
     stated strike domain with a parabolic refinement.
     """
     if validate:
@@ -343,7 +339,7 @@ def upper_boundary_from_calls(curve: CallCurve, pgrid=None, *,
         pgrid = np.linspace(0.0, 1.0, _DEFAULT_GRID_N)
     pgrid = _check_pgrid(pgrid)
     if curve.is_grid:
-        vals = _min_over_nodes(curve.strikes, curve.values, pgrid)
+        vals, _ = legendre_min(curve.strikes, curve.values, pgrid)
     else:
         objective = lambda k: curve(k) + pgrid * k
         lo = np.full(pgrid.size, curve.k_lo)
@@ -385,14 +381,13 @@ def calls_from_upper_boundary(boundary: ZonoidBoundary, kgrid=None, *,
         raise ValidationError("kgrid must be 1-d strictly increasing")
     m = boundary.mean
     if boundary.is_grid:
-        vals = _max_over_nodes(boundary.probs, boundary.values, kgrid)
+        neg, _ = legendre_min(boundary.probs, -boundary.values, kgrid)
     else:
         objective = lambda p: -(boundary(p) - kgrid * p)
         lo = np.full(kgrid.size, _P_EPS)
         hi = np.full(kgrid.size, 1.0 - _P_EPS)
         _, neg = golden_section_min(objective, lo, hi)
-        vals = -neg
-    vals = np.maximum(vals, 0.0)
+    vals = np.maximum(0.0 - neg, 0.0)   # 0.0 - x keeps an exact zero at +0.0
     vals = np.maximum(vals, m - kgrid)
     positive = bool(kgrid[0] >= 0.0 and m > 0.0
                     and abs(float(vals[0]) + kgrid[0] - m) <= 1e-6 * _value_scale(m))
@@ -565,25 +560,21 @@ def project_convex_decreasing(strikes, values) -> Tuple[np.ndarray, float]:
         raise ValidationError("strikes and values must be matching 1-d arrays")
     if np.any(np.diff(x) <= 0.0):
         raise ValidationError("strikes must be strictly increasing")
-    hull_idx = [0]
-    for i in range(1, x.size):
-        while len(hull_idx) >= 2:
-            j, k = hull_idx[-2], hull_idx[-1]
-            # drop k when it sits on or above the chord j -> i
-            if (y[k] - y[j]) * (x[i] - x[j]) >= (y[i] - y[j]) * (x[k] - x[j]):
-                hull_idx.pop()
-            else:
-                break
-        hull_idx.append(i)
+    hull_idx = lower_hull(x, y)
+    dx = np.diff(x)
+    if hull_idx.size == x.size:
+        slopes = np.diff(y) / dx
+        if np.all((slopes >= -1.0) & (slopes <= 0.0)):
+            return y.copy(), 0.0
     hull = np.interp(x, x[hull_idx], y[hull_idx])
-    slopes = np.diff(hull) / np.diff(x)
+    slopes = np.diff(hull) / dx
     clipped = np.clip(slopes, -1.0, 0.0)
     inside = np.nonzero(slopes == clipped)[0]
     anchor = int(inside[0]) if inside.size else int(np.argmin(hull))
+    # re-anchor on the clipped slopes; cumsum adds sequentially, so this is
+    # the same arithmetic as stepping node by node out from the anchor
+    steps = clipped * dx
     out = np.empty_like(hull)
-    out[anchor] = hull[anchor]
-    for i in range(anchor - 1, -1, -1):
-        out[i] = out[i + 1] - clipped[i] * (x[i + 1] - x[i])
-    for i in range(anchor + 1, x.size):
-        out[i] = out[i - 1] + clipped[i - 1] * (x[i] - x[i - 1])
+    out[:anchor + 1] = np.cumsum(np.concatenate(([hull[anchor]], -steps[:anchor][::-1])))[::-1]
+    out[anchor:] = np.cumsum(np.concatenate(([hull[anchor]], steps[anchor:])))
     return out, float(np.max(np.abs(y - out)))

@@ -153,6 +153,26 @@ def test_boundary_and_calls_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_boundary_from_calls_needs_mean_off_the_asymptote(tmp_path, capsys):
+    ks = np.linspace(-0.5, 5.0, 501)
+    cfile = tmp_path / "calls.csv"
+    curve_io.write_table(str(cfile), ("K", "C"), ks,
+                         bachelier_curve(ModelParams(0.0, 1.0, 1.0))(ks))
+    # the grid stops short of the intrinsic asymptote: the mean cannot be
+    # inferred, and a stated mean fails the left-asymptote check
+    assert run_cli("boundary", "--calls", str(cfile), "--p-grid", "0:1:11") == 2
+    assert "pass the mean" in capsys.readouterr().err
+    assert run_cli("boundary", "--calls", str(cfile), "--mean", "0",
+                   "--p-grid", "0:1:11") == 2
+    capsys.readouterr()
+    ks = np.linspace(-6.0, 6.0, 1201)
+    curve_io.write_table(str(cfile), ("K", "C"), ks,
+                         bachelier_curve(ModelParams(0.0, 1.0, 1.0))(ks))
+    assert run_cli("boundary", "--calls", str(cfile), "--p-grid", "0:1:11") == 0
+    header, data = read_csv_text(capsys.readouterr().out)
+    assert abs(data[-1, 1]) <= 1e-8
+
+
 def test_boundary_from_atoms(capsys):
     assert run_cli("boundary", "--atoms", "0,1", "--weights", "0.5,0.5",
                    "--p-grid", "0:1:5") == 0

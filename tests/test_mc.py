@@ -15,6 +15,7 @@ from zonoid_lab.errors import DomainError, ValidationError
 from zonoid_lab.mc import (McEstimate, SimConfig, empirical_call_curve,
                            exact_boundary, mc_call, mc_check_propositions,
                            simulate_terminal)
+from zonoid_lab.zonoid import project_convex_decreasing
 
 
 @pytest.fixture
@@ -138,6 +139,23 @@ def test_proposition_pipeline(model):
     assert report.probs.size == report.mc_boundary.size == report.std_errors.size
     d = report.to_dict()
     assert d["ok"] and isinstance(d["probs"], list)
+
+
+@pytest.mark.parametrize("model", ["bachelier", "black_scholes"])
+def test_proposition_pipeline_against_brute_force(model):
+    # boundary by the brute-force min over strikes, standard errors from the
+    # payoffs at its argmin strikes
+    cfg = SimConfig(model, 1.0, 20_000, seed=5)
+    sample = simulate_terminal(cfg)
+    kgrid = np.linspace(sample.min() - 0.1, sample.max() + 0.1, 301)
+    report = mc_check_propositions(cfg, kgrid=kgrid)
+    raw = empirical_call_curve(sample, kgrid)
+    projected, _ = project_convex_decreasing(kgrid, raw.values)
+    objective = projected[None, :] + report.probs[:, None] * kgrid[None, :]
+    assert np.array_equal(report.mc_boundary, objective.min(axis=1))
+    payoffs = np.maximum(sample[None, :] - kgrid[objective.argmin(axis=1)][:, None], 0.0)
+    ses = np.std(payoffs, axis=1) / math.sqrt(sample.size)
+    assert np.allclose(report.std_errors, ses, rtol=1e-9, atol=0.0)
 
 
 def test_proposition_pipeline_degenerate_time():

@@ -321,3 +321,48 @@ def test_h_map_is_increasing_in_p_property(y, p1, p2, family):
     density = DensityModel(family)
     lo, hi = min(p1, p2), max(p1, p2)
     assert H_map(density, y, lo) <= H_map(density, y, hi) + 1e-12
+
+
+def kellerer_oracle(spec, tgrid, pgrid, n_strikes):
+    """The Kellerer step of certify_peacock with the brute-force max over
+    every (K, p) pair, as it was before the Legendre kernel."""
+    rows = np.vstack([surface_boundary(spec, float(t), pgrid) for t in tgrid])
+    slopes = np.diff(rows, axis=1) / np.diff(pgrid)
+    kgrid = np.linspace(float(slopes.min()), float(slopes.max()), n_strikes)
+    calls = np.max(rows[:, None, :] - kgrid[None, :, None] * pgrid[None, None, :], axis=2)
+    gaps = np.diff(calls, axis=0)
+    i_flat = int(np.argmin(gaps))
+    worst_gap = float(gaps.flat[i_flat])
+    ok = worst_gap >= -1e-9 * max(1.0, abs(spec.s))
+    ti, kj = np.unravel_index(i_flat, gaps.shape)
+    witness = None if ok else (float(kgrid[kj]), float(tgrid[ti]), float(tgrid[ti + 1]))
+    return ok, max(0.0, -worst_gap), witness
+
+
+@settings(max_examples=20, deadline=None)
+@given(scale=st.floats(0.2, 3.0), s=st.floats(-2.0, 2.0),
+       t_lo=st.floats(0.05, 1.0), n_t=st.integers(2, 8))
+def test_kellerer_step_equals_brute_force_linear_property(scale, s, t_lo, n_t):
+    spec = PeacockSpec("linear", GAUSS, s, TimeChange.sqrt(scale))
+    tgrid = np.linspace(t_lo, 4.0, n_t)
+    pgrid = np.linspace(0.0, 1.0, 301)
+    kell = certify_peacock(spec, tgrid, pgrid, n_strikes=301).kellerer
+    assert (kell.ok, kell.max_violation, kell.witness) == kellerer_oracle(spec, tgrid, pgrid, 301)
+
+
+@settings(max_examples=20, deadline=None)
+@given(steps=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6),
+       decreasing=st.booleans(), s=st.floats(0.5, 3.0))
+def test_kellerer_step_equals_brute_force_geometric_table_property(steps, decreasing, s):
+    # decreasing tables make the step fail, so the witness is compared too
+    levels = np.concatenate(([0.0], np.cumsum(steps)))
+    if decreasing:
+        levels = levels[::-1]
+    tc = TimeChange.from_table(np.arange(levels.size, dtype=float), levels)
+    spec = PeacockSpec("geometric", LOGISTIC, s, tc)
+    tgrid = np.linspace(0.0, levels.size - 1.0, 7)
+    pgrid = np.linspace(0.0, 1.0, 301)
+    kell = certify_peacock(spec, tgrid, pgrid, n_strikes=301).kellerer
+    assert not kell.skipped
+    assert (kell.ok, kell.max_violation, kell.witness) == kellerer_oracle(spec, tgrid, pgrid, 301)
+    assert kell.ok != decreasing

@@ -16,6 +16,7 @@ from scipy.stats import norm
 
 from zonoid_lab.densities import DensityModel
 from zonoid_lab.errors import DomainError, UnsupportedError, ValidationError
+from zonoid_lab.numerics import legendre_min
 from zonoid_lab.pricing import (ModelParams, bachelier_curve,
                                 black_scholes_curve, linear_family_curve)
 from zonoid_lab.zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
@@ -38,6 +39,41 @@ def legendre_min_oracle(call_values, kgrid, p):
                   axis=1)
 
 
+def project_oracle(x, y):
+    """Node-by-node reference for project_convex_decreasing: the same
+    arithmetic, one hull step and one re-anchoring step at a time."""
+    hull_idx = [0]
+    for i in range(1, x.size):
+        while len(hull_idx) >= 2:
+            j, k = hull_idx[-2], hull_idx[-1]
+            if (y[k] - y[j]) * (x[i] - x[j]) >= (y[i] - y[j]) * (x[k] - x[j]):
+                hull_idx.pop()
+            else:
+                break
+        hull_idx.append(i)
+    hull = np.interp(x, x[hull_idx], y[hull_idx])
+    slopes = np.diff(hull) / np.diff(x)
+    clipped = np.clip(slopes, -1.0, 0.0)
+    inside = np.nonzero(slopes == clipped)[0]
+    anchor = int(inside[0]) if inside.size else int(np.argmin(hull))
+    out = np.empty_like(hull)
+    out[anchor] = hull[anchor]
+    for i in range(anchor - 1, -1, -1):
+        out[i] = out[i + 1] - clipped[i] * (x[i + 1] - x[i])
+    for i in range(anchor + 1, x.size):
+        out[i] = out[i - 1] + clipped[i - 1] * (x[i] - x[i - 1])
+    return out, float(np.max(np.abs(y - out)))
+
+
+def atom_call_curve(atoms):
+    """Equal-weight atom call curve sampled at its kinks, by suffix sums."""
+    n = atoms.size
+    strikes = np.concatenate(([atoms[0] - 1.0], atoms, [atoms[-1] + 1.0]))
+    suffix = np.concatenate((np.cumsum(atoms[::-1])[::-1], [0.0]))
+    idx = np.searchsorted(atoms, strikes, side="right")
+    return strikes, (suffix[idx] - (n - idx) * strikes) / n
+
+
 # ---------------------------------------------------------------------------
 # Containers
 # ---------------------------------------------------------------------------
@@ -46,6 +82,18 @@ def test_call_curve_infers_mean_from_deep_itm_node():
     ks = np.linspace(-10.0, 10.0, 201)
     curve = CallCurve.from_grid(ks, np.maximum(0.5 - ks, 0.0))
     assert curve.mean == pytest.approx(0.5, abs=1e-12)
+
+
+def test_call_curve_refuses_to_infer_mean_off_the_asymptote():
+    # a Bachelier(0, 1, 1) curve cut at K = -0.5 has leftmost slope -0.69,
+    # so C(-0.5) - 0.5 = 0.198 is not its mean (0) and must not be taken as one
+    ks = np.linspace(-0.5, 5.0, 501)
+    vals = bachelier_curve(ModelParams(0.0, 1.0, 1.0))(ks)
+    with pytest.raises(ValidationError, match="pass the mean"):
+        CallCurve.from_grid(ks, vals)
+    curve = CallCurve.from_grid(ks, vals, mean=0.0)
+    b = upper_boundary_from_calls(curve, np.linspace(0.0, 1.0, 11), validate=False)
+    assert b.values[-1] == 0.0
 
 
 def test_call_curve_asymptotes_outside_domain():
@@ -373,3 +421,119 @@ def test_inverse_boundary_inverts_forward_map_property(dist, q):
     p = inverse_boundary_positive(curve, target)
     forward = discrete_upper_boundary(positive, p)
     assert forward == pytest.approx(target, abs=1e-9 * max(1.0, positive.mean))
+
+
+# ---------------------------------------------------------------------------
+# Discrete Legendre kernel against the brute force
+# ---------------------------------------------------------------------------
+
+@st.composite
+def kernel_inputs(draw):
+    """Continuous random nodes (x strictly increasing) of one of three
+    shapes, and p values that include every chord slope between nodes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 300))
+    shape = draw(st.sampled_from(["convex", "noisy", "arbitrary"]))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    x = scale * (rng.normal() + np.cumsum(rng.uniform(0.01, 1.0, n)))
+    if shape == "arbitrary":
+        y = scale * rng.normal(size=n)
+    else:
+        slopes = np.sort(rng.normal(size=n - 1))
+        y = scale * rng.normal() + np.concatenate(([0.0], np.cumsum(slopes * np.diff(x))))
+        if shape == "noisy":
+            y = y + rng.normal(0.0, 1e-6 * scale, n)
+    chords = np.diff(y) / np.diff(x)
+    p = np.concatenate((3.0 * rng.normal(size=draw(st.integers(1, 100))), -chords))
+    return x, y, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=kernel_inputs())
+def test_legendre_min_equals_brute_force_property(data):
+    x, y, p = data
+    vals, idx = legendre_min(x, y, p)
+    assert np.array_equal(vals, legendre_min_oracle(y, x, p))
+    assert np.array_equal(y[idx] + p * x[idx], vals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=kernel_inputs())
+def test_both_transform_directions_equal_brute_force_property(data):
+    x, y, _ = data
+    # calls -> boundary: any nodes, minimised over them
+    pgrid = np.linspace(0.0, 1.0, 201)
+    curve = CallCurve.from_grid(x, y, mean=1.0)
+    got = upper_boundary_from_calls(curve, pgrid, validate=False).values
+    assert np.array_equal(got[1:-1], legendre_min_oracle(y, x, pgrid)[1:-1])
+    # boundary -> calls: max over the boundary nodes, floored by 0 and m - K
+    probs = np.linspace(0.0, 1.0, x.size)
+    boundary = ZonoidBoundary.from_grid(probs, y, mean=float(y[-1]))
+    kgrid = np.linspace(-3.0, 3.0, 151)
+    brute = np.max(y[None, :] - kgrid[:, None] * probs[None, :], axis=1)
+    want = np.maximum(np.maximum(brute, 0.0), boundary.mean - kgrid)
+    got = calls_from_upper_boundary(boundary, kgrid, validate=False).values
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.integers(-40, 40), min_size=2, max_size=25, unique=True),
+       ys=st.lists(st.integers(-20, 20), min_size=25, max_size=25),
+       digits=st.integers(0, 3), ps=st.lists(st.integers(-20, 20), min_size=1, max_size=20))
+def test_legendre_min_on_lattices_property(xs, ys, digits, ps):
+    # Lattice nodes are often collinear, so a node off the hull can tie the
+    # minimum in exact arithmetic; its rounded value may then be lower by an
+    # ulp or two, and only that much difference from the brute force is
+    # allowed.  Queries include the chord slopes, where such ties happen.
+    x = np.sort(np.asarray(xs, dtype=np.float64)) / 10.0 ** digits
+    y = np.asarray(ys[:x.size], dtype=np.float64) / 10.0 ** digits
+    p = np.concatenate((np.asarray(ps, dtype=np.float64) / 10.0, -np.diff(y) / np.diff(x)))
+    vals, idx = legendre_min(x, y, p)
+    want = legendre_min_oracle(y, x, p)
+    scale = np.max(np.abs(y)) + np.max(np.abs(p)) * np.max(np.abs(x))
+    assert np.all(np.abs(vals - want) <= 8.0 * np.finfo(float).eps * scale)
+    assert np.array_equal(y[idx] + p * x[idx], vals)
+
+
+def test_legendre_min_handles_tiny_inputs():
+    vals, idx = legendre_min(np.array([1.0]), np.array([2.0]), np.array([-1.0, 0.0, 3.0]))
+    assert np.array_equal(vals, [1.0, 2.0, 5.0]) and np.array_equal(idx, [0, 0, 0])
+    vals, idx = legendre_min(np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([-1.0, 1.0]))
+    assert np.array_equal(vals, [-1.0, 0.0]) and np.array_equal(idx, [1, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400),
+       shape=st.sampled_from(["call", "noisy-call", "arbitrary", "lattice"]))
+def test_projection_equals_loop_reference_property(seed, n, shape):
+    rng = np.random.default_rng(seed)
+    if shape == "call":
+        x, y = atom_call_curve(np.sort(rng.normal(size=n)))
+    elif shape == "lattice":
+        x = np.cumsum(rng.integers(1, 4, n)) / 10.0
+        y = rng.integers(-5, 5, n) / 10.0
+    else:
+        x = np.cumsum(rng.uniform(0.01, 1.0, n))
+        if shape == "arbitrary":
+            y = rng.normal(size=n)
+        else:
+            y = np.maximum(0.5 * x[-1] - x, 0.0) + rng.normal(0.0, 1e-3, n)
+    out, dist = project_convex_decreasing(x, y)
+    want, want_dist = project_oracle(x, y)
+    slopes = np.diff(y) / np.diff(x)
+    if np.all(np.diff(slopes) > 0.0) and np.all((slopes >= -1.0) & (slopes <= 0.0)):
+        # a cone member comes back as is; the loop re-anchored it, with rounding
+        assert dist == 0.0 and np.array_equal(out, y)
+        assert want_dist <= 1e-12
+    else:
+        assert np.array_equal(out, want)
+        assert dist == want_dist
+
+
+def test_projection_returns_cone_member_unchanged_at_scale():
+    # 100,001 random-normal atoms: the re-anchoring loop used to give 4e-22
+    atoms = np.sort(np.random.default_rng(3).normal(size=100_001))
+    strikes, vals = atom_call_curve(atoms)
+    out, dist = project_convex_decreasing(strikes, vals)
+    assert dist == 0.0
+    assert np.array_equal(out, vals)
