@@ -10,8 +10,7 @@ and a seed-stable Monte Carlo oracle.
 """
 
 from .densities import (ConcavityReport, DensityModel, check_log_concavity,
-                        eval_density, eval_quantile, inverse_log_slope,
-                        inverse_ratio)
+                        inverse_log_slope, inverse_ratio)
 from .errors import (DomainError, RangeError, SingularCurvatureError,
                      UnsupportedError, ValidationError, ZonoidLabError)
 from .implied import (ImpliedQuery, implied_y, implied_y_minimization,
@@ -30,8 +29,9 @@ from .pricing import (ModelParams, bachelier_call, bachelier_curve,
                       black_scholes_call, black_scholes_curve,
                       family_call_geometric, family_call_geometric_with_flag,
                       family_call_linear, family_call_linear_with_flag,
-                      geometric_family_curve, linear_family_curve, survival,
-                      survival_geometric, survival_linear)
+                      family_prices, geometric_family_curve,
+                      linear_family_curve, survival, survival_geometric,
+                      survival_linear)
 from .zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
                      boundary_from_quantile_integral, calls_from_upper_boundary,
                      check_arithmetic_symmetry, check_convex_order,
@@ -53,9 +53,9 @@ __all__ = [
     "calls_from_upper_boundary", "certify_peacock", "check_arithmetic_symmetry",
     "check_convex_order", "check_geometric_symmetry", "check_log_concavity",
     "discrete_upper_boundary", "dupire_from_boundary", "dupire_from_calls",
-    "empirical_call_curve", "eval_density", "eval_quantile", "exact_boundary",
-    "family_call_geometric", "family_call_geometric_with_flag",
-    "family_call_linear", "family_call_linear_with_flag",
+    "empirical_call_curve", "exact_boundary", "family_call_geometric",
+    "family_call_geometric_with_flag", "family_call_linear",
+    "family_call_linear_with_flag", "family_prices",
     "generator_limit_check", "geometric_family_curve", "group_property_check",
     "implied_y", "implied_y_minimization", "implied_y_root",
     "inverse_boundary_positive", "inverse_log_slope", "inverse_ratio",

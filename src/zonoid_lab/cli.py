@@ -28,9 +28,8 @@ from .peacocks import (G_map, H_map, PeacockSpec, TimeChange, boundary_surface,
                        call_surface, certify_peacock, recover_F_from_G,
                        recover_F_from_H)
 from .pricing import (ModelParams, bachelier_call, black_scholes_call,
-                      bachelier_curve, black_scholes_curve,
-                      family_call_geometric, family_call_linear,
-                      geometric_family_curve, linear_family_curve, survival)
+                      bachelier_curve, black_scholes_curve, family_prices,
+                      geometric_family_curve, linear_family_curve)
 from .zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
                      calls_from_upper_boundary, upper_boundary_from_calls)
 
@@ -79,40 +78,30 @@ def _floats_type(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}: {exc}")
 
 
-def _out_handle(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+def _sink(path: str):
+    """stdout for "-", else the path; the curve_io writers take either."""
+    return sys.stdout if path == "-" else path
 
 
 def _emit_table(path: str, header, *columns) -> None:
-    fh, owned = _out_handle(path)
-    try:
-        curve_io.write_table(fh, header, *columns)
-    finally:
-        if owned:
-            fh.close()
+    curve_io.write_table(_sink(path), header, *columns)
+
+
+def _emit_text(path: str, text: str) -> None:
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
 
 
 def _emit_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2)
-    if path == "-":
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    _emit_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_curve(path: str, obj, fmt: str) -> None:
-    fh, owned = _out_handle(path)
-    try:
-        if fmt == "json":
-            curve_io.write_curve_json(fh, obj)
-        else:
-            curve_io.write_curve_csv(fh, obj)
-    finally:
-        if owned:
-            fh.close()
+    write = curve_io.write_curve_json if fmt == "json" else curve_io.write_curve_csv
+    write(_sink(path), obj)
 
 
 def _time_change(args) -> TimeChange:
@@ -156,22 +145,20 @@ def _cmd_price(args, parser) -> int:
     t, sigma, s0 = args.t, args.sigma, args.s0
     yval = sigma * math.sqrt(t)
     if args.model is not None:
+        # the survival is that of the gaussian family the model belongs to
         density = DensityModel.gaussian()
         kind = "linear" if args.model == "bachelier" else "geometric"
-        params = ModelParams(s0, sigma, t)
         price_fn = bachelier_call if args.model == "bachelier" else black_scholes_call
-        prices = np.array([price_fn(params, k) for k in strikes])
+        prices = price_fn(ModelParams(s0, sigma, t), strikes)
     else:
-        density = args.density
-        kind = args.family
-        call_fn = family_call_linear if kind == "linear" else family_call_geometric
-        if yval > 0.0:
-            prices = np.array([call_fn(density, s0, yval, k) for k in strikes])
+        density, kind = args.density, args.family
     if yval == 0.0:
         prices = np.maximum(s0 - strikes, 0.0)
         surv = (strikes < s0).astype(np.float64)
+    elif args.model is not None:
+        surv = family_prices(kind, density, s0, yval, strikes)[1]
     else:
-        surv = np.array([survival(kind, density, s0, yval, k) for k in strikes])
+        prices, surv, _ = family_prices(kind, density, s0, yval, strikes)
     _emit_table(args.out, ("K", "C", "survival"), strikes, prices, surv)
     return 0
 
@@ -290,16 +277,9 @@ def _cmd_localvol(args, parser) -> int:
                 surf = boundary_surface(spec, tgrid, pgrid)
                 res = dupire_from_boundary(surf, t, p)
                 rows.append((t, res.strike, res.sigma_sq, res.method))
-    fh, owned = _out_handle(args.out)
-    try:
-        fh.write("t,K,sigma_sq,method\n")
-        for t, k, sig, method in rows:
-            fh.write("%s,%s,%s,%s\n" % (curve_io.format_float(t),
-                                        curve_io.format_float(k),
-                                        curve_io.format_float(sig), method))
-    finally:
-        if owned:
-            fh.close()
+    fmt = curve_io.format_float
+    _emit_text(args.out, "t,K,sigma_sq,method\n" + "".join(
+        f"{fmt(t)},{fmt(k)},{fmt(sig)},{method}\n" for t, k, sig, method in rows))
     return 0
 
 

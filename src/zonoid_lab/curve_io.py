@@ -149,16 +149,19 @@ def read_curve_csv(path_or_file, mean: Optional[float] = None,
 # Surfaces
 # ---------------------------------------------------------------------------
 
+def _write_surface_rows(fh, surface: SurfaceGrid) -> None:
+    """Matrix CSV rows: first row = axis, first column = times."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow([""] + [format_float(v) for v in surface.axis])
+    for t, row in zip(surface.times, surface.values):
+        writer.writerow([format_float(t)] + [format_float(v) for v in row])
+
+
 def write_surface_csv(path: str, surface: SurfaceGrid) -> None:
-    """Matrix CSV (first row = axis, first column = times) plus a
-    ``<path>.meta.json`` sidecar carrying axis_kind and the generating
-    parameters."""
+    """Matrix CSV plus a ``<path>.meta.json`` sidecar carrying axis_kind and
+    the generating parameters."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([""] + [format_float(v) for v in surface.axis])
-        for i, t in enumerate(surface.times):
-            writer.writerow([format_float(t)]
-                            + [format_float(v) for v in surface.values[i]])
+        _write_surface_rows(fh, surface)
     meta = {"axis_kind": surface.axis_kind}
     meta.update(surface.meta)
     with open(path + ".meta.json", "w") as fh:
@@ -190,8 +193,5 @@ def read_surface_csv(path: str, axis_kind: Optional[str] = None) -> SurfaceGrid:
 def surface_to_string(surface: SurfaceGrid) -> str:
     """Matrix CSV as a string (for stdout use)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + [format_float(v) for v in surface.axis])
-    for i, t in enumerate(surface.times):
-        writer.writerow([format_float(t)] + [format_float(v) for v in surface.values[i]])
+    _write_surface_rows(buf, surface)
     return buf.getvalue()

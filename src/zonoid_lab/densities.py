@@ -24,13 +24,15 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, RangeError, UnsupportedError, ValidationError
-from .numerics import as_float_array, monotone_root, second_differences, require_uniform
+from .numerics import (as_float_array, like_input, monotone_root, require_uniform,
+                       second_differences)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _FAMILIES = ("gaussian", "logistic", "cauchy", "custom")
 
 # Quantile level used to clip root-finding brackets for custom models.
 _BRACKET_EPS = 1e-15
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ class DensityModel:
             out = 1.0 / (math.pi * self.scale * (1.0 + z * z))
         else:
             out = np.asarray(self.pdf_fn(x), dtype=np.float64)
-        return _match(out, x)
+        return like_input(out, x)
 
     def pdf_prime(self, x):
         x = as_float_array(x, "x")
@@ -164,7 +166,7 @@ class DensityModel:
             out = -2.0 * z / (math.pi * self.scale ** 2 * (1.0 + z * z) ** 2)
         else:
             out = np.asarray(self.pdf_prime_fn(x), dtype=np.float64)
-        return _match(out, x)
+        return like_input(out, x)
 
     def cdf(self, x):
         x = as_float_array(x, "x")
@@ -176,7 +178,7 @@ class DensityModel:
             out = 0.5 + np.arctan(self._z(x)) / math.pi
         else:
             out = np.asarray(self.cdf_fn(x), dtype=np.float64)
-        return _match(out, x)
+        return like_input(out, x)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=np.float64)
@@ -194,7 +196,7 @@ class DensityModel:
                          self.location + self.scale * np.tan(math.pi * (p - 0.5))))
         else:
             out = np.asarray(self.quantile_fn(p), dtype=np.float64)
-        return _match(out, p)
+        return like_input(out, p)
 
     def log_pdf(self, x):
         x = as_float_array(x, "x")
@@ -210,7 +212,7 @@ class DensityModel:
         else:
             with np.errstate(divide="ignore"):
                 out = np.log(np.asarray(self.pdf_fn(x), dtype=np.float64))
-        return _match(out, x)
+        return like_input(out, x)
 
     def log_slope(self, x):
         """(log f)'(x) = f'(x)/f(x); decreasing exactly when f is log-concave."""
@@ -225,14 +227,14 @@ class DensityModel:
         else:
             out = (np.asarray(self.pdf_prime_fn(x), dtype=np.float64)
                    / np.asarray(self.pdf_fn(x), dtype=np.float64))
-        return _match(out, x)
+        return like_input(out, x)
 
     def log_curvature(self, x):
         """(log f)''(x); analytic for the built-ins, central differences of
         (log f)' at step 1e-5*scale for custom models."""
         x = as_float_array(x, "x")
         if self.family == "gaussian":
-            out = np.full_like(np.atleast_1d(x), -1.0 / self.scale ** 2)
+            out = np.full_like(x, -1.0 / self.scale ** 2)
         elif self.family == "logistic":
             p = special.expit(self._z(x))
             out = -2.0 * p * (1.0 - p) / self.scale ** 2
@@ -242,7 +244,7 @@ class DensityModel:
         else:
             h = 1e-5 * self.scale
             out = (self.log_slope(x + h) - self.log_slope(x - h)) / (2.0 * h)
-        return _match(out, x)
+        return like_input(out, x)
 
     # -- structure ---------------------------------------------------------
 
@@ -293,26 +295,9 @@ class DensityModel:
         return (lo, hi)
 
 
-def _match(out, template):
-    out = np.asarray(out, dtype=np.float64)
-    if np.ndim(template) == 0:
-        return float(out.reshape(())[()] if out.ndim else out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def eval_density(model: DensityModel, x):
-    """f(x) for finite x (vectorised)."""
-    return model.pdf(x)
-
-
-def eval_quantile(model: DensityModel, p):
-    """F^{-1}(p) for p in [0, 1]; the endpoints map to -inf/+inf."""
-    return model.quantile(p)
-
 
 def inverse_log_slope(model: DensityModel, w):
     """U(w): the unique x with (log f)'(x) = w, for log-concave f.
@@ -328,19 +313,19 @@ def inverse_log_slope(model: DensityModel, w):
     if not np.all(np.isfinite(w_arr)):
         raise DomainError("w must be finite")
     if model.family == "gaussian":
-        return _match(model.location - w_arr * model.scale ** 2, w)
+        return like_input(model.location - w_arr * model.scale ** 2, w)
     if model.family == "logistic":
         ws = w_arr * model.scale
         if np.any(ws <= -1.0) or np.any(ws >= 1.0):
             raise RangeError(f"w={w!r} outside the logistic log-slope range")
-        return _match(model.location + model.scale * special.logit((1.0 - ws) * 0.5), w)
+        # (1 - ws)/2 rounds to 1 within an ulp of ws = -1; logit(1) is inf
+        half = np.minimum((1.0 - ws) * 0.5, _BELOW_ONE)
+        return like_input(model.location + model.scale * special.logit(half), w)
     lo = model.quantile(_BRACKET_EPS)
     hi = model.quantile(1.0 - _BRACKET_EPS)
     solve = lambda wi: _clipped_root(lambda t: float(model.log_slope(t)),
                                      wi, model, lo, hi)
-    if np.ndim(w) == 0:
-        return solve(float(w_arr))
-    return np.array([solve(wi) for wi in w_arr.ravel()]).reshape(w_arr.shape)
+    return like_input(np.array([solve(wi) for wi in w_arr.ravel()]).reshape(w_arr.shape), w)
 
 
 def inverse_ratio(model: DensityModel, y: float, r):
@@ -358,7 +343,7 @@ def inverse_ratio(model: DensityModel, y: float, r):
         raise RangeError(f"r must be positive and finite, got {r!r}")
     if model.family == "gaussian":
         out = model.location - model.scale ** 2 * np.log(r_arr) / y - 0.5 * y
-        return _match(out, r)
+        return like_input(out, r)
     if model.family == "logistic":
         # Solve lam*((1+u)/(1+lam*u))^2 = r for u = exp(-(x-loc)/scale).
         a = 0.5 * np.log(r_arr) + 0.5 * y / model.scale
@@ -366,14 +351,12 @@ def inverse_ratio(model: DensityModel, y: float, r):
         if np.any(a <= 0.0) or np.any(b >= 0.0):
             raise RangeError(f"r={r!r} outside the logistic ratio range for y={y!r}")
         log_u = np.log(np.expm1(a)) - np.log(-np.expm1(b))
-        return _match(model.location - model.scale * log_u, r)
+        return like_input(model.location - model.scale * log_u, r)
     lo = model.quantile(_BRACKET_EPS)
     hi = model.quantile(1.0 - _BRACKET_EPS)
     fn = lambda t: float(model.log_pdf(t + y) - model.log_pdf(t))
-    if np.ndim(r) == 0:
-        return _clipped_root(fn, math.log(float(r_arr)), model, lo, hi)
-    return np.array([_clipped_root(fn, math.log(ri), model, lo, hi)
-                     for ri in r_arr.ravel()]).reshape(r_arr.shape)
+    out = np.array([_clipped_root(fn, math.log(ri), model, lo, hi) for ri in r_arr.ravel()])
+    return like_input(out.reshape(r_arr.shape), r)
 
 
 def _clipped_root(fn, target, model, lo, hi) -> float:
@@ -399,7 +382,7 @@ def check_log_concavity(model: DensityModel, grid=None) -> ConcavityReport:
     if grid.ndim != 1 or grid.size < 3:
         raise ValidationError("concavity grid needs at least 3 points")
     h = require_uniform(grid, "grid")
-    values = np.atleast_1d(model.log_pdf(grid))
+    values = model.log_pdf(grid)
     d2 = second_differences(values)
     slack = 1e-10 * h * h
     idx = int(np.argmax(d2))

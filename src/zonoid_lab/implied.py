@@ -140,7 +140,7 @@ def implied_y_minimization(query: ImpliedQuery, n_scan: int = 512) -> Tuple[floa
                 - np.asarray(density.quantile(p)))
 
     ps = np.linspace(lo, hi, n_scan)
-    vals = np.atleast_1d(objective(ps))
+    vals = objective(ps)
     i = int(np.argmin(vals))
     b_lo = ps[max(i - 1, 0)]
     b_hi = ps[min(i + 1, n_scan - 1)]

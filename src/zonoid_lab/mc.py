@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, ValidationError
-from .numerics import as_float_array, legendre_min
+from .numerics import as_float_array, legendre_min, like_input
 from .zonoid import CallCurve, project_convex_decreasing
 
 _MODELS = ("bachelier", "black_scholes")
@@ -258,9 +258,7 @@ def exact_boundary(model: str, t: float, p):
             out[interior] = special.ndtr(q + math.sqrt(t))
             out[p_arr == 0.0] = 0.0
             out[p_arr == 1.0] = 1.0
-    if np.ndim(p) == 0:
-        return float(out[0])
-    return out
+    return like_input(out, p)
 
 
 def _default_kgrid(config: SimConfig, sample: np.ndarray) -> np.ndarray:
@@ -294,7 +292,7 @@ def mc_check_propositions(config: SimConfig, pgrid=None,
         mc_vals = (0.0 if config.model == "bachelier" else 1.0) * pgrid
         dev = np.max(np.abs(mc_vals - exact))
         return McPropositionReport(config.model, 0.0, config.n_paths, pgrid,
-                                   mc_vals, np.atleast_1d(exact), zero,
+                                   mc_vals, exact, zero,
                                    float(dev), 0.0, bool(dev == 0.0))
     if kgrid is None:
         kgrid = _default_kgrid(config, sample)
@@ -307,7 +305,7 @@ def mc_check_propositions(config: SimConfig, pgrid=None,
     # the transform's values, and its argmin strikes for the standard errors
     mc_vals, amin = legendre_min(kgrid, projected, pgrid)
     ses = _payoff_se_at(x_sorted, suffix1, _suffix_sums(x_sorted ** 2), kgrid[amin])
-    exact = np.atleast_1d(exact_boundary(config.model, config.t, pgrid))
+    exact = exact_boundary(config.model, config.t, pgrid)
     dev_units = np.abs(mc_vals - exact) / np.maximum(ses, 1e-300)
     max_dev = float(np.max(dev_units))
     return McPropositionReport(config.model, config.t, config.n_paths, pgrid,

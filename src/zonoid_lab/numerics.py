@@ -27,6 +27,14 @@ def as_float_array(x, name: str = "x") -> np.ndarray:
     return arr
 
 
+def like_input(out, x):
+    """The package's return convention: a Python scalar (float, or bool for
+    flags) when the input ``x`` was 0-d, the array ``out`` otherwise."""
+    if np.ndim(x) == 0:
+        return np.asarray(out).item()
+    return out
+
+
 def monotone_root(
     fn: Callable[[float], float],
     target: float,

@@ -27,7 +27,8 @@ from scipy import integrate
 
 from .densities import ConcavityReport, DensityModel
 from .errors import DomainError, UnsupportedError, ValidationError
-from .numerics import as_float_array, legendre_min, require_uniform, second_differences
+from .numerics import (as_float_array, legendre_min, like_input, require_uniform,
+                       second_differences)
 
 _FAMILIES = ("linear", "geometric")
 _AXIS_KINDS = ("call-space", "zonoid-space")
@@ -186,9 +187,7 @@ def G_map(density: DensityModel, p):
     interior = (p_arr > 0.0) & (p_arr < 1.0)
     if np.any(interior):
         out[interior] = density.pdf(density.quantile(p_arr[interior]))
-    if np.ndim(p) == 0:
-        return float(out[0])
-    return out
+    return like_input(out, p)
 
 
 def H_map(density: DensityModel, y: float, p):
@@ -204,9 +203,7 @@ def H_map(density: DensityModel, y: float, p):
         interior = (p_arr > 0.0) & (p_arr < 1.0)
         if np.any(interior):
             out[interior] = density.cdf(density.quantile(p_arr[interior]) + y)
-    if np.ndim(p) == 0:
-        return float(out[0])
-    return out
+    return like_input(out, p)
 
 
 def surface_boundary(spec: PeacockSpec, t: float, p):
@@ -217,17 +214,14 @@ def surface_boundary(spec: PeacockSpec, t: float, p):
         out = spec.s * np.asarray(p, dtype=np.float64) + yval * G_map(spec.density, p)
     else:
         out = spec.s * np.asarray(H_map(spec.density, yval, p))
-    if np.ndim(p) == 0:
-        return float(np.asarray(out).reshape(())[()])
-    return out
+    return like_input(out, p)
 
 
 def boundary_surface(spec: PeacockSpec, tgrid, pgrid) -> SurfaceGrid:
     """Zonoid-space SurfaceGrid of the family over (tgrid, pgrid)."""
     tgrid = as_float_array(tgrid, "tgrid")
     pgrid = as_float_array(pgrid, "pgrid")
-    values = np.vstack([np.atleast_1d(surface_boundary(spec, float(t), pgrid))
-                        for t in tgrid])
+    values = np.vstack([surface_boundary(spec, float(t), pgrid) for t in tgrid])
     return SurfaceGrid(tgrid, pgrid, values, "zonoid-space", meta=_spec_meta(spec))
 
 
@@ -244,9 +238,9 @@ def call_surface(spec: PeacockSpec, tgrid, kgrid) -> SurfaceGrid:
         if yval == 0.0:
             rows.append(np.maximum(spec.s - kgrid, 0.0))
         elif spec.family == "linear":
-            rows.append(np.atleast_1d(family_call_linear(spec.density, spec.s, yval, kgrid)))
+            rows.append(family_call_linear(spec.density, spec.s, yval, kgrid))
         else:
-            rows.append(np.atleast_1d(family_call_geometric(spec.density, spec.s, yval, kgrid)))
+            rows.append(family_call_geometric(spec.density, spec.s, yval, kgrid))
     return SurfaceGrid(tgrid, kgrid, np.vstack(rows), "call-space", meta=_spec_meta(spec))
 
 
@@ -328,8 +322,7 @@ def certify_peacock(spec: PeacockSpec, tgrid, pgrid=None,
     if pgrid[0] != 0.0 or pgrid[-1] != 1.0:
         raise ValidationError("pgrid must span [0, 1] exactly")
 
-    rows = np.vstack([np.atleast_1d(surface_boundary(spec, float(t), pgrid))
-                      for t in tgrid])
+    rows = np.vstack([surface_boundary(spec, float(t), pgrid) for t in tgrid])
 
     # (a) concavity of each slice
     worst_viol = -np.inf
@@ -407,10 +400,10 @@ def generator_limit_check(density: DensityModel, ygrid=None, pgrid=None) -> np.n
     if pgrid is None:
         pgrid = np.linspace(0.01, 0.99, 99)
     pgrid = as_float_array(pgrid, "pgrid")
-    g = np.atleast_1d(G_map(density, pgrid))
+    g = G_map(density, pgrid)
     rows = []
     for y in ygrid:
-        hy = np.atleast_1d(H_map(density, float(y), pgrid))
+        hy = H_map(density, float(y), pgrid)
         err = float(np.max(np.abs((hy - pgrid) / y - g)))
         rows.append((float(y), err))
     return np.array(rows)

@@ -10,22 +10,26 @@ general family formulas for marginals built from a log-concave density model:
   V = V_y(K / s), where V_y inverts the ratio x -> f(x + y)/f(x) (the
   survival probability at strike K is F(V)).
 
-Strikes outside the reachable range are clamped to the intrinsic bounds
-(mean - K)^+ or 0; the ``*_with_flag`` variants report when clamping fired.
+The call price and the survival probability are the value and the slope of
+one supporting line, so ``family_prices`` returns both, with the clamp flag,
+from one inverse solve: strikes outside the reachable range are clamped to
+the intrinsic bounds (mean - K)^+ or 0.  ``family_call_*``,
+``family_call_*_with_flag``, ``survival_*`` and ``survival`` are views of it.
+Every function here returns Python scalars for a scalar strike and arrays
+for an array of strikes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 from scipy import special
 
 from .densities import DensityModel, inverse_log_slope, inverse_ratio
 from .errors import DomainError, ValidationError
-from .numerics import as_float_array
+from .numerics import as_float_array, like_input
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -63,9 +67,7 @@ def bachelier_call(params: ModelParams, k):
         v = params.sigma * math.sqrt(params.t)
         d = (params.s0 - k) / v
         out = v * _phi(d) + (params.s0 - k) * special.ndtr(d)
-    if np.ndim(k) == 0:
-        return float(np.asarray(out).reshape(())[()])
-    return out
+    return like_input(out, k)
 
 
 def black_scholes_call(params: ModelParams, k):
@@ -75,7 +77,7 @@ def black_scholes_call(params: ModelParams, k):
     if params.s0 <= 0.0:
         raise DomainError("geometric model requires a positive spot")
     k = as_float_array(k, "strike")
-    if np.any(np.atleast_1d(k) <= 0.0):
+    if np.any(k <= 0.0):
         raise DomainError("geometric model strikes must be positive")
     if params.t == 0.0:
         out = np.maximum(params.s0 - k, 0.0)
@@ -83,134 +85,91 @@ def black_scholes_call(params: ModelParams, k):
         v = params.sigma * math.sqrt(params.t)
         d1 = np.log(params.s0 / k) / v + 0.5 * v
         out = params.s0 * special.ndtr(d1) - k * special.ndtr(d1 - v)
-    if np.ndim(k) == 0:
-        return float(np.asarray(out).reshape(())[()])
-    return out
+    return like_input(out, k)
 
 
 # ---------------------------------------------------------------------------
-# Family call formulas
+# Family prices
 # ---------------------------------------------------------------------------
 
-def _scalar_or_array(out, k):
-    if np.ndim(k) == 0:
-        return float(np.asarray(out).reshape(())[()])
-    return out
+def family_prices(kind: str, model: DensityModel, s: float, y: float, k):
+    """Call price C(K), survival probability P(X > K) = -C'(K) and clamp flag
+    of the ``kind`` ("linear" or "geometric") family marginal at level y,
+    from one inverse solve per strike.
+
+    Strikes outside the reachable range are clamped (flag True): C = s - K
+    and P = 1 below it, C = 0 and P = 0 above it.  Raises DomainError unless
+    s is finite (and positive, with non-negative strikes, for the geometric
+    family) and y is positive and finite.
+    """
+    if kind not in ("linear", "geometric"):
+        raise ValidationError(f"unknown family kind {kind!r}")
+    if y <= 0.0 or not np.isfinite(y):
+        raise DomainError("y must be positive and finite")
+    if not np.isfinite(s) or (kind == "geometric" and s <= 0.0):
+        raise DomainError("s must be finite, and positive for the geometric family")
+    k = as_float_array(k, "strike")
+    karr = np.atleast_1d(k)
+    if kind == "linear":
+        x = (karr - s) / y
+        x_lo, x_hi = model.log_slope_range()
+    else:
+        if np.any(karr < 0.0):
+            raise DomainError("geometric family strikes must be non-negative")
+        x = karr / s
+        x_lo, x_hi = model.ratio_range(y)
+    below = x <= x_lo
+    clamped = below | (x >= x_hi)
+    call = np.zeros(x.shape)
+    call[below] = s - karr[below]
+    surv = below.astype(np.float64)
+    if not clamped.all():
+        inside = ~clamped
+        xi = x[inside]
+        if kind == "linear":
+            u = inverse_log_slope(model, xi)
+            tail = model.cdf(u)
+            call[inside] = y * (model.pdf(u) - tail * xi)
+        else:
+            v = inverse_ratio(model, y, xi)
+            tail = model.cdf(v)
+            call[inside] = s * model.cdf(v + y) - karr[inside] * tail
+        surv[inside] = tail
+    return like_input(call, k), like_input(surv, k), like_input(clamped, k)
 
 
 def family_call_linear_with_flag(model: DensityModel, s: float, yval: float, k):
-    """Linear family call price and a clamp flag.
-
-    For w = (K - s)/yval inside the range of the log-slope of f,
-    C(K) = yval [ f(U(w)) - F(U(w)) w ]; outside, the price saturates at the
-    intrinsic bounds (flag True): mean - K below, 0 above.
-    """
-    if yval <= 0.0 or not np.isfinite(yval):
-        raise DomainError("yval must be positive and finite")
-    if not np.isfinite(s):
-        raise DomainError("s must be finite")
-    k = as_float_array(k, "strike")
-    karr = np.atleast_1d(k)
-    w = (karr - s) / yval
-    w_lo, w_hi = model.log_slope_range()
-    out = np.empty(w.shape)
-    flagged = np.zeros(w.shape, dtype=bool)
-    below = w <= w_lo
-    above = w >= w_hi
-    inside = ~(below | above)
-    out[below] = s - karr[below]
-    out[above] = 0.0
-    flagged[below | above] = True
-    if np.any(inside):
-        u = np.asarray(inverse_log_slope(model, w[inside]), dtype=np.float64)
-        fu = np.asarray(model.pdf(u), dtype=np.float64)
-        pstar = np.asarray(model.cdf(u), dtype=np.float64)
-        out[inside] = yval * (fu - pstar * w[inside])
-    return _scalar_or_array(out, k), _scalar_or_array(flagged, k)
+    """Linear family call price and clamp flag (see :func:`family_prices`)."""
+    call, _, clamped = family_prices("linear", model, s, yval, k)
+    return call, clamped
 
 
 def family_call_linear(model: DensityModel, s: float, yval: float, k):
-    return family_call_linear_with_flag(model, s, yval, k)[0]
+    return family_prices("linear", model, s, yval, k)[0]
 
 
 def survival_linear(model: DensityModel, s: float, yval: float, k):
-    """P(X > K) for the linear family: F(U((K - s)/yval)) (the minus-call
-    slope), clamped to {1, 0} outside the reachable strike range."""
-    if yval <= 0.0 or not np.isfinite(yval):
-        raise DomainError("yval must be positive and finite")
-    k = as_float_array(k, "strike")
-    w = (np.atleast_1d(k) - s) / yval
-    w_lo, w_hi = model.log_slope_range()
-    out = np.empty(w.shape)
-    out[w <= w_lo] = 1.0
-    out[w >= w_hi] = 0.0
-    inside = (w > w_lo) & (w < w_hi)
-    if np.any(inside):
-        u = np.asarray(inverse_log_slope(model, w[inside]), dtype=np.float64)
-        out[inside] = np.asarray(model.cdf(u), dtype=np.float64)
-    return _scalar_or_array(out, k)
+    """P(X > K) = -C'(K) for the linear family (see :func:`family_prices`)."""
+    return family_prices("linear", model, s, yval, k)[1]
 
 
 def family_call_geometric_with_flag(model: DensityModel, s: float, y: float, k):
-    """Geometric family call price and a clamp flag.
-
-    For r = K/s inside the range of x -> f(x + y)/f(x),
-    C(K) = s F(V + y) - K F(V) with V = V_y(K/s); outside, the price
-    saturates at the intrinsic bounds (flag True).
-    """
-    if s <= 0.0 or not np.isfinite(s):
-        raise DomainError("s must be positive and finite")
-    if y <= 0.0 or not np.isfinite(y):
-        raise DomainError("y must be positive and finite")
-    k = as_float_array(k, "strike")
-    karr = np.atleast_1d(k)
-    if np.any(karr < 0.0):
-        raise DomainError("geometric family strikes must be non-negative")
-    r = karr / s
-    r_lo, r_hi = model.ratio_range(y)
-    out = np.empty(r.shape)
-    flagged = np.zeros(r.shape, dtype=bool)
-    below = r <= r_lo
-    above = r >= r_hi
-    inside = ~(below | above)
-    out[below] = s - karr[below]
-    out[above] = 0.0
-    flagged[below | above] = True
-    if np.any(inside):
-        v = np.asarray(inverse_ratio(model, y, r[inside]), dtype=np.float64)
-        out[inside] = (s * np.asarray(model.cdf(v + y), dtype=np.float64)
-                       - karr[inside] * np.asarray(model.cdf(v), dtype=np.float64))
-    return _scalar_or_array(out, k), _scalar_or_array(flagged, k)
+    """Geometric family call price and clamp flag (see :func:`family_prices`)."""
+    call, _, clamped = family_prices("geometric", model, s, y, k)
+    return call, clamped
 
 
 def family_call_geometric(model: DensityModel, s: float, y: float, k):
-    return family_call_geometric_with_flag(model, s, y, k)[0]
+    return family_prices("geometric", model, s, y, k)[0]
 
 
 def survival_geometric(model: DensityModel, s: float, y: float, k):
-    """P(X > K) for the geometric family: F(V_y(K/s)) (the minus-call
-    slope), clamped to {1, 0} outside the reachable strike range."""
-    if s <= 0.0 or y <= 0.0:
-        raise DomainError("s and y must be positive")
-    k = as_float_array(k, "strike")
-    r = np.atleast_1d(k) / s
-    r_lo, r_hi = model.ratio_range(y)
-    out = np.empty(r.shape)
-    out[r <= r_lo] = 1.0
-    out[r >= r_hi] = 0.0
-    inside = (r > r_lo) & (r < r_hi)
-    if np.any(inside):
-        v = np.asarray(inverse_ratio(model, y, r[inside]), dtype=np.float64)
-        out[inside] = np.asarray(model.cdf(v), dtype=np.float64)
-    return _scalar_or_array(out, k)
+    """P(X > K) = -C'(K) for the geometric family (see :func:`family_prices`)."""
+    return family_prices("geometric", model, s, y, k)[1]
 
 
 def survival(kind: str, model: DensityModel, s: float, yval: float, k):
-    if kind == "linear":
-        return survival_linear(model, s, yval, k)
-    if kind == "geometric":
-        return survival_geometric(model, s, yval, k)
-    raise ValidationError(f"unknown family kind {kind!r}")
+    return family_prices(kind, model, s, yval, k)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ from scipy import integrate
 
 from .densities import DensityModel
 from .errors import DomainError, UnsupportedError, ValidationError
-from .numerics import as_float_array, golden_section_min, legendre_min, lower_hull
+from .numerics import (as_float_array, golden_section_min, legendre_min, like_input,
+                       lower_hull)
 
 _P_EPS = 1e-9          # probability clipping for continuous searches
 _Q_EPS = 1e-12         # quantile clipping for quadrature supports
@@ -120,9 +121,7 @@ class CallCurve:
         above = k_arr > self.k_hi
         out[below] = self.mean - k_arr[below]
         out[above] = 0.0
-        if np.ndim(k) == 0:
-            return float(out[0])
-        return out
+        return like_input(out, k)
 
     def sample_grid(self, n: int = 513) -> np.ndarray:
         if self.is_grid:
@@ -134,7 +133,7 @@ class CallCurve:
         non-increasing, convex (to slack), and near its asymptotes at the
         domain endpoints."""
         ks = self.sample_grid()
-        vals = np.atleast_1d(self.__call__(ks))
+        vals = self.__call__(ks)
         if not np.all(np.isfinite(vals)):
             raise ValidationError("call curve values must be finite")
         vrange = float(vals.max() - vals.min())
@@ -211,9 +210,7 @@ class ZonoidBoundary:
             if np.any(p < self.probs[0]) or np.any(p > self.probs[-1]):
                 raise DomainError("p outside the stored boundary grid")
             out = np.interp(p, self.probs, self.values)
-        if np.ndim(p) == 0:
-            return float(np.asarray(out).reshape(())[()])
-        return out
+        return like_input(out, p)
 
     def lower(self, p):
         """Lower boundary branch mean - upper(1 - p)."""
@@ -227,7 +224,7 @@ class ZonoidBoundary:
 
     def validate(self, shape_slack: float = 1e-9) -> None:
         ps = self.sample_grid()
-        vals = np.atleast_1d(self.__call__(ps))
+        vals = self.__call__(ps)
         if not np.all(np.isfinite(vals)):
             raise ValidationError("boundary values must be finite")
         tol = 1e-12 * _value_scale(self.mean)
@@ -271,13 +268,23 @@ class DiscreteDistribution:
         return float(self.atoms @ self.weights)
 
     def call_value(self, k):
-        """Exact E(X - K)^+ (piecewise linear in K with kinks at the atoms)."""
+        """Exact E(X - K)^+ (piecewise linear in K with kinks at the atoms).
+
+        Stepped in from the right along the sorted atoms, so only
+        non-negative terms are ever added: C(x_i) = C(x_{i+1}) +
+        P(X > x_i) (x_{i+1} - x_i), and C(K) = C(x_j) + P(X >= x_j) (x_j - K)
+        for the first atom x_j above K.  The running sums are kept in long
+        double and rounded once.  O(N + M log N) time, O(N + M) memory for
+        N atoms and M strikes.
+        """
         k = as_float_array(k, "strike")
-        payoff = np.clip(self.atoms[None, ...] - np.atleast_1d(k)[..., None], 0.0, None)
-        out = payoff @ self.weights
-        if np.ndim(k) == 0:
-            return float(out[0])
-        return out
+        x = self.atoms.astype(np.longdouble)
+        tail = np.cumsum(self.weights[::-1].astype(np.longdouble))[::-1]  # P(X >= x_i)
+        at_atoms = np.append(np.cumsum((tail[1:] * np.diff(x))[::-1])[::-1], 0.0)
+        j = np.searchsorted(self.atoms, k, side="right")
+        jc = np.minimum(j, x.size - 1)
+        out = np.where(j < x.size, at_atoms[jc] + tail[jc] * (x[jc] - k), 0.0)
+        return like_input(out.astype(np.float64), k)
 
     def call_curve(self, pad: Optional[float] = None) -> CallCurve:
         """Piecewise-linear call curve with kinks exactly at the atoms."""
@@ -409,9 +416,7 @@ def discrete_upper_boundary(dist: DiscreteDistribution, p):
     j = np.searchsorted(cum_w, p_arr, side="left")
     j = np.clip(j, 1, x_desc.size)
     out = cum_xw[j - 1] + x_desc[j - 1] * (p_arr - cum_w[j - 1])
-    if np.ndim(p) == 0:
-        return float(np.asarray(out).reshape(())[()])
-    return out
+    return like_input(out, p)
 
 
 def boundary_from_quantile_integral(target: Union[DiscreteDistribution, DensityModel], p):
@@ -449,9 +454,7 @@ def boundary_from_quantile_integral(target: Union[DiscreteDistribution, DensityM
             out[i] = val
     else:
         raise UnsupportedError(f"no quantile-integral route for {type(target).__name__}")
-    if np.ndim(p) == 0:
-        return float(out[0])
-    return out
+    return like_input(out, p)
 
 
 def inverse_boundary_positive(curve: CallCurve, q: float) -> float:

@@ -19,7 +19,8 @@ from zonoid_lab.densities import DensityModel
 from zonoid_lab.mc import SimConfig, mc_check_propositions, simulate_terminal
 from zonoid_lab.peacocks import G_map, H_map, PeacockSpec, TimeChange, boundary_surface
 from zonoid_lab.pricing import (ModelParams, bachelier_call, bachelier_curve,
-                                family_call_linear, survival)
+                                black_scholes_call, family_call_linear,
+                                family_prices, survival)
 from zonoid_lab.zonoid import (calls_from_upper_boundary,
                                upper_boundary_from_calls)
 
@@ -108,6 +109,41 @@ def test_price_family_matches_library(capsys):
     logistic = DensityModel.logistic()
     for k, c, sv in data:
         assert c == family_call_linear(logistic, 0.0, 1.0, k)
+
+
+@pytest.mark.parametrize("argv,kind,density", [
+    (["--model", "bachelier", "--s0", "0.2", "--sigma", "0.9", "--t", "1.1",
+      "--k-grid=-3:3:201"], "linear", "gaussian"),
+    (["--model", "black_scholes", "--s0", "1.2", "--sigma", "0.4", "--t", "0.8",
+      "--k-grid=0.05:4:201"], "geometric", "gaussian"),
+    (["--family", "linear", "--density", "logistic", "--s0", "0.1", "--sigma", "0.8",
+      "--t", "1", "--k-grid=-1.5:1.5:201"], "linear", "logistic"),
+    (["--family", "geometric", "--density", "logistic", "--s0", "1.0", "--sigma", "0.7",
+      "--t", "1.3", "--k-grid=0:4:201"], "geometric", "logistic"),
+], ids=["bachelier", "black_scholes", "linear", "geometric"])
+def test_price_k_grid_equals_family_prices(capsys, argv, kind, density):
+    assert run_cli("price", *argv) == 0
+    _, data = read_csv_text(capsys.readouterr().out)
+    flags = dict(zip(argv[::2], argv[1::2]))
+    s0, sigma, t = float(flags["--s0"]), float(flags["--sigma"]), float(flags["--t"])
+    ks = data[:, 0]
+    assert ks.size == 201
+    call, surv, _ = family_prices(kind, DensityModel(density), s0, sigma * math.sqrt(t), ks)
+    if "--model" in flags:
+        price_fn = bachelier_call if kind == "linear" else black_scholes_call
+        call = price_fn(ModelParams(s0, sigma, t), ks)
+    assert np.array_equal(data[:, 1], call)
+    assert np.array_equal(data[:, 2], surv)
+
+
+def test_price_logistic_linear_edge_strike(capsys):
+    # K = -0.7 sits an ulp inside the reachable range; it used to exit 2
+    assert run_cli("price", "--family=linear", "--density=logistic", "--s0=0.1",
+                   "--sigma=0.8", "--t=1", "--k-grid=-2:2:2001") == 0
+    _, data = read_csv_text(capsys.readouterr().out)
+    i = int(np.argmin(np.abs(data[:, 0] + 0.7)))
+    assert abs(data[i, 1] - (0.1 - data[i, 0])) <= 1.2e-16
+    assert np.all(np.isfinite(data))
 
 
 def test_price_zero_maturity_is_intrinsic(capsys):

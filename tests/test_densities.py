@@ -15,7 +15,6 @@ from scipy import integrate
 from scipy.stats import norm
 
 from zonoid_lab.densities import (DensityModel, check_log_concavity,
-                                  eval_density, eval_quantile,
                                   inverse_log_slope, inverse_ratio)
 from zonoid_lab.errors import (DomainError, RangeError, UnsupportedError,
                                ValidationError)
@@ -104,12 +103,6 @@ def test_log_slope_and_curvature_match_finite_differences(model):
     assert np.max(np.abs(model.log_curvature(xs) - fd2)) <= 1e-4
 
 
-def test_eval_wrappers_match_methods():
-    xs = np.array([-1.0, 0.0, 2.0])
-    assert np.allclose(eval_density(GAUSS, xs), GAUSS.pdf(xs))
-    assert eval_quantile(LOGISTIC, 0.5) == 0.0
-
-
 def test_scalar_in_scalar_out():
     assert isinstance(GAUSS.pdf(0.0), float)
     assert isinstance(GAUSS.cdf(np.float64(0.0)), float)
@@ -184,6 +177,16 @@ def test_inverse_log_slope_substitution(model):
     for w in np.linspace(lo + 1e-3, hi - 1e-3, 17):
         x = inverse_log_slope(model, float(w))
         assert abs(model.log_slope(x) - w) <= 1e-10
+
+
+def test_logistic_inverse_log_slope_is_finite_at_the_range_edge():
+    # (1 - w scale)/2 rounds to 1 an ulp inside w = -1/scale; the argument
+    # of logit is capped below 1 so the inverse stays finite
+    for model in (LOGISTIC, DensityModel.logistic(-1.0, 0.7)):
+        w = np.nextafter(-1.0 / model.scale, 0.0)
+        x = inverse_log_slope(model, w)
+        assert math.isfinite(x) and x > model.location + 30.0 * model.scale
+        assert np.all(np.isfinite(inverse_log_slope(model, np.array([w, -w]))))
 
 
 @pytest.mark.parametrize("model", [GAUSS, DensityModel.gaussian(0.5, 2.0),

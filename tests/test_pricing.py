@@ -17,15 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from zonoid_lab.densities import DensityModel
+from zonoid_lab.densities import DensityModel, inverse_log_slope, inverse_ratio
 from zonoid_lab.errors import DomainError, ValidationError
 from zonoid_lab.pricing import (ModelParams, bachelier_call, bachelier_curve,
                                 black_scholes_call, black_scholes_curve,
                                 family_call_geometric,
                                 family_call_geometric_with_flag,
                                 family_call_linear, family_call_linear_with_flag,
-                                geometric_family_curve, linear_family_curve,
-                                survival, survival_geometric, survival_linear)
+                                family_prices, geometric_family_curve,
+                                linear_family_curve, survival,
+                                survival_geometric, survival_linear)
 
 GAUSS = DensityModel.gaussian()
 LOGISTIC = DensityModel.logistic()
@@ -299,3 +300,177 @@ def test_linear_family_monotone_in_strike_property(s0, yval, k1, k2):
     lo, hi = min(k1, k2), max(k1, k2)
     assert family_call_linear(GAUSS, s0, yval, lo) >= family_call_linear(
         GAUSS, s0, yval, hi) - 1e-12
+
+# ---------------------------------------------------------------------------
+# One core: family_prices against the four per-function formulas it replaced
+# ---------------------------------------------------------------------------
+# Copies of the former family_call_*_with_flag and survival_* bodies, array
+# strikes only: family_prices must reproduce them bit for bit.
+
+def oracle_call_linear(model, s, yval, karr):
+    w = (karr - s) / yval
+    w_lo, w_hi = model.log_slope_range()
+    out = np.empty(w.shape)
+    flagged = np.zeros(w.shape, dtype=bool)
+    below = w <= w_lo
+    above = w >= w_hi
+    inside = ~(below | above)
+    out[below] = s - karr[below]
+    out[above] = 0.0
+    flagged[below | above] = True
+    if np.any(inside):
+        u = np.asarray(inverse_log_slope(model, w[inside]), dtype=np.float64)
+        fu = np.asarray(model.pdf(u), dtype=np.float64)
+        pstar = np.asarray(model.cdf(u), dtype=np.float64)
+        out[inside] = yval * (fu - pstar * w[inside])
+    return out, flagged
+
+
+def oracle_survival_linear(model, s, yval, karr):
+    w = (karr - s) / yval
+    w_lo, w_hi = model.log_slope_range()
+    out = np.empty(w.shape)
+    out[w <= w_lo] = 1.0
+    out[w >= w_hi] = 0.0
+    inside = (w > w_lo) & (w < w_hi)
+    if np.any(inside):
+        u = np.asarray(inverse_log_slope(model, w[inside]), dtype=np.float64)
+        out[inside] = np.asarray(model.cdf(u), dtype=np.float64)
+    return out
+
+
+def oracle_call_geometric(model, s, y, karr):
+    r = karr / s
+    r_lo, r_hi = model.ratio_range(y)
+    out = np.empty(r.shape)
+    flagged = np.zeros(r.shape, dtype=bool)
+    below = r <= r_lo
+    above = r >= r_hi
+    inside = ~(below | above)
+    out[below] = s - karr[below]
+    out[above] = 0.0
+    flagged[below | above] = True
+    if np.any(inside):
+        v = np.asarray(inverse_ratio(model, y, r[inside]), dtype=np.float64)
+        out[inside] = (s * np.asarray(model.cdf(v + y), dtype=np.float64)
+                       - karr[inside] * np.asarray(model.cdf(v), dtype=np.float64))
+    return out, flagged
+
+
+def oracle_survival_geometric(model, s, y, karr):
+    r = karr / s
+    r_lo, r_hi = model.ratio_range(y)
+    out = np.empty(r.shape)
+    out[r <= r_lo] = 1.0
+    out[r >= r_hi] = 0.0
+    inside = (r > r_lo) & (r < r_hi)
+    if np.any(inside):
+        v = np.asarray(inverse_ratio(model, y, r[inside]), dtype=np.float64)
+        out[inside] = np.asarray(model.cdf(v), dtype=np.float64)
+    return out
+
+
+def oracle_prices(kind, model, s, y, karr):
+    if kind == "linear":
+        call, flag = oracle_call_linear(model, s, y, karr)
+        return call, oracle_survival_linear(model, s, y, karr), flag
+    call, flag = oracle_call_geometric(model, s, y, karr)
+    return call, oracle_survival_geometric(model, s, y, karr), flag
+
+
+def assert_same_prices(got, want):
+    for g, w in zip(got, want):
+        assert isinstance(g, np.ndarray) and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+@st.composite
+def family_cases(draw):
+    kind = draw(st.sampled_from(["linear", "geometric"]))
+    model = DensityModel(draw(st.sampled_from(["gaussian", "logistic"])),
+                         draw(st.floats(-1.0, 1.0)), draw(st.floats(0.2, 3.0)))
+    y = draw(st.floats(0.01, 4.0))
+    n = draw(st.integers(1, 2001))
+    a, b = sorted((draw(st.floats(-8.0, 8.0)), draw(st.floats(-8.0, 8.0))))
+    if kind == "linear":
+        s = draw(st.floats(-3.0, 3.0))
+        ks = s + y * np.linspace(a, b, n)
+    else:
+        s = draw(st.floats(0.05, 3.0))
+        ks = s * np.exp(np.linspace(a, b, n))
+        if draw(st.booleans()):
+            ks[0] = 0.0
+    if draw(st.booleans()):
+        ks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(ks)
+    return kind, model, s, y, ks
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=family_cases())
+def test_family_prices_equal_former_formulas_property(case):
+    kind, model, s, y, ks = case
+    assert_same_prices(family_prices(kind, model, s, y, ks),
+                       oracle_prices(kind, model, s, y, ks))
+
+
+@pytest.mark.parametrize("kind,s,ks", [
+    ("linear", 0.3, np.linspace(-2.5, 3.0, 23)),
+    ("geometric", 1.2, np.concatenate(([0.0], np.geomspace(0.05, 9.0, 22)))),
+])
+def test_family_prices_equal_former_formulas_custom(kind, s, ks):
+    model = DensityModel.custom(LOGISTIC.pdf, LOGISTIC.pdf_prime, LOGISTIC.cdf,
+                                LOGISTIC.quantile)
+    for y in (0.4, 1.3):
+        assert_same_prices(family_prices(kind, model, s, y, ks),
+                           oracle_prices(kind, model, s, y, ks))
+
+
+def test_family_prices_views_and_scalar_convention():
+    ks = np.linspace(-3.0, 3.0, 41)
+    call, surv, flag = family_prices("linear", LOGISTIC, 0.2, 0.9, ks)
+    assert np.array_equal(family_call_linear(LOGISTIC, 0.2, 0.9, ks), call)
+    assert np.array_equal(survival_linear(LOGISTIC, 0.2, 0.9, ks), surv)
+    assert np.array_equal(survival("linear", LOGISTIC, 0.2, 0.9, ks), surv)
+    assert_same_prices(family_call_linear_with_flag(LOGISTIC, 0.2, 0.9, ks), (call, flag))
+    for i, k in enumerate(ks):
+        c, sv, f = family_prices("linear", LOGISTIC, 0.2, 0.9, float(k))
+        assert type(c) is float and type(sv) is float and type(f) is bool
+        assert (c, sv, f) == (call[i], surv[i], flag[i])
+    one = family_prices("geometric", GAUSS, 1.0, 0.5, np.array([1.1]))
+    assert all(isinstance(v, np.ndarray) and v.shape == (1,) for v in one)
+
+
+def test_scalar_clamp_flag_is_bool():
+    _, flag = family_call_linear_with_flag(LOGISTIC, 0.0, 1.0, -5.0)
+    assert flag is True
+    _, flag = family_call_geometric_with_flag(GAUSS, 1.0, 1.0, 1.0)
+    assert flag is False
+
+
+@pytest.mark.parametrize("fn", [survival_linear, survival_geometric])
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_survival_rejects_non_finite_mean(fn, s):
+    # these used to return uninitialised memory
+    with pytest.raises(DomainError):
+        fn(GAUSS, s, 1.0, 0.5)
+
+
+def test_survival_follows_the_call_argument_rules():
+    with pytest.raises(DomainError):
+        survival_geometric(GAUSS, 1.0, 1.0, -0.5)
+    with pytest.raises(DomainError):
+        survival_geometric(GAUSS, 0.0, 1.0, 0.5)
+    with pytest.raises(DomainError):
+        survival_linear(GAUSS, 0.0, math.inf, 0.5)
+
+
+def test_logistic_linear_family_prices_the_edge_strike():
+    # w = (K - s)/y lands an ulp inside -1/scale at K = -0.7; the inverse
+    # log-slope used to return inf there and the price raised
+    ks = np.linspace(-2.0, 2.0, 2001)
+    call, surv, flag = family_prices("linear", DensityModel.logistic(), 0.1, 0.8, ks)
+    assert np.all(np.isfinite(call)) and np.all(np.isfinite(surv))
+    i = int(np.argmin(np.abs(ks + 0.7)))
+    assert not flag[i]
+    assert abs(call[i] - (0.1 - ks[i])) <= 1.2e-16
+    assert surv[i] == pytest.approx(1.0, abs=1e-15)

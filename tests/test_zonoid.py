@@ -147,10 +147,30 @@ def test_discrete_validation():
 
 def test_coin_call_values_by_hand():
     # E(X-K)^+ for a fair coin on {0,1}
-    assert COIN.call_value(-1.0) == pytest.approx(1.5, abs=1e-15)
-    assert COIN.call_value(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert COIN.call_value(0.5) == pytest.approx(0.25, abs=1e-15)
+    assert COIN.call_value(-1.0) == 1.5
+    assert COIN.call_value(0.0) == 0.5
+    assert COIN.call_value(0.5) == 0.25
     assert COIN.call_value(1.0) == 0.0
+
+
+def call_value_oracle(dist, k):
+    """E(X - K)^+ from the strikes x atoms payoff matrix (the former
+    implementation): O(N K) memory."""
+    payoff = np.clip(dist.atoms[None, :] - np.atleast_1d(k)[:, None], 0.0, None)
+    return payoff @ dist.weights
+
+
+def test_call_curve_of_100001_atoms_completes():
+    # the payoff matrix of this curve would need 74.5 GiB
+    rng = np.random.default_rng(5)
+    atoms = np.sort(rng.normal(0.0, 1.0, 100_001))
+    dist = DiscreteDistribution(atoms, np.full(atoms.size, 1.0 / atoms.size))
+    curve = dist.call_curve()
+    assert curve.values.shape == (100_003,)
+    rows = np.r_[0:50, 50_000:50_050, 99_953:100_003]
+    want = call_value_oracle(dist, curve.strikes[rows])
+    assert np.max(np.abs(curve.values[rows] - want)) <= 1e-13
+    assert curve.values[-1] == 0.0 and np.all(np.diff(curve.values) <= 0.0)
 
 
 def test_coin_boundary_by_hand():
@@ -386,6 +406,34 @@ def discrete_dists(draw, max_atoms=8):
     w = np.asarray(raw) / np.sum(raw)
     w = w / w.sum()
     return DiscreteDistribution(atoms, w)
+
+
+@st.composite
+def float_dists(draw, max_atoms=40):
+    n = draw(st.integers(1, max_atoms))
+    scale = draw(st.sampled_from([1e-3, 1.0, 37.0, 1e3]))
+    atoms = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n, unique=True))
+    atoms = np.unique(draw(st.floats(-2.0, 2.0)) * scale + scale * np.asarray(atoms))
+    raw = np.asarray(draw(st.lists(st.floats(1e-3, 1.0), min_size=atoms.size,
+                                   max_size=atoms.size)))
+    w = raw / raw.sum()
+    return DiscreteDistribution(atoms, w / w.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(dist=st.one_of(discrete_dists(), float_dists()), data=st.data())
+def test_call_value_matches_payoff_matrix_property(dist, data):
+    # the suffix-sum values agree with the payoff matrix within 8 eps of
+    # the law's scale, on the curve's own strikes and on strikes between
+    curve = dist.call_curve()
+    between = data.draw(st.lists(st.floats(curve.k_lo, curve.k_hi), max_size=20))
+    ks = np.concatenate((curve.strikes, between))
+    got = dist.call_value(ks)
+    scale = max(1.0, abs(dist.mean), float(np.max(np.abs(dist.atoms))))
+    err = np.max(np.abs(got - call_value_oracle(dist, ks)))
+    assert err <= 8.0 * np.finfo(float).eps * scale
+    assert np.array_equal(curve.values, got[:curve.strikes.size])
+    assert all(dist.call_value(float(k)) == g for k, g in zip(ks, got))
 
 
 @settings(max_examples=50, deadline=None)
