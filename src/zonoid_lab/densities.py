@@ -30,7 +30,7 @@ from .numerics import (as_float_array, like_input, monotone_root, require_unifor
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _FAMILIES = ("gaussian", "logistic", "cauchy", "custom")
 
-# Quantile level used to clip root-finding brackets for custom models.
+# Quantile level of the root brackets [F^-1(eps), F^-1(1 - eps)] for custom models.
 _BRACKET_EPS = 1e-15
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
@@ -169,7 +169,10 @@ class DensityModel:
         return like_input(out, x)
 
     def cdf(self, x):
-        x = as_float_array(x, "x")
+        """F(x), with the limits F(-inf) = 0 and F(inf) = 1."""
+        x = np.asarray(x, dtype=np.float64)
+        if np.any(np.isnan(x)):
+            raise DomainError("x must not be nan")
         if self.family == "gaussian":
             out = special.ndtr(self._z(x))
         elif self.family == "logistic":
@@ -321,11 +324,8 @@ def inverse_log_slope(model: DensityModel, w):
         # (1 - ws)/2 rounds to 1 within an ulp of ws = -1; logit(1) is inf
         half = np.minimum((1.0 - ws) * 0.5, _BELOW_ONE)
         return like_input(model.location + model.scale * special.logit(half), w)
-    lo = model.quantile(_BRACKET_EPS)
-    hi = model.quantile(1.0 - _BRACKET_EPS)
-    solve = lambda wi: _clipped_root(lambda t: float(model.log_slope(t)),
-                                     wi, model, lo, hi)
-    return like_input(np.array([solve(wi) for wi in w_arr.ravel()]).reshape(w_arr.shape), w)
+    lo, hi = model.quantile(np.array([_BRACKET_EPS, 1.0 - _BRACKET_EPS]))
+    return monotone_root(model.log_slope, w_arr, lo, hi, xtol=1e-13 * model.scale)
 
 
 def inverse_ratio(model: DensityModel, y: float, r):
@@ -346,28 +346,18 @@ def inverse_ratio(model: DensityModel, y: float, r):
         return like_input(out, r)
     if model.family == "logistic":
         # Solve lam*((1+u)/(1+lam*u))^2 = r for u = exp(-(x-loc)/scale).
-        a = 0.5 * np.log(r_arr) + 0.5 * y / model.scale
-        b = 0.5 * np.log(r_arr) - 0.5 * y / model.scale
-        if np.any(a <= 0.0) or np.any(b >= 0.0):
+        r_lo, r_hi = model.ratio_range(y)
+        if (r_arr <= r_lo).any() or (r_arr >= r_hi).any():
             raise RangeError(f"r={r!r} outside the logistic ratio range for y={y!r}")
-        log_u = np.log(np.expm1(a)) - np.log(-np.expm1(b))
+        half_log_r = 0.5 * np.log(r_arr)
+        a, b = half_log_r + 0.5 * y / model.scale, half_log_r - 0.5 * y / model.scale
+        # an r within rounding of the range ends takes the limit x = +-inf
+        log_u = (np.log(np.expm1(a), out=np.full_like(a, -np.inf), where=a > 0.0)
+                 - np.log(-np.expm1(b), out=np.full_like(b, -np.inf), where=b < 0.0))
         return like_input(model.location - model.scale * log_u, r)
-    lo = model.quantile(_BRACKET_EPS)
-    hi = model.quantile(1.0 - _BRACKET_EPS)
-    fn = lambda t: float(model.log_pdf(t + y) - model.log_pdf(t))
-    out = np.array([_clipped_root(fn, math.log(ri), model, lo, hi) for ri in r_arr.ravel()])
-    return like_input(out.reshape(r_arr.shape), r)
-
-
-def _clipped_root(fn, target, model, lo, hi) -> float:
-    """Root of a monotone map restricted to the model's workable bracket."""
-    try:
-        return monotone_root(fn, target, float(lo), float(hi),
-                             xtol=1e-13 * model.scale, expand=False)
-    except RangeError:
-        raise RangeError(
-            f"target {target!r} outside the invertible range on "
-            f"[{float(lo)!r}, {float(hi)!r}]") from None
+    lo, hi = model.quantile(np.array([_BRACKET_EPS, 1.0 - _BRACKET_EPS]))
+    return monotone_root(lambda t: model.log_pdf(t + y) - model.log_pdf(t),
+                         np.log(r_arr), lo, hi, xtol=1e-13 * model.scale)
 
 
 def check_log_concavity(model: DensityModel, grid=None) -> ConcavityReport:

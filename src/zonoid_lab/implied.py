@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import integrate, optimize
 
-from .densities import DensityModel
+from .densities import DensityModel, inverse_ratio
 from .errors import DomainError, RangeError
-from .numerics import as_float_array, golden_section_min
+from .numerics import golden_section_min, monotone_root
 from .pricing import family_call_geometric
 
 _DEGENERATE_TOL = 1e-14
@@ -78,7 +77,7 @@ def vega_integral(density: DensityModel, y: float, k: float) -> float:
         raise DomainError(f"strike must be positive, got {k!r}")
     if y == 0.0:
         return 0.0
-    from .densities import inverse_ratio
+    from scipy import integrate
 
     def integrand(u: float) -> float:
         if u <= 0.0:
@@ -105,16 +104,15 @@ def implied_y_root(query: ImpliedQuery) -> float:
     c, k, density = query.c, query.k, query.density
     if c - query.intrinsic < _DEGENERATE_TOL:
         return 0.0
-    g = lambda y: normalized_call(density, y, k) - c
+    price = lambda y: normalized_call(density, float(y), k)
     y_hi = 1.0
     for _ in range(200):
-        if g(y_hi) >= 0.0:
+        if price(y_hi) >= c:
             break
         y_hi *= 2.0
     else:
         raise RangeError(f"no level y reaches price {c!r} at strike {k!r}")
-    y_star = optimize.brentq(g, 0.0, y_hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
-    return float(y_star)
+    return monotone_root(price, c, 0.0, y_hi, xtol=1e-14)
 
 
 def implied_y_minimization(query: ImpliedQuery, n_scan: int = 512) -> Tuple[float, float]:

@@ -1,4 +1,5 @@
-"""Shared numeric building blocks: bracketing, golden-section, stencils, grids.
+"""Shared numeric building blocks: the bracketed root solver, golden-section,
+the discrete Legendre kernel, stencils, grids.
 
 These helpers are deliberately dumb about what they optimise; all of the
 domain knowledge (call curves, boundaries, densities) lives in the modules
@@ -10,13 +11,13 @@ from __future__ import annotations
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import optimize
 
-from .errors import DomainError, RangeError, ValidationError
+from .errors import DomainError, RangeError, ValidationError, ZonoidLabError
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = 1.0 - _INVPHI              # 1/phi^2
 _PEEL_PASSES = 32                     # vectorised hull passes before the loop
+_ROOT_ITERS = 300                     # Chandrupatla steps before giving up
 
 
 def as_float_array(x, name: str = "x") -> np.ndarray:
@@ -35,58 +36,70 @@ def like_input(out, x):
     return out
 
 
-def monotone_root(
-    fn: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = 1e-13,
-    expand: bool = True,
-    max_expand: int = 200,
-) -> float:
-    """Solve fn(x) = target for a monotone fn, expanding the bracket if needed.
+def monotone_root(fn: Callable[[np.ndarray], np.ndarray], target, lo, hi, *,
+                  xtol: float = 1e-13):
+    """Solve fn(x) = target elementwise for an elementwise, monotone fn.
 
-    The bracket [lo, hi] is widened geometrically until the residual changes
-    sign; a RangeError is raised when the target is not attained within the
-    expansion budget (target outside the closure of fn's range).
+    ``target``, ``lo`` and ``hi`` broadcast together (0-d allowed); each
+    element has its own bracket [lo, hi].  fn gets one array per step: the
+    broadcast shape at the endpoints, then the unsolved elements.
+    Chandrupatla's method (Adv. Eng. Software 28, 1997): inverse quadratic
+    interpolation where it is safe, bisection otherwise.  An element is done
+    when its bracket is narrower than xtol + 8.9e-16 |x| or its residual is
+    exactly zero, so a root at an endpoint is returned exactly.  Raises
+    RangeError when a target is not bracketed, DomainError when fn is nan
+    inside a bracket.  Returns a float for 0-d inputs, else an array.
     """
-    g = lambda x: fn(x) - target
-    glo, ghi = g(lo), g(hi)
-    width = hi - lo
-    n = 0
-    while glo * ghi > 0.0:
-        if not expand or n >= max_expand:
-            raise RangeError(
-                f"target {target!r} not bracketed by [{lo!r}, {hi!r}]")
-        width *= 2.0
-        if abs(glo) < abs(ghi):
-            lo -= width
-            glo = g(lo)
-        else:
-            hi += width
-            ghi = g(hi)
-        n += 1
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    return float(optimize.brentq(g, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=300))
+    target, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64)
+                                           for v in (target, lo, hi)))
+    glo, ghi = (np.asarray(fn(v), dtype=np.float64) - target for v in (lo, hi))
+    bad = ~(np.sign(glo) * np.sign(ghi) <= 0.0)  # a nan residual brackets nothing
+    if bad.any():
+        i = np.argmax(bad)
+        raise RangeError(f"target {float(target.flat[i])!r} not bracketed by "
+                         f"[{float(lo.flat[i])!r}, {float(hi.flat[i])!r}]")
+    x, at = np.empty(target.shape), np.arange(target.size).reshape(target.shape)
+    # a is the newest point, [a, b] the bracket, c the point last dropped from it
+    a, fa, b, fb, c, fc = hi, ghi, lo, glo, hi, ghi
+    t, done = np.full(target.shape, 0.5), (glo == 0.0) | (ghi == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_ITERS):
+            if done.any():  # store the better end of each done bracket, drop it
+                x.flat[at[done]] = np.where(np.abs(fa) < np.abs(fb), a, b)[done]
+                if done.all():
+                    return like_input(x, x)
+                a, fa, b, fb, c, fc, t, target, at = (
+                    v[~done] for v in (a, fa, b, fb, c, fc, t, target, at))
+            xt = a + t * (b - a)
+            ft = np.asarray(fn(xt), dtype=np.float64) - target
+            if np.isnan(ft).any():
+                raise DomainError("the map is nan inside the bracket")
+            # [()] turns the 0-d arrays of a scalar solve into numpy scalars,
+            # whose arithmetic costs a tenth; an array is returned as is
+            same = np.sign(ft) == np.sign(fa)
+            c, fc = np.where(same, a, b)[()], np.where(same, fa, fb)[()]
+            b, fb = np.where(same, b, a)[()], np.where(same, fb, fa)[()]
+            a, fa, d = xt, ft, b - xt
+            tlim = 0.5 * (xtol + 8.9e-16 * np.abs(a)) / np.abs(d)
+            done = (fa == 0.0) | (tlim > 0.5)
+            xi, phi = d / (b - c), (fa - fb) / (fc - fb)
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = fa / (fb - fc) * (fc / (fb - fa) - (c - a) / d * fb / (fc - fa))
+            # the next point lands at least the tolerance inside the bracket
+            t = np.minimum(np.maximum(np.where(iqi, t, 0.5)[()], tlim), 1.0 - tlim)
+    raise ZonoidLabError(f"root solver did not converge in {_ROOT_ITERS} steps")
 
 
 def golden_section_min(
     fn: Callable[[np.ndarray], np.ndarray],
     lo,
     hi,
-    *,
-    iters: int = 70,
-    refine: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorised golden-section minimisation over [lo, hi] per component.
 
     `fn` must accept and return arrays of the bracket shape.  Returns
-    (argmin, min_value).  A single parabolic refinement step is applied to the
-    final bracket, which helps when the bracket is still wide.
+    (argmin, min_value) after 70 golden steps and one parabolic refinement
+    step on the final bracket, which helps when the bracket is still wide.
     """
     a = np.array(lo, dtype=np.float64, copy=True, ndmin=1)
     b = np.array(hi, dtype=np.float64, copy=True, ndmin=1)
@@ -95,7 +108,7 @@ def golden_section_min(
     d = a + _INVPHI * (b - a)
     fc = np.asarray(fn(c), dtype=np.float64)
     fd = np.asarray(fn(d), dtype=np.float64)
-    for _ in range(iters):
+    for _ in range(70):
         left = fc < fd
         b = np.where(left, d, b)
         a = np.where(left, a, c)
@@ -105,11 +118,10 @@ def golden_section_min(
         fd = np.asarray(fn(d), dtype=np.float64)
     x = np.where(fc < fd, c, d)
     fx = np.minimum(fc, fd)
-    if refine:
-        x2, f2 = _parabolic_step(fn, a, x, b, fx)
-        better = f2 < fx
-        x = np.where(better, x2, x)
-        fx = np.minimum(fx, f2)
+    x2, f2 = _parabolic_step(fn, a, x, b, fx)
+    better = f2 < fx
+    x = np.where(better, x2, x)
+    fx = np.minimum(fx, f2)
     if scalar:
         return float(x[0]), float(fx[0])
     return x, fx

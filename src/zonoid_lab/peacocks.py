@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .densities import ConcavityReport, DensityModel
 from .errors import DomainError, UnsupportedError, ValidationError
@@ -45,13 +44,14 @@ class TimeChange:
 
     Kinds: "sqrt" (scale * sqrt(t)), "linear" (scale * t), or "table"
     (monotone node table, linearly interpolated; derivative by centered
-    secants at the nodes).
+    secants at the nodes, one-sided at the ends).
     """
 
     kind: str
     scale: float = 1.0
     times: Optional[np.ndarray] = None
     table_values: Optional[np.ndarray] = None
+    _secants: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("sqrt", "linear", "table"):
@@ -75,6 +75,8 @@ class TimeChange:
             # invalid families that certify_peacock must be able to reject
             object.__setattr__(self, "times", times)
             object.__setattr__(self, "table_values", vals)
+            tp, vp = np.pad(times, 1, mode="edge"), np.pad(vals, 1, mode="edge")
+            object.__setattr__(self, "_secants", (vp[2:] - vp[:-2]) / (tp[2:] - tp[:-2]))
         else:
             if self.times is not None or self.table_values is not None:
                 raise ValidationError(f"{self.kind} time change takes no table")
@@ -116,12 +118,7 @@ class TimeChange:
             return self.scale
         if t > self.times[-1]:
             raise DomainError(f"t={t!r} beyond the time change table")
-        x, v = self.times, self.table_values
-        secants = np.empty_like(v)
-        secants[1:-1] = (v[2:] - v[:-2]) / (x[2:] - x[:-2])
-        secants[0] = (v[1] - v[0]) / (x[1] - x[0])
-        secants[-1] = (v[-1] - v[-2]) / (x[-1] - x[-2])
-        return float(np.interp(t, x, secants))
+        return float(np.interp(t, self.times, self._secants))
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +424,8 @@ def recover_F_from_G(gen: Callable, anchor: float, p0: float,
     gvals = np.array([float(gen(p)) for p in ps])
     if np.any(gvals <= 0.0):
         raise DomainError("generator must be positive on the evaluation range")
+    from scipy import integrate
+
     integrand = lambda q: 1.0 / float(gen(q))
     pieces = np.zeros(ps.size)
     for i in range(ps.size - 1):

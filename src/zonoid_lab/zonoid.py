@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy import integrate
 
 from .densities import DensityModel
 from .errors import DomainError, UnsupportedError, ValidationError
@@ -441,6 +440,8 @@ def boundary_from_quantile_integral(target: Union[DiscreteDistribution, DensityM
     elif isinstance(target, DensityModel):
         if not target.has_mean:
             raise DomainError(f"{target.family} has no mean; boundary undefined")
+        from scipy import integrate
+
         upper = float(target.quantile(1.0 - _Q_EPS))
         integrand = lambda x: x * float(target.pdf(x))
         out = np.empty(p_arr.size)

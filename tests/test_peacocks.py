@@ -68,6 +68,30 @@ def test_time_change_errors():
         TimeChange.from_table([0.0, 1.0, 2.0], [0.0, 1.0, 0.5])  # not monotone
 
 
+def table_derivative_reference(times, values, t):
+    """Centered secants at the interior nodes, one-sided at the two ends,
+    linearly interpolated: the derivative rule of a table time change."""
+    x, v = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+    secants = np.empty_like(v)
+    secants[1:-1] = (v[2:] - v[:-2]) / (x[2:] - x[:-2])
+    secants[0] = (v[1] - v[0]) / (x[1] - x[0])
+    secants[-1] = (v[-1] - v[-2]) / (x[-1] - x[-2])
+    return float(np.interp(t, x, secants))
+
+
+@pytest.mark.parametrize("n", [2, 3, 41])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_table_derivative_equals_the_secant_rule(n, sign):
+    rng = np.random.default_rng(n)
+    times = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))))
+    values = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 2.0, n - 1))))
+    if sign < 0.0:
+        values = values[::-1] + 1.0
+    tab = TimeChange.from_table(times, values)
+    for t in np.concatenate((times, rng.uniform(0.0, times[-1], 50))):
+        assert tab.derivative(float(t)) == table_derivative_reference(times, values, t)
+
+
 def test_decreasing_table_is_loadable():
     # valid to build (so the certificate can reject it), invalid as a peacock
     tab = TimeChange.from_table([0.0, 1.0, 2.0], [1.0, 0.6, 0.3])

@@ -474,3 +474,37 @@ def test_logistic_linear_family_prices_the_edge_strike():
     assert not flag[i]
     assert abs(call[i] - (0.1 - ks[i])) <= 1.2e-16
     assert surv[i] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_logistic_geometric_family_prices_an_ulp_inside_the_range():
+    # K/s lies an ulp inside exp(+-y/scale), the open range ratio_range
+    # reports; the inverse ratio used to reject it and the price raised
+    s, y, k = 0.21832675441688254, 1.2378865460107098, 0.7528600546145701
+    call, surv, flag = family_prices("geometric", LOGISTIC, s, y, k)
+    assert (call, surv, flag) == (0.0, 0.0, False)
+    assert family_call_geometric(LOGISTIC, s, y, k) == 0.0
+
+
+def logistic_edge_strikes(seed=20261018, n=2000):
+    """K = s nextafter(exp(-y), 1) and s nextafter(exp(y), 0) for random s, y."""
+    rng = np.random.default_rng(seed)
+    s, y = rng.uniform(0.05, 5.0, n), rng.uniform(0.05, 4.0, n)
+    return s, y, s * np.nextafter(np.exp(-y), 1.0), s * np.nextafter(np.exp(y), 0.0)
+
+
+def test_logistic_geometric_edge_strike_scan():
+    # 1,660 of these 4,000 strikes raised RangeError before; the prices sit
+    # within rounding of their limits s - K (survival 1) and 0 (survival 0)
+    tol = 64.0 * np.finfo(float).eps
+    for s, y, k_lo, k_hi in zip(*logistic_edge_strikes()):
+        call, surv, _ = family_prices("geometric", LOGISTIC, s, y, np.array([k_lo, k_hi]))
+        assert abs(call[0] - (s - k_lo)) <= tol * s and 1.0 - tol <= surv[0] <= 1.0
+        assert abs(call[1]) <= tol * s and 0.0 <= surv[1] <= tol
+
+
+def test_cdf_takes_the_limits_at_infinity():
+    for model in (GAUSS, LOGISTIC, DensityModel.cauchy(0.5, 2.0)):
+        assert model.cdf(-math.inf) == 0.0 and model.cdf(math.inf) == 1.0
+        assert np.array_equal(model.cdf(np.array([-np.inf, np.inf])), [0.0, 1.0])
+        with pytest.raises(DomainError):
+            model.cdf(math.nan)

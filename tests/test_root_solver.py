@@ -1,0 +1,222 @@
+"""The array root solver ``numerics.monotone_root``.
+
+Oracle: scipy's brentq, one element at a time (the package itself no longer
+imports scipy.optimize).  Both solvers stop once the bracket is narrower
+than xtol + 8.9e-16 |x|, so on a monotone map their answers lie within
+2 (xtol + 8.9e-16 |x|) of each other.
+
+The property tests invert maps of affine gaussian, logistic and Gumbel
+densities built as ``custom`` models, so the generic (solver) path runs.
+Targets are images of points in the central part of each law, where the
+maps are steep enough that rounding moves their zero by less than xtol; in
+the flat tails any point of the rounding plateau is a root and two correct
+solvers can differ by more.
+"""
+
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize, special
+
+from zonoid_lab.densities import (_BRACKET_EPS, DensityModel, inverse_log_slope,
+                                  inverse_ratio)
+from zonoid_lab.errors import DomainError, RangeError, ZonoidLabError
+from zonoid_lab.implied import ImpliedQuery, implied_y_root, normalized_call
+from zonoid_lab.numerics import monotone_root
+
+def affine_custom(family, loc, scale):
+    """A custom model for f(x) = f0((x - loc)/scale)/scale, f0 one of the
+    standard gaussian, logistic and Gumbel densities."""
+    if family == "gaussian":
+        pdf0 = lambda z: np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        dlog0 = lambda z: -z
+        cdf0, q0 = special.ndtr, special.ndtri
+    elif family == "logistic":
+        pdf0 = lambda z: special.expit(z) * special.expit(-z)
+        dlog0 = lambda z: -np.tanh(0.5 * z)
+        cdf0, q0 = special.expit, special.logit
+    else:  # Gumbel: f0 = exp(-z - e^-z), F0 = exp(-e^-z), Q0 = -log(-log p)
+        pdf0 = lambda z: np.exp(-z - np.exp(-z))
+        dlog0 = lambda z: np.expm1(-z)
+        cdf0 = lambda z: np.exp(-np.exp(-z))
+        q0 = lambda p: -np.log(-np.log(p))
+    z = lambda x: (np.asarray(x) - loc) / scale
+    # the Gumbel pdf underflows below z = -6.6 and its log is linear to
+    # rounding beyond z = 20: place the model's own concavity grid
+    # (location +- 8 scale) on z in [-4, 20]
+    grid_loc, grid_scale = (loc + 8.0 * scale, 1.5 * scale) if family == "gumbel" else (loc, scale)
+    return DensityModel.custom(lambda x: pdf0(z(x)) / scale,
+                               lambda x: dlog0(z(x)) * pdf0(z(x)) / scale ** 2,
+                               lambda x: cdf0(z(x)),
+                               lambda p: loc + scale * q0(np.asarray(p)),
+                               location=grid_loc, scale=grid_scale)
+
+
+def brentq_each(fn, targets, lo, hi, xtol):
+    out = []
+    for tgt in np.ravel(targets):
+        g = lambda x: float(fn(x)) - tgt
+        if g(lo) == 0.0:
+            out.append(lo)
+        elif g(hi) == 0.0:
+            out.append(hi)
+        else:
+            out.append(optimize.brentq(g, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=300))
+    return np.array(out).reshape(np.shape(targets))
+
+
+def assert_within_oracle(got, want, xtol):
+    assert np.all(np.abs(got - want) <= 2.0 * (xtol + 8.9e-16 * np.abs(want)))
+
+
+@st.composite
+def custom_cases(draw):
+    family = draw(st.sampled_from(["gaussian", "logistic", "gumbel"]))
+    loc, scale = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.3, 3.0))
+    n = draw(st.integers(1, 2001))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform(0.02, 0.9, n)  # quantile levels of the preimages
+    y = draw(st.floats(0.3, 2.0)) * scale
+    checked = rng.choice(n, min(n, 100), replace=False)  # brentq is slow
+    return affine_custom(family, loc, scale), u, y, checked
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=custom_cases())
+def test_custom_inverses_match_brentq_property(case):
+    model, u, y, checked = case
+    lo, hi = (float(v) for v in model.quantile(np.array([_BRACKET_EPS, 1.0 - _BRACKET_EPS])))
+    xtol = 1e-13 * model.scale
+    x = np.asarray(model.quantile(u))
+
+    w = model.log_slope(x)
+    got = inverse_log_slope(model, w)
+    assert got.shape == w.shape
+    want = brentq_each(model.log_slope, w[checked], lo, hi, xtol)
+    assert_within_oracle(got[checked], want, xtol)
+
+    ratio = lambda t: model.log_pdf(t + y) - model.log_pdf(t)
+    r = np.exp(ratio(x))
+    got = inverse_ratio(model, y, r)
+    assert got.shape == r.shape
+    want = brentq_each(ratio, np.log(r[checked]), lo, hi, xtol)
+    assert_within_oracle(got[checked], want, xtol)
+
+
+def test_custom_inverses_scalar_in_scalar_out():
+    model = affine_custom("gumbel", 0.3, 1.4)
+    x = inverse_log_slope(model, 0.2)
+    assert type(x) is float
+    assert model.log_slope(x) == pytest.approx(0.2, abs=1e-12)
+    x = inverse_ratio(model, 0.5, 0.9)
+    assert type(x) is float
+    assert math.exp(model.log_pdf(x + 0.5) - model.log_pdf(x)) == pytest.approx(0.9, abs=1e-12)
+    x = inverse_log_slope(model, np.array(0.2))
+    assert type(x) is float
+    assert inverse_log_slope(model, np.array([0.2])).shape == (1,)
+
+
+def test_custom_inverse_outside_the_bracket_raises():
+    model = affine_custom("gaussian", 0.0, 1.0)
+    with pytest.raises(RangeError):
+        inverse_log_slope(model, 20.0)  # U(20) = -20, below F^-1(1e-15)
+    with pytest.raises(RangeError):
+        inverse_log_slope(model, np.array([0.0, 1.0, -20.0]))
+    with pytest.raises(RangeError):
+        inverse_ratio(model, 1.0, math.exp(30.0))
+
+
+def test_monotone_root_per_element_brackets_and_shapes():
+    target = np.array([[0.5, 8.0], [0.001, 27.0]])
+    lo = np.array([[0.0], [0.05]])  # broadcast against the columns
+    hi = np.array([1.0, 4.0])
+    got = monotone_root(lambda x: x ** 3, target, lo, hi, xtol=1e-14)
+    assert got.shape == (2, 2)
+    want = np.cbrt(target)
+    assert np.all(np.abs(got - want) <= 2.0 * (1e-14 + 8.9e-16 * want))
+    root = monotone_root(lambda x: -np.exp(x), -2.0, 0.0, 1.0)  # decreasing map
+    assert type(root) is float and root == pytest.approx(math.log(2.0), abs=2e-13)
+
+
+def test_monotone_root_converges_superlinearly():
+    # a step lands at least the tolerance inside the bracket, so the far end
+    # moves too: 100 cube roots take 11 steps after the two endpoint calls
+    # (bisection needs 48, and inverse quadratic steps alone 69)
+    calls = []
+    cube = lambda x: calls.append(np.size(x)) or x ** 3
+    monotone_root(cube, np.linspace(0.01, 7.9, 100), 0.0, 2.0, xtol=1e-14)
+    assert len(calls) <= 14
+    assert calls[2] == 100 and calls[-1] < 100  # converged elements are dropped
+
+
+def test_monotone_root_returns_exact_endpoints():
+    f = lambda x: 2.0 * x
+    assert monotone_root(f, 0.0, 0.0, 3.0) == 0.0
+    assert monotone_root(f, 6.0, 0.0, 3.0) == 3.0
+    got = monotone_root(f, np.array([0.0, 6.0, 3.0]), 0.0, 3.0)
+    assert got[0] == 0.0 and got[1] == 3.0 and abs(got[2] - 1.5) <= 2e-13
+    # a map that is zero on the whole bracket: the lower end, as before
+    assert monotone_root(lambda x: 0.0 * x, 0.0, -1.0, 1.0) == -1.0
+
+
+def test_monotone_root_rejects_unbracketed_targets():
+    f = lambda x: x ** 3
+    with pytest.raises(RangeError, match="not bracketed"):
+        monotone_root(f, 9.0, 0.0, 2.0)
+    with pytest.raises(RangeError, match="9.0"):
+        monotone_root(f, np.array([1.0, 9.0]), 0.0, 2.0)
+    with pytest.raises(RangeError):  # nan residuals bracket nothing
+        monotone_root(lambda x: np.full(np.shape(x), np.nan), 0.0, 0.0, 1.0)
+
+
+def test_monotone_root_rejects_a_map_that_is_nan_inside_the_bracket():
+    # the first step lands in the nan window; without the check the solver
+    # returned 0.583 for the root 0.3
+    holed = lambda x: np.where((x > 0.4) & (x < 0.6), np.nan, x - 0.3)
+    with pytest.raises(DomainError, match="nan"):
+        monotone_root(holed, 0.0, 0.0, 1.0)
+
+
+def test_monotone_root_gives_up_with_a_typed_error():
+    # a sign change at 0 with no tolerance: the bracket can never get
+    # narrower than 0 + 8.9e-16 |x|, so the step budget runs out
+    step = lambda x: np.where(x > 0.0, 1.0, -1.0)
+    with pytest.raises(ZonoidLabError, match="did not converge"):
+        monotone_root(step, 0.0, 0.0, 1.0, xtol=0.0)
+
+
+def brentq_implied(density, c, k):
+    """The former implied_y_root: the same doubling, then brentq."""
+    g = lambda y: normalized_call(density, y, k) - c
+    y_hi = 1.0
+    while g(y_hi) < 0.0:
+        y_hi *= 2.0
+    return optimize.brentq(g, 0.0, y_hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
+
+
+@pytest.mark.parametrize("density", [DensityModel.gaussian(), DensityModel.logistic()],
+                         ids=["gaussian", "logistic"])
+def test_implied_root_matches_brentq_on_the_acceptance_grid(density):
+    for y in (0.25, 1.0, 3.0):
+        for k in (0.5, 1.0, 2.0):
+            c = normalized_call(density, y, k)
+            query = ImpliedQuery(density, c, k)
+            if c - query.intrinsic < 1e-14:
+                continue  # pinned at intrinsic: both return 0
+            got = implied_y_root(query)
+            want = brentq_implied(density, c, k)
+            assert type(got) is float
+            assert abs(got - want) <= 2.0 * (1e-14 + 8.9e-16 * want)
+
+
+def test_import_loads_neither_scipy_optimize_nor_integrate():
+    code = ("import sys, zonoid_lab; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
