@@ -27,9 +27,8 @@ from .numerics import parse_grid
 from .peacocks import (G_map, H_map, PeacockSpec, TimeChange, boundary_surface,
                        call_surface, certify_peacock, recover_F_from_G,
                        recover_F_from_H)
-from .pricing import (ModelParams, bachelier_call, black_scholes_call,
-                      bachelier_curve, black_scholes_curve, family_prices,
-                      geometric_family_curve, linear_family_curve)
+from .pricing import (MODEL_FAMILIES, family_prices, geometric_family_curve,
+                      linear_family_curve)
 from .zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
                      calls_from_upper_boundary, upper_boundary_from_calls)
 
@@ -138,25 +137,22 @@ def _collect_strikes(args, parser, flag="strike") -> np.ndarray:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _family_route(args):
+    """(kind, density) of --model (the gaussian family member) or --family."""
+    if args.model is not None:
+        return MODEL_FAMILIES[args.model], DensityModel.gaussian()
+    return args.family, args.density
+
+
 def _cmd_price(args, parser) -> int:
     strikes = _collect_strikes(args, parser)
     if (args.model is None) == (args.family is None):
         parser.error("exactly one of --model or --family is required")
-    t, sigma, s0 = args.t, args.sigma, args.s0
-    yval = sigma * math.sqrt(t)
-    if args.model is not None:
-        # the survival is that of the gaussian family the model belongs to
-        density = DensityModel.gaussian()
-        kind = "linear" if args.model == "bachelier" else "geometric"
-        price_fn = bachelier_call if args.model == "bachelier" else black_scholes_call
-        prices = price_fn(ModelParams(s0, sigma, t), strikes)
-    else:
-        density, kind = args.density, args.family
+    kind, density = _family_route(args)
+    s0, yval = args.s0, args.sigma * math.sqrt(args.t)
     if yval == 0.0:
         prices = np.maximum(s0 - strikes, 0.0)
         surv = (strikes < s0).astype(np.float64)
-    elif args.model is not None:
-        surv = family_prices(kind, density, s0, yval, strikes)[1]
     else:
         prices, surv, _ = family_prices(kind, density, s0, yval, strikes)
     _emit_table(args.out, ("K", "C", "survival"), strikes, prices, surv)
@@ -179,14 +175,11 @@ def _build_call_curve(args, parser) -> CallCurve:
             parser.error("--atoms requires --weights")
         dist = DiscreteDistribution(args.atoms, args.weights)
         return dist.call_curve()
+    kind, density = _family_route(args)
     yval = args.sigma * math.sqrt(args.t)
-    if args.model == "bachelier":
-        return bachelier_curve(ModelParams(args.s0, args.sigma, args.t))
-    if args.model == "black_scholes":
-        return black_scholes_curve(ModelParams(args.s0, args.sigma, args.t))
-    if args.family == "linear":
-        return linear_family_curve(args.density, args.s0, yval)
-    return geometric_family_curve(args.density, args.s0, yval)
+    if kind == "linear":
+        return linear_family_curve(density, args.s0, yval)
+    return geometric_family_curve(density, args.s0, yval)
 
 
 def _cmd_boundary(args, parser) -> int:
@@ -347,7 +340,7 @@ def build_parser() -> _Parser:
         return sp
 
     sp = add("price", _cmd_price, "call prices and survival probabilities")
-    sp.add_argument("--model", choices=["bachelier", "black_scholes"])
+    sp.add_argument("--model", choices=list(MODEL_FAMILIES))
     sp.add_argument("--family", choices=["linear", "geometric"])
     sp.add_argument("--density", type=_density_type,
                     default=DensityModel.gaussian())
@@ -366,7 +359,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--mean", type=float, default=None)
         sp.add_argument("--positive", action="store_true",
                         help="mark the loaded curve as positive-support")
-        sp.add_argument("--model", choices=["bachelier", "black_scholes"])
+        sp.add_argument("--model", choices=list(MODEL_FAMILIES))
         sp.add_argument("--family", choices=["linear", "geometric"])
         sp.add_argument("--density", type=_density_type,
                         default=DensityModel.gaussian())
@@ -432,7 +425,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--h-p", type=float, default=1e-3)
 
     sp = add("simulate", _cmd_simulate, "Monte Carlo prices or pipeline-check report")
-    sp.add_argument("--model", choices=["bachelier", "black_scholes"],
+    sp.add_argument("--model", choices=list(MODEL_FAMILIES),
                     required=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--n", type=int, default=100_000)

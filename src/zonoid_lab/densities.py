@@ -30,8 +30,12 @@ from .numerics import (as_float_array, like_input, monotone_root, require_unifor
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _FAMILIES = ("gaussian", "logistic", "cauchy", "custom")
 
-# Quantile level of the root brackets [F^-1(eps), F^-1(1 - eps)] for custom models.
-_BRACKET_EPS = 1e-15
+# Tail levels of DensityModel.quantile_bounds, the one tail cut (custom root
+# brackets and ranges, every family-curve domain).  At 1e-12 a custom model's
+# 1 - F and f keep relative precision for the sign tests; built-ins hold to 1e-15.
+_BRACKET_EPS = 1e-12
+_BUILTIN_EPS = 1e-15
+_GRID_N, _GRID_HALF_WIDTH = 1001, 8.0  # default_grid: points, half-width in scales
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
@@ -264,9 +268,15 @@ class DensityModel:
         """Whether the density integrates |x| (cauchy does not)."""
         return self.family != "cauchy"
 
-    def default_grid(self, n: int = 1001, half_width: float = 8.0) -> np.ndarray:
-        return np.linspace(self.location - half_width * self.scale,
-                           self.location + half_width * self.scale, n)
+    def default_grid(self) -> np.ndarray:
+        return np.linspace(self.location - _GRID_HALF_WIDTH * self.scale,
+                           self.location + _GRID_HALF_WIDTH * self.scale, _GRID_N)
+
+    def quantile_bounds(self) -> Tuple[float, float]:
+        """[F^-1(eps), F^-1(1 - eps)] with eps = 1e-12 for custom models and
+        1e-15 for the built-ins: the one tail cut of the package."""
+        eps = _BRACKET_EPS if self.family == "custom" else _BUILTIN_EPS
+        return tuple(self.quantile(np.array([eps, 1.0 - eps])).tolist())
 
     def log_slope_range(self) -> Tuple[float, float]:
         """Open range (w_min, w_max) of (log f)' over R."""
@@ -276,10 +286,8 @@ class DensityModel:
             return (-1.0 / self.scale, 1.0 / self.scale)
         if self.family == "cauchy":
             raise UnsupportedError("cauchy log-slope is not monotone")
-        eps = 1e-12
-        lo = float(self.log_slope(self.quantile(1.0 - eps)))
-        hi = float(self.log_slope(self.quantile(eps)))
-        return (lo, hi)
+        x_lo, x_hi = self.quantile_bounds()
+        return (float(self.log_slope(x_hi)), float(self.log_slope(x_lo)))
 
     def ratio_range(self, y: float) -> Tuple[float, float]:
         """Open range (r_min, r_max) of x -> f(x+y)/f(x) for y > 0."""
@@ -291,8 +299,7 @@ class DensityModel:
             return (math.exp(-y / self.scale), math.exp(y / self.scale))
         if self.family == "cauchy":
             raise UnsupportedError("cauchy ratio map is not monotone")
-        eps = 1e-12
-        x_hi, x_lo = self.quantile(1.0 - eps), self.quantile(eps)
+        x_lo, x_hi = self.quantile_bounds()
         lo = math.exp(float(self.log_pdf(x_hi + y) - self.log_pdf(x_hi)))
         hi = math.exp(float(self.log_pdf(x_lo + y) - self.log_pdf(x_lo)))
         return (lo, hi)
@@ -324,7 +331,7 @@ def inverse_log_slope(model: DensityModel, w):
         # (1 - ws)/2 rounds to 1 within an ulp of ws = -1; logit(1) is inf
         half = np.minimum((1.0 - ws) * 0.5, _BELOW_ONE)
         return like_input(model.location + model.scale * special.logit(half), w)
-    lo, hi = model.quantile(np.array([_BRACKET_EPS, 1.0 - _BRACKET_EPS]))
+    lo, hi = model.quantile_bounds()
     return monotone_root(model.log_slope, w_arr, lo, hi, xtol=1e-13 * model.scale)
 
 
@@ -355,7 +362,7 @@ def inverse_ratio(model: DensityModel, y: float, r):
         log_u = (np.log(np.expm1(a), out=np.full_like(a, -np.inf), where=a > 0.0)
                  - np.log(-np.expm1(b), out=np.full_like(b, -np.inf), where=b < 0.0))
         return like_input(model.location - model.scale * log_u, r)
-    lo, hi = model.quantile(np.array([_BRACKET_EPS, 1.0 - _BRACKET_EPS]))
+    lo, hi = model.quantile_bounds()
     return monotone_root(lambda t: model.log_pdf(t + y) - model.log_pdf(t),
                          np.log(r_arr), lo, hi, xtol=1e-13 * model.scale)
 

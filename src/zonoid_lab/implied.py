@@ -31,6 +31,7 @@ from .pricing import family_call_geometric
 
 _DEGENERATE_TOL = 1e-14
 _P_EPS = 1e-9
+_N_SCAN = 512             # coarse scan of implied_y_minimization
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +116,7 @@ def implied_y_root(query: ImpliedQuery) -> float:
     return monotone_root(price, c, 0.0, y_hi, xtol=1e-14)
 
 
-def implied_y_minimization(query: ImpliedQuery, n_scan: int = 512) -> Tuple[float, float]:
+def implied_y_minimization(query: ImpliedQuery) -> Tuple[float, float]:
     """The level recovered as y* = min_p [F^{-1}(c + pK) - F^{-1}(p)] over
     feasible p (0 < p and c + pK < 1); returns (y*, p_hat).
 
@@ -137,11 +138,11 @@ def implied_y_minimization(query: ImpliedQuery, n_scan: int = 512) -> Tuple[floa
         return (np.asarray(density.quantile(np.clip(c + p * k, 0.0, 1.0)))
                 - np.asarray(density.quantile(p)))
 
-    ps = np.linspace(lo, hi, n_scan)
+    ps = np.linspace(lo, hi, _N_SCAN)
     vals = objective(ps)
     i = int(np.argmin(vals))
     b_lo = ps[max(i - 1, 0)]
-    b_hi = ps[min(i + 1, n_scan - 1)]
+    b_hi = ps[min(i + 1, _N_SCAN - 1)]
     p_hat, y_star = golden_section_min(objective, float(b_lo), float(b_hi))
     p_hat, y_star = float(p_hat), float(y_star)
     if vals[i] < y_star:

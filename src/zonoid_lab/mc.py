@@ -8,9 +8,12 @@ keeps antithetic pairs perfectly mirrored.
 
 ``mc_check_propositions`` drives the whole pipeline: empirical call curve on
 a strike grid (exact, via sorted suffix sums), convex projection, Legendre
-transform to the zonoid boundary, and comparison against the closed forms
-sqrt(t) phi(Phi^{-1}(p)) (bachelier, X = W_t) and Phi(Phi^{-1}(p) + sqrt(t))
-(black_scholes, X = exp(W_t - t/2)) in standard-error units.
+transform to the zonoid boundary, and comparison in standard-error units
+against ``exact_boundary``.  The two models are the gaussian members of the
+peacock families with time change sqrt(t): bachelier (X = W_t) is the linear
+family at s = 0, boundary sqrt(t) phi(Phi^{-1}(p)), and black_scholes
+(X = exp(W_t - t/2)) the geometric family at s = 1, boundary
+Phi(Phi^{-1}(p) + sqrt(t)); ``peacocks.surface_boundary`` evaluates both.
 """
 
 from __future__ import annotations
@@ -24,16 +27,18 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import special
 
+from .densities import DensityModel
 from .errors import DomainError, ValidationError
-from .numerics import as_float_array, legendre_min, like_input
+from .numerics import as_float_array, legendre_min
+from .peacocks import PeacockSpec, TimeChange, surface_boundary
+from .pricing import MODEL_FAMILIES
 from .zonoid import CallCurve, project_convex_decreasing
 
-_MODELS = ("bachelier", "black_scholes")
+_MODELS = tuple(MODEL_FAMILIES)
 _U64 = np.uint64
 _GAMMA = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 _PARALLEL_CUTOFF = 200_000
 
 
@@ -238,27 +243,15 @@ class McPropositionReport:
 
 
 def exact_boundary(model: str, t: float, p):
-    """Closed-form boundary of the benchmark models: sqrt(t) phi(Phi^{-1}(p))
-    for bachelier, Phi(Phi^{-1}(p) + sqrt(t)) for black_scholes."""
+    """Closed-form boundary of the benchmark models: the gaussian family's
+    ``surface_boundary`` with time change sqrt(t), linear at s = 0 for
+    bachelier and geometric at s = 1 for black_scholes."""
     if model not in _MODELS:
         raise DomainError(f"model must be one of {_MODELS}")
-    p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
-        raise DomainError("p must lie in [0, 1]")
-    out = np.empty(p_arr.shape)
-    interior = (p_arr > 0.0) & (p_arr < 1.0)
-    with np.errstate(over="ignore"):
-        q = special.ndtri(p_arr[interior])
-        if model == "bachelier":
-            out[interior] = math.sqrt(t) * np.exp(-0.5 * q * q) / _SQRT2PI
-            out[~interior] = 0.0
-        elif t == 0.0:
-            out[:] = p_arr
-        else:
-            out[interior] = special.ndtr(q + math.sqrt(t))
-            out[p_arr == 0.0] = 0.0
-            out[p_arr == 1.0] = 1.0
-    return like_input(out, p)
+    kind = MODEL_FAMILIES[model]
+    spec = PeacockSpec(kind, DensityModel.gaussian(), 0.0 if kind == "linear" else 1.0,
+                       TimeChange.sqrt())
+    return surface_boundary(spec, t, p)
 
 
 def _default_kgrid(config: SimConfig, sample: np.ndarray) -> np.ndarray:

@@ -209,9 +209,9 @@ def _parabolic_step(fn, a, m, b, fm):
 
 
 def second_differences(values: np.ndarray) -> np.ndarray:
-    """Plain second differences v[i-1] - 2 v[i] + v[i+1] of a 1-d array."""
+    """Plain second differences v[i-1] - 2 v[i] + v[i+1] along the last axis."""
     v = np.asarray(values, dtype=np.float64)
-    return v[2:] - 2.0 * v[1:-1] + v[:-2]
+    return v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]
 
 
 def require_uniform(grid: np.ndarray, name: str = "grid") -> float:

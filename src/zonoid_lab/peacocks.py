@@ -321,16 +321,11 @@ def certify_peacock(spec: PeacockSpec, tgrid, pgrid=None,
 
     rows = np.vstack([surface_boundary(spec, float(t), pgrid) for t in tgrid])
 
-    # (a) concavity of each slice
-    worst_viol = -np.inf
-    worst_witness = None
-    for i in range(tgrid.size):
-        d2 = second_differences(rows[i])
-        j = int(np.argmax(d2))
-        viol = float(d2[j])
-        if viol > worst_viol:
-            worst_viol = viol
-            worst_witness = (float(pgrid[j]), float(pgrid[j + 1]), float(pgrid[j + 2]))
+    # (a) concavity of each slice; the witness is the first worst in row-major order
+    d2 = second_differences(rows)
+    i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
+    worst_viol = float(d2[i, j])
+    worst_witness = (float(pgrid[j]), float(pgrid[j + 1]), float(pgrid[j + 2]))
     rng = float(rows.max() - rows.min())
     slack = 1e-9 * max(1.0, rng)
     concave_ok = worst_viol <= slack

@@ -1,7 +1,6 @@
 """Closed-form call prices.
 
-Two classical benchmarks (arithmetic/normal and geometric/lognormal) plus the
-general family formulas for marginals built from a log-concave density model:
+Marginals built from a log-concave density model, in two families:
 
 * linear family, mean s and level y: C(K) = y [ f(U(w)) - F(U(w)) w ] with
   w = (K - s)/y, where U inverts the logarithmic slope of the density f
@@ -17,6 +16,11 @@ the intrinsic bounds (mean - K)^+ or 0.  ``family_call_*``,
 ``family_call_*_with_flag``, ``survival_*`` and ``survival`` are views of it.
 Every function here returns Python scalars for a scalar strike and arrays
 for an array of strikes.
+
+The Bachelier and Black-Scholes models are the gaussian members of the two
+families at y = sigma sqrt(t) (``MODEL_FAMILIES``): their curves are family
+curves, on the strike image of the density's quantile bounds like every
+other, and ``bachelier_call`` / ``black_scholes_call`` keep the closed forms.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from .errors import DomainError, ValidationError
 from .numerics import as_float_array, like_input
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+
+# model name -> kind of the family whose gaussian member the model is
+MODEL_FAMILIES = {"bachelier": "linear", "black_scholes": "geometric"}
 
 
 def _phi(x):
@@ -133,7 +140,8 @@ def family_prices(kind: str, model: DensityModel, s: float, y: float, k):
         else:
             v = inverse_ratio(model, y, xi)
             tail = model.cdf(v)
-            call[inside] = s * model.cdf(v + y) - karr[inside] * tail
+            # s F(V + y) - K F(V) cancels near the top edge; a call is >= 0
+            call[inside] = np.maximum(s * model.cdf(v + y) - karr[inside] * tail, 0.0)
         surv[inside] = tail
     return like_input(call, k), like_input(surv, k), like_input(clamped, k)
 
@@ -176,66 +184,42 @@ def survival(kind: str, model: DensityModel, s: float, yval: float, k):
 # Curve constructors
 # ---------------------------------------------------------------------------
 
-def bachelier_curve(params: ModelParams, width: float = 8.0):
-    """Call curve of the arithmetic model on s0 -/+ width sigma sqrt(t)."""
-    from .zonoid import CallCurve
-
-    v = params.sigma * math.sqrt(max(params.t, 1e-300))
-    half = width * v
-    return CallCurve.from_function(
-        lambda k: bachelier_call(params, k), mean=params.s0,
-        domain=(params.s0 - half, params.s0 + half),
-        provenance={"model": "arithmetic", "s0": params.s0,
-                    "sigma": params.sigma, "t": params.t})
+def bachelier_curve(params: ModelParams):
+    """Call curve of the arithmetic model: linear gaussian, y = sigma sqrt(t)."""
+    return linear_family_curve(DensityModel.gaussian(), params.s0,
+                               params.sigma * math.sqrt(params.t))
 
 
-def black_scholes_curve(params: ModelParams, width: float = 8.0):
-    """Call curve of the geometric model on a log-symmetric strike interval."""
-    from .zonoid import CallCurve
-
-    v = params.sigma * math.sqrt(max(params.t, 1e-300))
-    k_lo = params.s0 * math.exp(-width * v - 0.5 * v * v)
-    k_hi = params.s0 * math.exp(width * v - 0.5 * v * v)
-    return CallCurve.from_function(
-        lambda k: black_scholes_call(params, k), mean=params.s0,
-        domain=(k_lo, k_hi), positive=True,
-        provenance={"model": "geometric", "s0": params.s0,
-                    "sigma": params.sigma, "t": params.t})
+def black_scholes_curve(params: ModelParams):
+    """Call curve of the geometric model: geometric gaussian, y = sigma sqrt(t)."""
+    return geometric_family_curve(DensityModel.gaussian(), params.s0,
+                                  params.sigma * math.sqrt(params.t))
 
 
-def linear_family_curve(model: DensityModel, s: float, yval: float,
-                        p_cut: float = 1e-9):
-    """Call curve of the linear-family marginal at level yval, on the strike
-    range reachable through the density's quantiles."""
-    from .zonoid import CallCurve
-
-    q_lo = float(model.quantile(p_cut))
-    q_hi = float(model.quantile(1.0 - p_cut))
-    # the log-slope decreases, so the strike range runs from the right tail
-    # slope (most negative w) to the left tail slope (most positive w)
-    k_lo = s + yval * float(model.log_slope(q_hi))
-    k_hi = s + yval * float(model.log_slope(q_lo))
-    return CallCurve.from_function(
-        lambda k: family_call_linear(model, s, yval, k), mean=s,
-        domain=(k_lo, k_hi),
-        provenance={"family": "linear", "density": model.family,
-                    "s": s, "y": yval})
+def linear_family_curve(model: DensityModel, s: float, yval: float):
+    """Call curve of the linear-family marginal at level yval."""
+    return _family_curve("linear", model, s, yval)
 
 
-def geometric_family_curve(model: DensityModel, s: float, y: float,
-                           p_cut: float = 1e-9):
+def geometric_family_curve(model: DensityModel, s: float, y: float):
     """Call curve of the geometric-family marginal at level y (positive
     variable with mean s)."""
+    return _family_curve("geometric", model, s, y)
+
+
+def _family_curve(kind: str, model: DensityModel, s: float, y: float):
+    """The family's call curve on the strike image of the density's quantile
+    bounds; (log f)' and the ratio decrease, so the right tail gives k_lo."""
     from .zonoid import CallCurve
 
-    q_lo = float(model.quantile(p_cut))
-    q_hi = float(model.quantile(1.0 - p_cut))
-    r_lo = math.exp(float(model.log_pdf(q_hi + y)) - float(model.log_pdf(q_hi)))
-    r_hi = math.exp(float(model.log_pdf(q_lo + y)) - float(model.log_pdf(q_lo)))
-    k_lo = max(s * r_lo, 0.0)
-    k_hi = s * r_hi
+    if kind == "linear":
+        edge = lambda q: s + y * float(model.log_slope(q))
+        price = family_call_linear
+    else:
+        edge = lambda q: s * math.exp(float(model.log_pdf(q + y)) - float(model.log_pdf(q)))
+        price = family_call_geometric
+    q_lo, q_hi = model.quantile_bounds()
     return CallCurve.from_function(
-        lambda k: family_call_geometric(model, s, y, k), mean=s,
-        domain=(k_lo, k_hi), positive=True,
-        provenance={"family": "geometric", "density": model.family,
-                    "s": s, "y": y})
+        lambda k: price(model, s, y, k), mean=s, domain=(edge(q_hi), edge(q_lo)),
+        positive=kind == "geometric",
+        provenance={"family": kind, "density": model.family, "s": s, "y": y})

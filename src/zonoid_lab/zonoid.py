@@ -41,6 +41,10 @@ from .numerics import (as_float_array, golden_section_min, legendre_min, like_in
 _P_EPS = 1e-9          # probability clipping for continuous searches
 _Q_EPS = 1e-12         # quantile clipping for quadrature supports
 _DEFAULT_GRID_N = 2001
+_SAMPLE_N, _SHAPE_SLACK = 513, 1e-9        # validate: closed-form sample, shape slack
+_TAIL_TOL = 1e-3       # CallCurve.validate asymptote gap, times max(1, |mean|)
+_MEAN_TOL, _ORDER_SLACK = 1e-10, 1e-12     # check_convex_order (slack times max(1, |mean|))
+_ARITH_SYM_TOL, _GEOM_SYM_TOL = 1e-8, 1e-6  # the two symmetry checks
 
 
 def _value_scale(mean: float) -> float:
@@ -122,12 +126,12 @@ class CallCurve:
         out[above] = 0.0
         return like_input(out, k)
 
-    def sample_grid(self, n: int = 513) -> np.ndarray:
+    def sample_grid(self) -> np.ndarray:
         if self.is_grid:
             return self.strikes
-        return np.linspace(self.k_lo, self.k_hi, n)
+        return np.linspace(self.k_lo, self.k_hi, _SAMPLE_N)
 
-    def validate(self, tail_tol: Optional[float] = None, shape_slack: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Raise ValidationError unless the curve is a plausible call curve:
         non-increasing, convex (to slack), and near its asymptotes at the
         domain endpoints."""
@@ -136,7 +140,7 @@ class CallCurve:
         if not np.all(np.isfinite(vals)):
             raise ValidationError("call curve values must be finite")
         vrange = float(vals.max() - vals.min())
-        slack = shape_slack * max(vrange, 1e-300)
+        slack = _SHAPE_SLACK * max(vrange, 1e-300)
         if np.any(np.diff(vals) > slack):
             raise ValidationError("call curve must be non-increasing")
         if vals.size >= 3:
@@ -144,10 +148,9 @@ class CallCurve:
             # non-uniform (e.g. geometric).  Call-curve slopes lie in [-1, 0],
             # so an absolute slack on slope increments is scale-correct.
             slopes = np.diff(vals) / np.diff(ks)
-            if float(np.min(np.diff(slopes))) < -shape_slack:
+            if float(np.min(np.diff(slopes))) < -_SHAPE_SLACK:
                 raise ValidationError("call curve must be convex")
-        if tail_tol is None:
-            tail_tol = 1e-3 * _value_scale(self.mean)
+        tail_tol = _TAIL_TOL * _value_scale(self.mean)
         if abs(float(vals[-1])) > tail_tol:
             raise ValidationError(
                 f"call curve does not decay at the right endpoint "
@@ -216,12 +219,12 @@ class ZonoidBoundary:
         p_arr = np.asarray(p, dtype=np.float64)
         return self.mean - self.__call__(1.0 - p_arr)
 
-    def sample_grid(self, n: int = 513) -> np.ndarray:
+    def sample_grid(self) -> np.ndarray:
         if self.is_grid:
             return self.probs
-        return np.linspace(0.0, 1.0, n)
+        return np.linspace(0.0, 1.0, _SAMPLE_N)
 
-    def validate(self, shape_slack: float = 1e-9) -> None:
+    def validate(self) -> None:
         ps = self.sample_grid()
         vals = self.__call__(ps)
         if not np.all(np.isfinite(vals)):
@@ -236,7 +239,7 @@ class ZonoidBoundary:
             # curves with kinks at atom weights).  Boundary slopes are
             # quantiles, so the slack scales with their magnitude.
             slopes = np.diff(vals) / np.diff(ps)
-            slack = shape_slack * max(1.0, float(np.max(np.abs(slopes))))
+            slack = _SHAPE_SLACK * max(1.0, float(np.max(np.abs(slopes))))
             if float(np.max(np.diff(slopes))) > slack:
                 raise ValidationError("boundary must be concave")
 
@@ -285,12 +288,11 @@ class DiscreteDistribution:
         out = np.where(j < x.size, at_atoms[jc] + tail[jc] * (x[jc] - k), 0.0)
         return like_input(out.astype(np.float64), k)
 
-    def call_curve(self, pad: Optional[float] = None) -> CallCurve:
-        """Piecewise-linear call curve with kinks exactly at the atoms."""
+    def call_curve(self) -> CallCurve:
+        """Piecewise-linear call curve with kinks exactly at the atoms, padded
+        by max(1, spread / 2) on each side."""
         atoms = self.atoms
-        if pad is None:
-            spread = float(atoms[-1] - atoms[0])
-            pad = max(1.0, 0.5 * spread)
+        pad = max(1.0, 0.5 * float(atoms[-1] - atoms[0]))
         positive = bool(atoms[0] > 0.0)
         left = atoms[0] - pad
         if positive:
@@ -496,11 +498,10 @@ def inverse_boundary_positive(curve: CallCurve, q: float) -> float:
 # Order and symmetry checks
 # ---------------------------------------------------------------------------
 
-def check_convex_order(curve_x: CallCurve, curve_y: CallCurve, kgrid=None,
-                       *, mean_tol: float = 1e-10, slack: float = 1e-12) -> bool:
+def check_convex_order(curve_x: CallCurve, curve_y: CallCurve, kgrid=None) -> bool:
     """True when X is dominated by Y in the convex order: equal means and
     C_X <= C_Y at every grid strike."""
-    if abs(curve_x.mean - curve_y.mean) > mean_tol:
+    if abs(curve_x.mean - curve_y.mean) > _MEAN_TOL:
         raise DomainError("convex order needs equal means")
     if kgrid is None:
         k_lo = min(curve_x.k_lo, curve_y.k_lo)
@@ -508,10 +509,10 @@ def check_convex_order(curve_x: CallCurve, curve_y: CallCurve, kgrid=None,
         kgrid = np.linspace(k_lo, k_hi, 1001)
     kgrid = as_float_array(kgrid, "kgrid")
     gap = curve_x(kgrid) - curve_y(kgrid)
-    return bool(np.max(gap) <= slack * _value_scale(curve_x.mean))
+    return bool(np.max(gap) <= _ORDER_SLACK * _value_scale(curve_x.mean))
 
 
-def check_arithmetic_symmetry(curve: CallCurve, kgrid=None, *, tol: float = 1e-8) -> bool:
+def check_arithmetic_symmetry(curve: CallCurve, kgrid=None) -> bool:
     """True when C(K) = -K + C(-K) across the grid, i.e. X is symmetric
     about 0 (equivalently the boundary satisfies b(p) = b(1-p))."""
     if kgrid is None:
@@ -523,10 +524,10 @@ def check_arithmetic_symmetry(curve: CallCurve, kgrid=None, *, tol: float = 1e-8
     if np.max(np.abs(np.sort(kgrid) + np.sort(-kgrid)[::-1])) > 1e-12:
         raise DomainError("strike grid must be symmetric about 0")
     gap = curve(kgrid) - (-kgrid + curve(-kgrid))
-    return bool(np.max(np.abs(gap)) <= tol)
+    return bool(np.max(np.abs(gap)) <= _ARITH_SYM_TOL)
 
 
-def check_geometric_symmetry(curve: CallCurve, kgrid=None, *, tol: float = 1e-6) -> bool:
+def check_geometric_symmetry(curve: CallCurve, kgrid=None) -> bool:
     """True when C(K) = 1 - K + K C(1/K) across the grid (put-call symmetry
     of a positive variable with mean 1)."""
     if abs(curve.mean - 1.0) > 1e-10:
@@ -544,7 +545,7 @@ def check_geometric_symmetry(curve: CallCurve, kgrid=None, *, tol: float = 1e-6)
     if np.any(kgrid <= 0.0):
         raise DomainError("strikes must be positive")
     gap = curve(kgrid) - (1.0 - kgrid + kgrid * curve(1.0 / kgrid))
-    return bool(np.max(np.abs(gap)) <= tol)
+    return bool(np.max(np.abs(gap)) <= _GEOM_SYM_TOL)
 
 
 # ---------------------------------------------------------------------------

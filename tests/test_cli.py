@@ -97,8 +97,9 @@ def test_price_model_matches_library(capsys):
     params = ModelParams(0.0, 1.0, 1.0)
     gauss = DensityModel.gaussian()
     for k, c, sv in data:
-        assert c == bachelier_call(params, k)  # bit-exact via %.17g
+        assert c == family_call_linear(gauss, 0.0, 1.0, k)  # bit-exact via %.17g
         assert sv == survival("linear", gauss, 0.0, 1.0, k)
+        assert abs(c - bachelier_call(params, k)) <= 1e-14
 
 
 def test_price_family_matches_library(capsys):
@@ -129,11 +130,27 @@ def test_price_k_grid_equals_family_prices(capsys, argv, kind, density):
     ks = data[:, 0]
     assert ks.size == 201
     call, surv, _ = family_prices(kind, DensityModel(density), s0, sigma * math.sqrt(t), ks)
-    if "--model" in flags:
-        price_fn = bachelier_call if kind == "linear" else black_scholes_call
-        call = price_fn(ModelParams(s0, sigma, t), ks)
     assert np.array_equal(data[:, 1], call)
     assert np.array_equal(data[:, 2], surv)
+    if "--model" in flags:  # the gaussian family member is the model
+        price_fn = bachelier_call if kind == "linear" else black_scholes_call
+        want = price_fn(ModelParams(s0, sigma, t), ks)
+        assert np.max(np.abs(call - want)) <= 1e-14 * max(1.0, abs(s0))
+
+
+@pytest.mark.parametrize("sub,extra", [
+    ("price", ["--k-grid=0.05:4:201", "--k", "0"]),
+    ("boundary", ["--p-grid", "0:1:101"]),
+    ("boundary", ["--p-grid", "0:1:11", "--format", "json"]),
+])
+@pytest.mark.parametrize("model,kind", [("bachelier", "linear"),
+                                        ("black_scholes", "geometric")])
+def test_model_route_is_the_gaussian_family_route(capsys, sub, extra, model, kind):
+    common = ["--s0", "1.3", "--sigma", "0.45", "--t", "1.7"] + extra
+    assert run_cli(sub, "--model", model, *common) == 0
+    via_model = capsys.readouterr().out
+    assert run_cli(sub, "--family", kind, "--density", "gaussian", *common) == 0
+    assert via_model == capsys.readouterr().out
 
 
 def test_price_logistic_linear_edge_strike(capsys):
@@ -160,10 +177,11 @@ def test_price_to_file_17_digit_round_trip(tmp_path, capsys):
                    "--out", str(out)) == 0
     header, cols = curve_io.read_table(str(out))
     assert header == ("K", "C", "survival")
-    from zonoid_lab.pricing import black_scholes_call
+    from zonoid_lab.pricing import black_scholes_call, family_call_geometric
     params = ModelParams(1.0, 1.0, 1.0)
     for k, c in zip(cols[0], cols[1]):
-        assert c == black_scholes_call(params, float(k))
+        assert c == family_call_geometric(DensityModel.gaussian(), 1.0, 1.0, float(k))
+        assert abs(c - black_scholes_call(params, float(k))) <= 1e-14
     capsys.readouterr()
 
 

@@ -2,14 +2,16 @@
 
 * One scalar/array return convention: ``numerics.like_input`` gives a Python
   scalar for a 0-d input and the array otherwise.
-* Every public name resolves: everything in ``zonoid_lab.__all__``, and every
+* Every public name resolves: everything in ``zonoid_lab.__all__``, every
   function the benchmark's tracer patches by name (``_TARGETS`` in
-  ``perfbench/spans.py``, read as text so nothing under ``perfbench/`` is
-  imported or written).
+  ``perfbench/spans.py``), and every ``zonoid_lab`` attribute the benchmark
+  workloads use, with every keyword they pass.  The benchmark files are read
+  as text, so nothing under ``perfbench/`` is imported or written.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ import zonoid_lab
 from zonoid_lab.numerics import like_input
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS = SPANS.with_name("workloads.py")
 
 
 def test_like_input_scalar_for_0d_input():
@@ -58,3 +61,58 @@ def test_traced_targets_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (module, attr)
+
+
+def _chain(node):
+    """("mod", "attr", ...) for a pure attribute chain mod.attr..., else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name) or not parts:
+        return None
+    return (node.id,) + tuple(reversed(parts))
+
+
+def _workload_api_use():
+    """The zonoid_lab attribute chains perfbench/workloads.py reads, and the
+    keyword names of the calls it makes through them."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "zonoid_lab"
+               for alias in node.names}
+    chains, keywords = set(), set()
+    for node in ast.walk(tree):
+        chain = _chain(node)
+        if chain and chain[0] in modules:
+            chains.add(chain)
+        if isinstance(node, ast.Call):
+            chain = _chain(node.func)
+            if chain and chain[0] in modules:
+                keywords.update((chain, kw.arg) for kw in node.keywords if kw.arg)
+    return chains, keywords
+
+
+def _resolve(chain):
+    obj = importlib.import_module("zonoid_lab." + chain[0])
+    for part in chain[1:]:
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_workload_api_use_resolves():
+    chains, keywords = _workload_api_use()
+    assert len(chains) > 20 and keywords
+    missing = []
+    for chain in sorted(chains):
+        try:
+            _resolve(chain)
+        except AttributeError:
+            missing.append(".".join(chain))
+    assert missing == []
+    unknown = []
+    for chain, name in sorted(keywords):
+        params = inspect.signature(_resolve(chain)).parameters
+        if name not in params and not any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            unknown.append(f"{'.'.join(chain)}({name}=...)")
+    assert unknown == []

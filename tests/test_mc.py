@@ -130,6 +130,16 @@ def test_exact_boundary_values():
 
 
 @pytest.mark.parametrize("model", ["bachelier", "black_scholes"])
+def test_exact_boundary_rejects_nan_levels_and_negative_times(model):
+    # nan used to return uninitialised memory (black_scholes) or 0.0
+    # (bachelier), and t < 0 an untyped ValueError
+    with pytest.raises(DomainError):
+        exact_boundary(model, 1.0, np.array([math.nan, 0.5]))
+    with pytest.raises(DomainError):
+        exact_boundary(model, -1.0, 0.5)
+
+
+@pytest.mark.parametrize("model", ["bachelier", "black_scholes"])
 def test_proposition_pipeline(model):
     report = mc_check_propositions(SimConfig(model, 1.0, 200_000, seed=17,
                                              antithetic=True))

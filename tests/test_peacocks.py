@@ -227,6 +227,24 @@ def test_certify_fails_for_cauchy_with_witness():
     assert cert.kellerer.skipped  # not evaluated on an unfaithful transform
 
 
+@pytest.mark.parametrize("family,density,s", [("linear", CAUCHY, 0.0), ("geometric", GAUSS, 1.3),
+                                               ("linear", LOGISTIC, -0.4)])
+def test_certify_concavity_equals_the_slice_by_slice_scan(family, density, s):
+    # one array second difference over all slices; the witness is the first
+    # worst triple in row-major order, which a strict > over slices keeps
+    spec = PeacockSpec(family, density, s, TimeChange.sqrt())
+    cert = certify_peacock(spec, TGRID, PGRID, n_strikes=401)
+    worst, witness = -np.inf, None
+    for t in TGRID:
+        row = np.asarray(surface_boundary(spec, float(t), PGRID))
+        d2 = row[2:] - 2.0 * row[1:-1] + row[:-2]
+        j = int(np.argmax(d2))
+        if d2[j] > worst:
+            worst, witness = float(d2[j]), tuple(float(p) for p in PGRID[j:j + 3])
+    assert cert.concavity.max_violation == worst
+    assert cert.concavity.witness == (None if cert.concavity.is_concave else witness)
+
+
 def test_certify_fails_kellerer_for_decreasing_table():
     tc = TimeChange.from_table([0.0, 1.0, 2.0, 3.0, 4.0],
                                [1.0, 0.8, 0.55, 0.35, 0.2])

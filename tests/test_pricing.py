@@ -27,6 +27,7 @@ from zonoid_lab.pricing import (ModelParams, bachelier_call, bachelier_curve,
                                 family_prices, geometric_family_curve,
                                 linear_family_curve, survival,
                                 survival_geometric, survival_linear)
+from zonoid_lab.zonoid import CallCurve
 
 GAUSS = DensityModel.gaussian()
 LOGISTIC = DensityModel.logistic()
@@ -262,8 +263,10 @@ def test_curves_match_underlying_formulas():
     params = ModelParams(0.3, 0.7, 2.0)
     curve = bachelier_curve(params)
     ks = np.linspace(curve.k_lo, curve.k_hi, 33)
+    yval = 0.7 * math.sqrt(2.0)
+    assert np.max(np.abs(curve(ks) - family_call_linear(GAUSS, 0.3, yval, ks))) == 0.0
     want = np.array([bachelier_call(params, k) for k in ks])
-    assert np.max(np.abs(curve(ks) - want)) == 0.0
+    assert np.max(np.abs(curve(ks) - want)) <= 1e-14
     fam = geometric_family_curve(GAUSS, 1.0, 0.7)
     ks = np.geomspace(fam.k_lo, fam.k_hi, 33)
     want = family_call_geometric(GAUSS, 1.0, 0.7, ks)
@@ -508,3 +511,106 @@ def test_cdf_takes_the_limits_at_infinity():
         assert np.array_equal(model.cdf(np.array([-np.inf, np.inf])), [0.0, 1.0])
         with pytest.raises(DomainError):
             model.cdf(math.nan)
+
+
+def test_logistic_geometric_prices_are_never_negative():
+    # s F(V + y) - K F(V) cancels a few ulps below the top edge s exp(y):
+    # 24,771 of these 78,000 prices came out negative (down to -6.3e-29)
+    rng = np.random.default_rng(0)
+    steps = np.nextafter(1.0, 0.0) ** np.arange(1, 40)
+    for s, y in rng.uniform(0.1, 3.0, (2000, 2)):
+        call = family_call_geometric(LOGISTIC, s, y, s * math.exp(y) * steps)
+        assert np.all(call >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# One tail cut (DensityModel.quantile_bounds) and one curve constructor per
+# family; `custom` twins wrap the built-in evaluators
+# ---------------------------------------------------------------------------
+
+def custom_twin(model):
+    return DensityModel.custom(model.pdf, model.pdf_prime, model.cdf, model.quantile)
+
+
+CUSTOM_GAUSS, CUSTOM_LOGISTIC = custom_twin(GAUSS), custom_twin(LOGISTIC)
+
+
+def test_quantile_bounds_are_the_tail_cut():
+    assert GAUSS.quantile_bounds() == tuple(GAUSS.quantile(np.array([1e-15, 1.0 - 1e-15])))
+    lo, hi = CUSTOM_GAUSS.quantile_bounds()
+    assert (lo, hi) == tuple(GAUSS.quantile(np.array([1e-12, 1.0 - 1e-12])))
+    assert CUSTOM_GAUSS.log_slope_range() == (float(CUSTOM_GAUSS.log_slope(hi)),
+                                              float(CUSTOM_GAUSS.log_slope(lo)))
+
+
+def test_custom_logistic_prices_near_the_low_ratio_edge():
+    # the root bracket used to end at the 1 - 1e-15 quantile, where p (1 - p)
+    # has no relative precision left, and this price raised RangeError
+    s, y = 1.6146180331255877, 1.0411109272430819
+    k = s * math.exp(-1.030699817970651)
+    assert family_call_geometric(CUSTOM_LOGISTIC, s, y, k) == pytest.approx(
+        1.03861541388678, abs=1e-12)
+    assert family_call_geometric(LOGISTIC, s, y, k) == pytest.approx(
+        1.03861541388678, abs=1e-12)
+
+
+def test_custom_logistic_survival_is_not_silently_wrong():
+    # the same noisy bracket end used to return 0.999999999999996 here
+    s, y, k = 1.4047222250773428, 1.621807940964304, 0.29127361581175387
+    assert survival_geometric(LOGISTIC, s, y, k) == pytest.approx(0.970158340620981, abs=1e-12)
+    assert survival_geometric(CUSTOM_LOGISTIC, s, y, k) == pytest.approx(
+        0.970158340620981, abs=1e-12)
+
+
+@pytest.mark.parametrize("base", [GAUSS, LOGISTIC], ids=["gaussian", "logistic"])
+@pytest.mark.parametrize("kind", ["linear", "geometric"])
+def test_custom_twins_match_built_ins_across_their_range(base, kind):
+    twin = custom_twin(base)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        y = rng.uniform(0.1, 3.0)
+        if kind == "linear":
+            s = rng.uniform(-2.0, 2.0)
+            w_lo, w_hi = twin.log_slope_range()
+            ks = s + y * np.linspace(w_lo, w_hi, 203)[1:-1]
+        else:
+            s = rng.uniform(0.1, 3.0)
+            r_lo, r_hi = twin.ratio_range(y)
+            ks = s * np.geomspace(r_lo, r_hi, 203)[1:-1]
+        got, want = family_prices(kind, twin, s, y, ks), family_prices(kind, base, s, y, ks)
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-12
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-12
+
+
+@pytest.mark.parametrize("model", [GAUSS, LOGISTIC, CUSTOM_GAUSS, CUSTOM_LOGISTIC],
+                         ids=["gaussian", "logistic", "custom-gaussian", "custom-logistic"])
+@pytest.mark.parametrize("ctor", [linear_family_curve, geometric_family_curve])
+def test_family_curves_reach_their_asymptotes_at_the_domain_edges(model, ctor):
+    # the 1e-9 quantile cut left C = 6.35e-4 at the top of the geometric
+    # gaussian curve at y = 3
+    for y in (0.3, 1.0, 2.0, 3.0):
+        curve = ctor(model, 1.0, y)
+        assert abs(curve(curve.k_hi)) <= 2e-7
+        assert abs(curve(curve.k_lo) - (1.0 - curve.k_lo)) <= 2e-7
+
+
+def test_linear_family_curve_sampled_past_six_sigma_is_a_call_curve():
+    ks = np.linspace(-6.0, 6.0, 1201)
+    curve = linear_family_curve(GAUSS, 0.0, 1.0)
+    CallCurve.from_grid(ks, curve(ks), mean=0.0).validate()
+
+
+@pytest.mark.parametrize("s0,sigma,t", [(0.0, 1.0, 1.0), (1.0, 0.4, 2.5), (-3.0, 2.0, 0.3),
+                                        (2.5, 1.5, 4.0)])
+def test_model_curves_are_the_gaussian_family_curves(s0, sigma, t):
+    params, y = ModelParams(s0, sigma, t), sigma * math.sqrt(t)
+    pairs = [(bachelier_curve(params), linear_family_curve(GAUSS, s0, y), bachelier_call)]
+    if s0 > 0.0:
+        pairs.append((black_scholes_curve(params), geometric_family_curve(GAUSS, s0, y),
+                      black_scholes_call))
+    for curve, family, formula in pairs:
+        assert (curve.k_lo, curve.k_hi, curve.mean) == (family.k_lo, family.k_hi, family.mean)
+        assert curve.provenance == family.provenance
+        ks = np.linspace(curve.k_lo, curve.k_hi, 257)
+        assert np.array_equal(curve(ks), family(ks))
+        assert np.max(np.abs(curve(ks) - formula(params, ks))) <= 1e-14 * max(1.0, abs(s0))
