@@ -82,10 +82,6 @@ def _sink(path: str):
     return sys.stdout if path == "-" else path
 
 
-def _emit_table(path: str, header, *columns) -> None:
-    curve_io.write_table(_sink(path), header, *columns)
-
-
 def _emit_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -115,6 +111,28 @@ def _time_change(args) -> TimeChange:
     return TimeChange.from_table(times, values)
 
 
+def _add_density_flag(sp) -> None:
+    sp.add_argument("--density", type=_density_type, default=DensityModel.gaussian())
+
+
+def _add_marginal_flags(sp) -> None:
+    """The --model or --family marginal of price and boundary."""
+    sp.add_argument("--model", choices=list(MODEL_FAMILIES))
+    sp.add_argument("--family", choices=["linear", "geometric"])
+    _add_density_flag(sp)
+    sp.add_argument("--s0", type=float, default=1.0)
+    sp.add_argument("--sigma", type=float, default=1.0)
+    sp.add_argument("--t", type=float, default=1.0)
+
+
+def _add_spec_flags(sp) -> None:
+    """The peacock spec of surface and certify."""
+    sp.add_argument("--family", choices=["linear", "geometric"], required=True)
+    _add_density_flag(sp)
+    sp.add_argument("--s", type=float, default=1.0)
+    _add_time_change_flags(sp)
+
+
 def _add_time_change_flags(sp) -> None:
     sp.add_argument("--y-kind", choices=["sqrt", "linear", "table"], default="sqrt",
                     help="time change family (default sqrt)")
@@ -137,25 +155,28 @@ def _collect_strikes(args, parser, flag="strike") -> np.ndarray:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _family_route(args):
-    """(kind, density) of --model (the gaussian family member) or --family."""
+def _family_marginal(args):
+    """(kind, density, s0, y) of --model (the gaussian family member) or
+    --family, at level y = sigma sqrt(t)."""
+    if args.t < 0.0:
+        raise ValidationError(f"t must be non-negative, got {args.t!r}")
     if args.model is not None:
-        return MODEL_FAMILIES[args.model], DensityModel.gaussian()
-    return args.family, args.density
+        kind, density = MODEL_FAMILIES[args.model], DensityModel.gaussian()
+    else:
+        kind, density = args.family, args.density
+    return kind, density, args.s0, args.sigma * math.sqrt(args.t)
+
+
+def _spec(args) -> PeacockSpec:
+    return PeacockSpec(args.family, args.density, args.s, _time_change(args))
 
 
 def _cmd_price(args, parser) -> int:
     strikes = _collect_strikes(args, parser)
     if (args.model is None) == (args.family is None):
         parser.error("exactly one of --model or --family is required")
-    kind, density = _family_route(args)
-    s0, yval = args.s0, args.sigma * math.sqrt(args.t)
-    if yval == 0.0:
-        prices = np.maximum(s0 - strikes, 0.0)
-        surv = (strikes < s0).astype(np.float64)
-    else:
-        prices, surv, _ = family_prices(kind, density, s0, yval, strikes)
-    _emit_table(args.out, ("K", "C", "survival"), strikes, prices, surv)
+    prices, surv, _ = family_prices(*_family_marginal(args), strikes)
+    curve_io.write_table(_sink(args.out), ("K", "C", "survival"), strikes, prices, surv)
     return 0
 
 
@@ -175,11 +196,9 @@ def _build_call_curve(args, parser) -> CallCurve:
             parser.error("--atoms requires --weights")
         dist = DiscreteDistribution(args.atoms, args.weights)
         return dist.call_curve()
-    kind, density = _family_route(args)
-    yval = args.sigma * math.sqrt(args.t)
-    if kind == "linear":
-        return linear_family_curve(density, args.s0, yval)
-    return geometric_family_curve(density, args.s0, yval)
+    kind, density, s0, y = _family_marginal(args)
+    build = linear_family_curve if kind == "linear" else geometric_family_curve
+    return build(density, s0, y)
 
 
 def _cmd_boundary(args, parser) -> int:
@@ -199,7 +218,7 @@ def _cmd_calls(args, parser) -> int:
 
 
 def _cmd_surface(args, parser) -> int:
-    spec = PeacockSpec(args.family, args.density, args.s, _time_change(args))
+    spec = _spec(args)
     if args.space == "zonoid":
         grid = boundary_surface(spec, args.t_grid, args.p_grid)
     else:
@@ -214,9 +233,7 @@ def _cmd_surface(args, parser) -> int:
 
 
 def _cmd_certify(args, parser) -> int:
-    spec = PeacockSpec(args.family, args.density, args.s, _time_change(args))
-    pgrid = args.p_grid if args.p_grid is not None else None
-    cert = certify_peacock(spec, args.t_grid, pgrid)
+    cert = certify_peacock(_spec(args), args.t_grid, args.p_grid)
     _emit_json(args.out, cert.to_dict())
     return 0 if cert.ok else 2
 
@@ -291,8 +308,8 @@ def _cmd_simulate(args, parser) -> int:
         value, se, _ = _estimate(np.maximum(sample - k, 0.0), config.antithetic)
         values.append(value)
         errors.append(se)
-    _emit_table(args.out, ("K", "mc_value", "std_error"),
-                args.k_grid, values, errors)
+    curve_io.write_table(_sink(args.out), ("K", "mc_value", "std_error"),
+                         args.k_grid, values, errors)
     return 0
 
 
@@ -304,14 +321,14 @@ def _cmd_recover(args, parser) -> int:
     if args.mode == "g":
         ps, xs = recover_F_from_G(lambda p: G_map(density, p), anchor,
                                   args.p0, args.p_grid)
-        _emit_table(args.out, ("p", "x"), ps, xs)
+        curve_io.write_table(_sink(args.out), ("p", "x"), ps, xs)
     else:
         if not args.x:
             parser.error("--mode h requires --x")
         xs = np.array(args.x, dtype=np.float64)
         probs = [recover_F_from_H(lambda y, p: H_map(density, y, p),
                                   anchor, args.p0, x) for x in xs]
-        _emit_table(args.out, ("x", "F"), xs, probs)
+        curve_io.write_table(_sink(args.out), ("x", "F"), xs, probs)
     return 0
 
 
@@ -340,36 +357,22 @@ def build_parser() -> _Parser:
         return sp
 
     sp = add("price", _cmd_price, "call prices and survival probabilities")
-    sp.add_argument("--model", choices=list(MODEL_FAMILIES))
-    sp.add_argument("--family", choices=["linear", "geometric"])
-    sp.add_argument("--density", type=_density_type,
-                    default=DensityModel.gaussian())
-    sp.add_argument("--s0", type=float, default=1.0)
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--t", type=float, default=1.0)
+    _add_marginal_flags(sp)
     sp.add_argument("--k", type=float, action="append",
                     help="strike; repeatable")
     sp.add_argument("--k-grid", type=_grid_type, default=None,
                     help="strike grid lo:hi:steps")
 
-    for name, fn, txt in (("boundary", _cmd_boundary,
-                           "zonoid upper boundary from calls/model/atoms"),):
-        sp = add(name, fn, txt)
-        sp.add_argument("--calls", help="CSV with header K,C")
-        sp.add_argument("--mean", type=float, default=None)
-        sp.add_argument("--positive", action="store_true",
-                        help="mark the loaded curve as positive-support")
-        sp.add_argument("--model", choices=list(MODEL_FAMILIES))
-        sp.add_argument("--family", choices=["linear", "geometric"])
-        sp.add_argument("--density", type=_density_type,
-                        default=DensityModel.gaussian())
-        sp.add_argument("--s0", type=float, default=1.0)
-        sp.add_argument("--sigma", type=float, default=1.0)
-        sp.add_argument("--t", type=float, default=1.0)
-        sp.add_argument("--atoms", type=_floats_type, default=None)
-        sp.add_argument("--weights", type=_floats_type, default=None)
-        sp.add_argument("--p-grid", type=_grid_type, default=parse_grid("0:1:2001"))
-        sp.add_argument("--format", choices=["csv", "json"], default="csv")
+    sp = add("boundary", _cmd_boundary, "zonoid upper boundary from calls/model/atoms")
+    sp.add_argument("--calls", help="CSV with header K,C")
+    sp.add_argument("--mean", type=float, default=None)
+    sp.add_argument("--positive", action="store_true",
+                    help="mark the loaded curve as positive-support")
+    _add_marginal_flags(sp)
+    sp.add_argument("--atoms", type=_floats_type, default=None)
+    sp.add_argument("--weights", type=_floats_type, default=None)
+    sp.add_argument("--p-grid", type=_grid_type, default=parse_grid("0:1:2001"))
+    sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     sp = add("calls", _cmd_calls, "call curve recovered from a boundary CSV")
     sp.add_argument("--boundary", required=True, help="CSV with header p,Chat")
@@ -378,28 +381,19 @@ def build_parser() -> _Parser:
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     sp = add("surface", _cmd_surface, "boundary or call surface over (t, axis)")
-    sp.add_argument("--family", choices=["linear", "geometric"], required=True)
-    sp.add_argument("--density", type=_density_type,
-                    default=DensityModel.gaussian())
-    sp.add_argument("--s", type=float, default=1.0)
-    _add_time_change_flags(sp)
+    _add_spec_flags(sp)
     sp.add_argument("--t-grid", type=_grid_type, required=True)
     sp.add_argument("--space", choices=["zonoid", "call"], default="zonoid")
     sp.add_argument("--p-grid", type=_grid_type, default=parse_grid("0:1:201"))
     sp.add_argument("--k-grid", type=_grid_type, default=None)
 
     sp = add("certify", _cmd_certify, "peacock certificate for a surface spec")
-    sp.add_argument("--family", choices=["linear", "geometric"], required=True)
-    sp.add_argument("--density", type=_density_type,
-                    default=DensityModel.gaussian())
-    sp.add_argument("--s", type=float, default=1.0)
-    _add_time_change_flags(sp)
+    _add_spec_flags(sp)
     sp.add_argument("--t-grid", type=_grid_type, default=parse_grid("0.25:4:16"))
     sp.add_argument("--p-grid", type=_grid_type, default=None)
 
     sp = add("implied", _cmd_implied, "generalized implied volatility")
-    sp.add_argument("--density", type=_density_type,
-                    default=DensityModel.gaussian())
+    _add_density_flag(sp)
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--method", choices=["root", "min"], default="root")
@@ -407,8 +401,7 @@ def build_parser() -> _Parser:
     sp = add("localvol", _cmd_localvol, "local variance by Dupire or closed form")
     sp.add_argument("--from", dest="source", choices=["calls", "boundary", "closed"],
                     required=True)
-    sp.add_argument("--density", type=_density_type,
-                    default=DensityModel.gaussian())
+    _add_density_flag(sp)
     sp.add_argument("--family", choices=["linear", "geometric"], required=True)
     sp.add_argument("--s0", type=float, default=1.0)
     sp.add_argument("--sigma", type=float, default=None,
@@ -438,8 +431,7 @@ def build_parser() -> _Parser:
 
     sp = add("recover", _cmd_recover, "reconstruct F from its generator or group")
     sp.add_argument("--mode", choices=["g", "h"], default="g")
-    sp.add_argument("--density", type=_density_type,
-                    default=DensityModel.gaussian())
+    _add_density_flag(sp)
     sp.add_argument("--p0", type=float, default=0.5)
     sp.add_argument("--anchor", type=float, default=None,
                     help="x with F(x)=p0 (default: quantile(p0))")

@@ -9,6 +9,7 @@ in a ``<name>.meta.json`` sidecar.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -29,10 +30,14 @@ def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _open_out(path_or_file: Union[str, TextIO]):
-    if hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, "w", newline=""), True
+@contextlib.contextmanager
+def _opened(path_or_file: Union[str, TextIO], mode: str):
+    """An open file as it is, else the path opened in ``mode`` and closed on exit."""
+    if hasattr(path_or_file, "read" if mode == "r" else "write"):
+        yield path_or_file
+    else:
+        with open(path_or_file, mode, newline="") as fh:
+            yield fh
 
 
 def write_table(path_or_file, header: Sequence[str], *columns) -> None:
@@ -42,24 +47,17 @@ def write_table(path_or_file, header: Sequence[str], *columns) -> None:
         raise ValidationError("columns must be 1-d and equally long")
     if len(cols) != len(header):
         raise ValidationError("header width must match the column count")
-    fh, owned = _open_out(path_or_file)
-    try:
+    with _opened(path_or_file, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
         for row in zip(*cols):
             writer.writerow([format_float(v) for v in row])
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_table(path_or_file) -> Tuple[Tuple[str, ...], np.ndarray]:
     """Read a header + float-column CSV; returns (header, columns array)."""
-    if hasattr(path_or_file, "read"):
-        rows = list(csv.reader(path_or_file))
-    else:
-        with open(path_or_file, newline="") as fh:
-            rows = list(csv.reader(fh))
+    with _opened(path_or_file, "r") as fh:
+        rows = list(csv.reader(fh))
     if not rows or len(rows) < 2:
         raise ValidationError("table must have a header and at least one row")
     header = tuple(rows[0])
@@ -103,19 +101,13 @@ def envelope_to_curve(env: dict) -> Union[CallCurve, ZonoidBoundary]:
 
 
 def write_curve_json(path_or_file, obj) -> None:
-    fh, owned = _open_out(path_or_file)
-    try:
+    with _opened(path_or_file, "w") as fh:
         json.dump(curve_to_envelope(obj), fh, indent=2)
         fh.write("\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_curve_json(path_or_file):
-    if hasattr(path_or_file, "read"):
-        return envelope_to_curve(json.load(path_or_file))
-    with open(path_or_file) as fh:
+    with _opened(path_or_file, "r") as fh:
         return envelope_to_curve(json.load(fh))
 
 

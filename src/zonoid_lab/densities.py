@@ -24,8 +24,8 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, RangeError, UnsupportedError, ValidationError
-from .numerics import (as_float_array, like_input, monotone_root, require_uniform,
-                       second_differences)
+from .numerics import (as_float_array, like_input, monotone_root, probabilities,
+                       require_uniform, second_differences)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _FAMILIES = ("gaussian", "logistic", "cauchy", "custom")
@@ -188,9 +188,7 @@ class DensityModel:
         return like_input(out, x)
 
     def quantile(self, p):
-        p = np.asarray(p, dtype=np.float64)
-        if np.any(np.isnan(p)) or np.any(p < 0.0) or np.any(p > 1.0):
-            raise DomainError(f"probability level outside [0, 1]: {p!r}")
+        p = probabilities(p, "probability level")
         if self.family == "gaussian":
             out = self.location + self.scale * special.ndtri(p)
         elif self.family == "logistic":

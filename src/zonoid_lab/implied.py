@@ -63,8 +63,6 @@ def normalized_call(density: DensityModel, y: float, k: float) -> float:
         raise DomainError(f"y must be non-negative, got {y!r}")
     if not (np.isfinite(k) and k > 0.0):
         raise DomainError(f"strike must be positive, got {k!r}")
-    if y == 0.0:
-        return max(1.0 - k, 0.0)
     return float(family_call_geometric(density, 1.0, y, k))
 
 

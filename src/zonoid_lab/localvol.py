@@ -22,7 +22,7 @@ import numpy as np
 
 from .densities import DensityModel, inverse_log_slope, inverse_ratio
 from .errors import DomainError, SingularCurvatureError
-from .numerics import central_d1, central_d2, require_uniform
+from .numerics import central_diff, require_uniform
 from .peacocks import SurfaceGrid, TimeChange
 
 _CURVATURE_FLOOR = 1e-12
@@ -70,8 +70,8 @@ def dupire_from_calls(surface: SurfaceGrid, t: float, k: float) -> LocalVolResul
     hk = require_uniform(surface.axis, "strikes")
     it = _node_index(surface.times, t, ht, "t")
     ik = _node_index(surface.axis, k, hk, "K")
-    dt = central_d1(surface.values[:, ik], it, ht)
-    dkk = central_d2(surface.values[it, :], ik, hk)
+    dt = central_diff(surface.values[:, ik], it, ht, 1)
+    dkk = central_diff(surface.values[it, :], ik, hk, 2)
     if abs(dkk) < _CURVATURE_FLOOR:
         raise SingularCurvatureError(
             f"strike curvature {dkk!r} below {_CURVATURE_FLOOR} at (t={t}, K={k})")
@@ -88,9 +88,9 @@ def dupire_from_boundary(surface: SurfaceGrid, t: float, p: float) -> LocalVolRe
     hp = require_uniform(surface.axis, "probs")
     it = _node_index(surface.times, t, ht, "t")
     ip = _node_index(surface.axis, p, hp, "p")
-    strike = central_d1(surface.values[it, :], ip, hp)
-    dt = central_d1(surface.values[:, ip], it, ht)
-    dpp = central_d2(surface.values[it, :], ip, hp)
+    strike = central_diff(surface.values[it, :], ip, hp, 1)
+    dt = central_diff(surface.values[:, ip], it, ht, 1)
+    dpp = central_diff(surface.values[it, :], ip, hp, 2)
     return _finish(float(t), float(strike), -2.0 * dt * dpp, "fd-boundary")
 
 

@@ -1,9 +1,11 @@
 """Shared numeric building blocks: the bracketed root solver, golden-section,
-the discrete Legendre kernel, stencils, grids.
+the discrete Legendre kernel, the central-difference stencil, grids.
 
 These helpers are deliberately dumb about what they optimise; all of the
 domain knowledge (call curves, boundaries, densities) lives in the modules
-that call them.
+that call them.  The two input rules every module shares are written here
+and nowhere else: ``increasing_grid`` (a finite, 1-d, strictly increasing
+grid) and ``probabilities`` (every entry in [0, 1]).
 """
 
 from __future__ import annotations
@@ -25,6 +27,24 @@ def as_float_array(x, name: str = "x") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite, got {x!r}")
+    return arr
+
+
+def increasing_grid(x, name: str, min_size: int = 2) -> np.ndarray:
+    """Coerce a grid to float64; DomainError on a non-finite entry,
+    ValidationError unless it is 1-d, strictly increasing and has at least
+    ``min_size`` points."""
+    g = as_float_array(x, name)
+    if g.ndim != 1 or g.size < min_size or np.any(np.diff(g) <= 0.0):
+        raise ValidationError(f"{name} must be 1-d, strictly increasing, of size >= {min_size}")
+    return g
+
+
+def probabilities(p, name: str) -> np.ndarray:
+    """Coerce to a float64 array; DomainError unless every entry lies in [0, 1]."""
+    arr = np.asarray(p, dtype=np.float64)
+    if np.any(np.isnan(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise DomainError(f"{name} must lie in [0, 1]")
     return arr
 
 
@@ -216,44 +236,31 @@ def second_differences(values: np.ndarray) -> np.ndarray:
 
 def require_uniform(grid: np.ndarray, name: str = "grid") -> float:
     """Validate a strictly increasing, uniformly spaced grid; return the step."""
-    g = as_float_array(grid, name)
-    if g.ndim != 1 or g.size < 2:
-        raise ValidationError(f"{name} must be 1-d with at least 2 points")
-    steps = np.diff(g)
-    if np.any(steps <= 0.0):
-        raise ValidationError(f"{name} must be strictly increasing")
+    steps = np.diff(increasing_grid(grid, name))
     h = float(steps[0])
     if np.max(np.abs(steps - h)) > 1e-9 * max(h, 1.0):
         raise ValidationError(f"{name} must be uniformly spaced")
     return h
 
 
-def central_d1(values: np.ndarray, idx: int, h: float) -> float:
-    """First derivative by central differences, Richardson-extrapolated when
-    two nodes of margin are available on both sides."""
+def central_diff(values: np.ndarray, idx: int, h: float, order: int) -> float:
+    """Derivative of order 1 or 2 at node ``idx`` of a grid with step h by
+    central differences, Richardson-extrapolated when two nodes of margin
+    are available on both sides."""
     v = np.asarray(values, dtype=np.float64)
     n = v.size
     if idx < 1 or idx > n - 2:
         raise DomainError("need at least one interior node on each side")
-    d_h = (v[idx + 1] - v[idx - 1]) / (2.0 * h)
+
+    def stencil(j):  # for j = 1, 2 the divisors are 2h, 4h and h h, 4h h exactly
+        if order == 1:
+            return (v[idx + j] - v[idx - j]) / (2.0 * j * h)
+        return (v[idx + j] - 2.0 * v[idx] + v[idx - j]) / (j * j * h * h)
+
+    d_h = stencil(1)
     if idx < 2 or idx > n - 3:
         return float(d_h)
-    d_2h = (v[idx + 2] - v[idx - 2]) / (4.0 * h)
-    return float((4.0 * d_h - d_2h) / 3.0)
-
-
-def central_d2(values: np.ndarray, idx: int, h: float) -> float:
-    """Second derivative by central differences, Richardson-extrapolated when
-    two nodes of margin are available on both sides."""
-    v = np.asarray(values, dtype=np.float64)
-    n = v.size
-    if idx < 1 or idx > n - 2:
-        raise DomainError("need at least one interior node on each side")
-    d_h = (v[idx + 1] - 2.0 * v[idx] + v[idx - 1]) / (h * h)
-    if idx < 2 or idx > n - 3:
-        return float(d_h)
-    d_2h = (v[idx + 2] - 2.0 * v[idx] + v[idx - 2]) / (4.0 * h * h)
-    return float((4.0 * d_h - d_2h) / 3.0)
+    return float((4.0 * d_h - stencil(2)) / 3.0)
 
 
 def parse_grid(spec: str) -> np.ndarray:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .densities import ConcavityReport, DensityModel
 from .errors import DomainError, UnsupportedError, ValidationError
-from .numerics import (as_float_array, legendre_min, like_input, require_uniform,
-                       second_differences)
+from .numerics import (as_float_array, increasing_grid, legendre_min, like_input,
+                       probabilities, require_uniform, second_differences)
 
 _FAMILIES = ("linear", "geometric")
 _AXIS_KINDS = ("call-space", "zonoid-space")
@@ -57,12 +57,10 @@ class TimeChange:
         if self.kind not in ("sqrt", "linear", "table"):
             raise ValidationError(f"unknown time change kind {self.kind!r}")
         if self.kind == "table":
-            times = as_float_array(self.times, "times")
             vals = as_float_array(self.table_values, "values")
-            if times.ndim != 1 or times.size < 2 or times.shape != vals.shape:
+            times = increasing_grid(self.times, "times")
+            if times.shape != vals.shape:
                 raise ValidationError("time change table needs matching 1-d arrays")
-            if np.any(np.diff(times) <= 0.0):
-                raise ValidationError("table times must be strictly increasing")
             if times[0] != 0.0:
                 raise ValidationError("time change table must start at t = 0")
             dv = np.diff(vals)
@@ -155,13 +153,9 @@ class SurfaceGrid:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        times = as_float_array(self.times, "times")
-        axis = as_float_array(self.axis, "axis")
         values = as_float_array(self.values, "values")
-        if times.ndim != 1 or np.any(np.diff(times) <= 0.0):
-            raise ValidationError("times must be 1-d strictly increasing")
-        if axis.ndim != 1 or np.any(np.diff(axis) <= 0.0):
-            raise ValidationError("axis must be 1-d strictly increasing")
+        times = increasing_grid(self.times, "times", min_size=1)
+        axis = increasing_grid(self.axis, "axis", min_size=1)
         if values.shape != (times.size, axis.size):
             raise ValidationError("values must have shape (len(times), len(axis))")
         if self.axis_kind not in _AXIS_KINDS:
@@ -177,9 +171,7 @@ class SurfaceGrid:
 
 def G_map(density: DensityModel, p):
     """G(p) = f(F^{-1}(p)), with G(0) = G(1) = 0 by convention."""
-    p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    if np.any(np.isnan(p_arr)) or np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
-        raise DomainError("p must lie in [0, 1]")
+    p_arr = np.atleast_1d(probabilities(p, "p"))
     out = np.zeros(p_arr.shape)
     interior = (p_arr > 0.0) & (p_arr < 1.0)
     if np.any(interior):
@@ -192,9 +184,7 @@ def H_map(density: DensityModel, y: float, p):
     by convention, and H_0 is the identity exactly."""
     if not np.isfinite(y):
         raise DomainError("y must be finite")
-    p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    if np.any(np.isnan(p_arr)) or np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
-        raise DomainError("p must lie in [0, 1]")
+    p_arr = np.atleast_1d(probabilities(p, "p"))
     out = p_arr.copy()
     if y != 0.0:
         interior = (p_arr > 0.0) & (p_arr < 1.0)
@@ -229,15 +219,9 @@ def call_surface(spec: PeacockSpec, tgrid, kgrid) -> SurfaceGrid:
 
     tgrid = as_float_array(tgrid, "tgrid")
     kgrid = as_float_array(kgrid, "kgrid")
-    rows = []
-    for t in tgrid:
-        yval = spec.time_change.value(float(t))
-        if yval == 0.0:
-            rows.append(np.maximum(spec.s - kgrid, 0.0))
-        elif spec.family == "linear":
-            rows.append(family_call_linear(spec.density, spec.s, yval, kgrid))
-        else:
-            rows.append(family_call_geometric(spec.density, spec.s, yval, kgrid))
+    price = family_call_linear if spec.family == "linear" else family_call_geometric
+    rows = [price(spec.density, spec.s, spec.time_change.value(float(t)), kgrid)
+            for t in tgrid]
     return SurfaceGrid(tgrid, kgrid, np.vstack(rows), "call-space", meta=_spec_meta(spec))
 
 
@@ -307,9 +291,7 @@ def certify_peacock(spec: PeacockSpec, tgrid, pgrid=None,
 
     pgrid must be uniform and span [0, 1]; defaults to 2001 points.
     """
-    tgrid = as_float_array(tgrid, "tgrid")
-    if tgrid.ndim != 1 or tgrid.size < 2 or np.any(np.diff(tgrid) <= 0.0):
-        raise ValidationError("tgrid must be 1-d strictly increasing")
+    tgrid = increasing_grid(tgrid, "tgrid")
     if np.any(tgrid < 0.0):
         raise DomainError("times must be non-negative")
     if pgrid is None:

@@ -105,29 +105,35 @@ def family_prices(kind: str, model: DensityModel, s: float, y: float, k):
     from one inverse solve per strike.
 
     Strikes outside the reachable range are clamped (flag True): C = s - K
-    and P = 1 below it, C = 0 and P = 0 above it.  Raises DomainError unless
-    s is finite (and positive, with non-negative strikes, for the geometric
-    family) and y is positive and finite.
+    and P = 1 below it, C = 0 and P = 0 above it.  Both families start at
+    level 0 from the point mass at s, so y = 0 clamps every strike:
+    C = (s - K)^+ and P = 1{K < s}.  Raises DomainError unless s is finite
+    (and positive, with non-negative strikes, for the geometric family) and
+    y is non-negative and finite.
     """
     if kind not in ("linear", "geometric"):
         raise ValidationError(f"unknown family kind {kind!r}")
-    if y <= 0.0 or not np.isfinite(y):
-        raise DomainError("y must be positive and finite")
+    if not (y >= 0.0 and np.isfinite(y)):
+        raise DomainError("y must be non-negative and finite")
     if not np.isfinite(s) or (kind == "geometric" and s <= 0.0):
         raise DomainError("s must be finite, and positive for the geometric family")
     k = as_float_array(k, "strike")
     karr = np.atleast_1d(k)
-    if kind == "linear":
-        x = (karr - s) / y
-        x_lo, x_hi = model.log_slope_range()
+    if kind == "geometric" and np.any(karr < 0.0):
+        raise DomainError("geometric family strikes must be non-negative")
+    if y == 0.0:
+        below = karr < s
+        clamped = np.ones(karr.shape, dtype=bool)
     else:
-        if np.any(karr < 0.0):
-            raise DomainError("geometric family strikes must be non-negative")
-        x = karr / s
-        x_lo, x_hi = model.ratio_range(y)
-    below = x <= x_lo
-    clamped = below | (x >= x_hi)
-    call = np.zeros(x.shape)
+        if kind == "linear":
+            x = (karr - s) / y
+            x_lo, x_hi = model.log_slope_range()
+        else:
+            x = karr / s
+            x_lo, x_hi = model.ratio_range(y)
+        below = x <= x_lo
+        clamped = below | (x >= x_hi)
+    call = np.zeros(karr.shape)
     call[below] = s - karr[below]
     surv = below.astype(np.float64)
     if not clamped.all():

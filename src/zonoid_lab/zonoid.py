@@ -35,8 +35,8 @@ import numpy as np
 
 from .densities import DensityModel
 from .errors import DomainError, UnsupportedError, ValidationError
-from .numerics import (as_float_array, golden_section_min, legendre_min, like_input,
-                       lower_hull)
+from .numerics import (as_float_array, golden_section_min, increasing_grid, legendre_min,
+                       like_input, lower_hull, probabilities)
 
 _P_EPS = 1e-9          # probability clipping for continuous searches
 _Q_EPS = 1e-12         # quantile clipping for quadrature supports
@@ -84,12 +84,10 @@ class CallCurve:
 
     @classmethod
     def from_grid(cls, strikes, values, mean=None, positive=False, provenance=None) -> "CallCurve":
-        strikes = as_float_array(strikes, "strikes")
         values = as_float_array(values, "values")
-        if strikes.ndim != 1 or strikes.size < 2 or strikes.shape != values.shape:
+        strikes = increasing_grid(strikes, "strikes")
+        if strikes.shape != values.shape:
             raise ValidationError("strike and value grids must be matching 1-d arrays")
-        if np.any(np.diff(strikes) <= 0.0):
-            raise ValidationError("strikes must be strictly increasing")
         if mean is None:
             # the left-end asymptote C(K) ~ mean - K fixes the mean, but only
             # once the grid has reached it (slope -1)
@@ -182,12 +180,10 @@ class ZonoidBoundary:
 
     @classmethod
     def from_grid(cls, probs, values, mean=None, provenance=None) -> "ZonoidBoundary":
-        probs = as_float_array(probs, "probs")
         values = as_float_array(values, "values")
-        if probs.ndim != 1 or probs.size < 2 or probs.shape != values.shape:
+        probs = increasing_grid(probs, "probs")
+        if probs.shape != values.shape:
             raise ValidationError("probability and value grids must be matching 1-d arrays")
-        if np.any(np.diff(probs) <= 0.0):
-            raise ValidationError("probability grid must be strictly increasing")
         if probs[0] < 0.0 or probs[-1] > 1.0:
             raise ValidationError("probability grid must lie in [0, 1]")
         if mean is None:
@@ -202,9 +198,7 @@ class ZonoidBoundary:
         return self.fn is None
 
     def __call__(self, p):
-        p = np.asarray(p, dtype=np.float64)
-        if np.any(np.isnan(p)) or np.any(p < 0.0) or np.any(p > 1.0):
-            raise DomainError("boundary argument must lie in [0, 1]")
+        p = probabilities(p, "boundary argument")
         if self.fn is not None:
             out = np.asarray(self.fn(p), dtype=np.float64)
             out = np.where(p == 0.0, 0.0, np.where(p == 1.0, self.mean, out))
@@ -252,12 +246,10 @@ class DiscreteDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        atoms = as_float_array(self.atoms, "atoms")
         weights = as_float_array(self.weights, "weights")
-        if atoms.ndim != 1 or atoms.size == 0 or atoms.shape != weights.shape:
+        atoms = increasing_grid(self.atoms, "atoms", min_size=1)
+        if atoms.shape != weights.shape:
             raise ValidationError("atoms and weights must be matching 1-d arrays")
-        if np.any(np.diff(atoms) <= 0.0):
-            raise ValidationError("atoms must be sorted strictly increasing")
         if np.any(weights <= 0.0):
             raise ValidationError("weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
@@ -322,15 +314,6 @@ class DiscreteDistribution:
 # Transforms
 # ---------------------------------------------------------------------------
 
-def _check_pgrid(pgrid) -> np.ndarray:
-    pgrid = as_float_array(pgrid, "pgrid")
-    if pgrid.ndim != 1 or pgrid.size < 2 or np.any(np.diff(pgrid) <= 0.0):
-        raise ValidationError("pgrid must be 1-d strictly increasing")
-    if pgrid[0] < 0.0 or pgrid[-1] > 1.0:
-        raise ValidationError("pgrid must lie inside [0, 1]")
-    return pgrid
-
-
 def upper_boundary_from_calls(curve: CallCurve, pgrid=None, *,
                               validate: bool = True) -> ZonoidBoundary:
     """Conjugate transform boundary(p) = min_K [C(K) + p K] on a p grid.
@@ -345,7 +328,7 @@ def upper_boundary_from_calls(curve: CallCurve, pgrid=None, *,
         curve.validate()
     if pgrid is None:
         pgrid = np.linspace(0.0, 1.0, _DEFAULT_GRID_N)
-    pgrid = _check_pgrid(pgrid)
+    pgrid = increasing_grid(pgrid, "pgrid")
     if curve.is_grid:
         vals, _ = legendre_min(curve.strikes, curve.values, pgrid)
     else:
@@ -384,9 +367,7 @@ def calls_from_upper_boundary(boundary: ZonoidBoundary, kgrid=None, *,
         boundary.validate()
     if kgrid is None:
         kgrid = _default_kgrid(boundary, _DEFAULT_GRID_N)
-    kgrid = as_float_array(kgrid, "kgrid")
-    if kgrid.ndim != 1 or kgrid.size < 2 or np.any(np.diff(kgrid) <= 0.0):
-        raise ValidationError("kgrid must be 1-d strictly increasing")
+    kgrid = increasing_grid(kgrid, "kgrid")
     m = boundary.mean
     if boundary.is_grid:
         neg, _ = legendre_min(boundary.probs, -boundary.values, kgrid)
@@ -406,9 +387,7 @@ def calls_from_upper_boundary(boundary: ZonoidBoundary, kgrid=None, *,
 def discrete_upper_boundary(dist: DiscreteDistribution, p):
     """Exact boundary of a finite-atom distribution by the greedy threshold
     rule: take the largest atoms first, splitting the marginal atom."""
-    p_arr = np.asarray(p, dtype=np.float64)
-    if np.any(np.isnan(p_arr)) or np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
-        raise DomainError("p must lie in [0, 1]")
+    p_arr = probabilities(p, "p")
     x_desc = dist.atoms[::-1]
     w_desc = dist.weights[::-1]
     cum_w = np.concatenate(([0.0], np.cumsum(w_desc)))
@@ -428,9 +407,7 @@ def boundary_from_quantile_integral(target: Union[DiscreteDistribution, DensityM
     This is an independent route from the conjugate transform and is used to
     cross-check it.  Densities must be integrable (the cauchy family is not).
     """
-    p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    if np.any(np.isnan(p_arr)) or np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
-        raise DomainError("p must lie in [0, 1]")
+    p_arr = np.atleast_1d(probabilities(p, "p"))
     if isinstance(target, DiscreteDistribution):
         # integrate the step function Theta^{-1} piece by piece
         x_desc = target.atoms[::-1]
@@ -559,12 +536,10 @@ def project_convex_decreasing(strikes, values) -> Tuple[np.ndarray, float]:
     Returns (projected_values, sup_distance).  A curve already in the cone is
     returned unchanged with distance 0.
     """
-    x = as_float_array(strikes, "strikes")
     y = as_float_array(values, "values")
-    if x.ndim != 1 or x.size < 2 or x.shape != y.shape:
+    x = increasing_grid(strikes, "strikes")
+    if x.shape != y.shape:
         raise ValidationError("strikes and values must be matching 1-d arrays")
-    if np.any(np.diff(x) <= 0.0):
-        raise ValidationError("strikes must be strictly increasing")
     hull_idx = lower_hull(x, y)
     dx = np.diff(x)
     if hull_idx.size == x.size:

@@ -1,0 +1,121 @@
+"""The two shared input rules and the central-difference stencil.
+
+``numerics.increasing_grid`` is the one grid rule and ``numerics.probabilities``
+the one [0, 1] rule; every entry point that takes a grid or a probability
+goes through them, so each is exercised here through every entry point.
+``numerics.central_diff`` is checked against the two stencils it replaced,
+kept below as the oracle.
+"""
+
+import numpy as np
+import pytest
+
+from zonoid_lab.densities import DensityModel
+from zonoid_lab.errors import DomainError, ValidationError
+from zonoid_lab.numerics import central_diff, require_uniform
+from zonoid_lab.peacocks import (G_map, H_map, PeacockSpec, SurfaceGrid, TimeChange,
+                                 certify_peacock)
+from zonoid_lab.zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
+                               boundary_from_quantile_integral,
+                               calls_from_upper_boundary, discrete_upper_boundary,
+                               project_convex_decreasing, upper_boundary_from_calls)
+
+GAUSS = DensityModel.gaussian()
+LOGISTIC = DensityModel.logistic()
+CURVE = CallCurve.from_grid([-1.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+BOUNDARY = ZonoidBoundary.from_grid([0.0, 0.25, 1.0], [0.0, 0.5, 1.0])
+DIST = DiscreteDistribution([-1.0, 2.0], [0.25, 0.75])
+SPEC = PeacockSpec("linear", GAUSS, 0.0, TimeChange.sqrt())
+
+
+def _ramp(grid):
+    """Finite, increasing values of the grid's shape, starting at 0."""
+    return 0.5 * np.arange(np.size(grid), dtype=np.float64).reshape(np.shape(grid))
+
+
+# (entry point, fewest points it accepts)
+GRID_ENTRY_POINTS = {
+    "CallCurve.from_grid": (lambda g: CallCurve.from_grid(g, np.zeros(np.shape(g)), mean=0.0), 2),
+    "ZonoidBoundary.from_grid": (lambda g: ZonoidBoundary.from_grid(g, _ramp(g), mean=1.0), 2),
+    "DiscreteDistribution": (
+        lambda g: DiscreteDistribution(g, np.full(np.shape(g), 1.0 / max(np.size(g), 1))), 1),
+    "upper_boundary_from_calls": (lambda g: upper_boundary_from_calls(CURVE, g), 2),
+    "calls_from_upper_boundary": (lambda g: calls_from_upper_boundary(BOUNDARY, g), 2),
+    "project_convex_decreasing": (lambda g: project_convex_decreasing(g, np.zeros(np.shape(g))), 2),
+    "TimeChange.from_table": (lambda g: TimeChange.from_table(g, _ramp(g)), 2),
+    "SurfaceGrid.times": (
+        lambda g: SurfaceGrid(g, [0.0, 1.0], np.zeros((np.size(g), 2)), "zonoid-space"), 1),
+    "SurfaceGrid.axis": (
+        lambda g: SurfaceGrid([0.0, 1.0], g, np.zeros((2, np.size(g))), "zonoid-space"), 1),
+    "certify_peacock": (lambda g: certify_peacock(SPEC, g), 2),
+    "require_uniform": (lambda g: require_uniform(g), 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GRID_ENTRY_POINTS))
+def test_grid_entry_points_share_one_rule(entry):
+    fn, min_size = GRID_ENTRY_POINTS[entry]
+    fn(np.array([0.0, 0.5, 1.0]))  # a valid grid passes
+    bad = [np.array([0.0, 1.0, 0.5]),                  # not increasing
+           np.array([0.0, 0.5, 0.5]),                  # a repeated node
+           np.array([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]),  # 2-d
+           np.linspace(0.0, 1.0, min_size - 1)]        # too short
+    for grid in bad:
+        with pytest.raises(ValidationError):
+            fn(grid)
+    with pytest.raises(DomainError):
+        fn(np.array([0.0, np.nan, 1.0]))
+
+
+# (entry point, its values on [0, 0.5, 1])
+PROBABILITY_ENTRY_POINTS = {
+    "ZonoidBoundary.__call__": (BOUNDARY, [0.0, 0.6666666666666666, 1.0]),
+    "discrete_upper_boundary": (lambda p: discrete_upper_boundary(DIST, p), [0.0, 1.0, 1.25]),
+    "boundary_from_quantile_integral": (lambda p: boundary_from_quantile_integral(DIST, p),
+                                        [0.0, 1.0, 1.25]),
+    "G_map": (lambda p: G_map(GAUSS, p), [0.0, 0.3989422804014327, 0.0]),
+    "H_map": (lambda p: H_map(LOGISTIC, 0.5, p), [0.0, 0.6224593312018546, 1.0]),
+    "DensityModel.quantile": (LOGISTIC.quantile, [-np.inf, 0.0, np.inf]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PROBABILITY_ENTRY_POINTS))
+def test_probability_entry_points_share_one_rule(entry):
+    fn, expected = PROBABILITY_ENTRY_POINTS[entry]
+    assert np.array_equal(fn(np.array([0.0, 0.5, 1.0])), expected)
+    for p in (np.nan, -0.1, 1.1):
+        with pytest.raises(DomainError):
+            fn(p)
+        with pytest.raises(DomainError):
+            fn(np.array([0.5, p]))
+
+
+def _central_d1(v, idx, h):
+    d_h = (v[idx + 1] - v[idx - 1]) / (2.0 * h)
+    if idx < 2 or idx > v.size - 3:
+        return float(d_h)
+    d_2h = (v[idx + 2] - v[idx - 2]) / (4.0 * h)
+    return float((4.0 * d_h - d_2h) / 3.0)
+
+
+def _central_d2(v, idx, h):
+    d_h = (v[idx + 1] - 2.0 * v[idx] + v[idx - 1]) / (h * h)
+    if idx < 2 or idx > v.size - 3:
+        return float(d_h)
+    d_2h = (v[idx + 2] - 2.0 * v[idx] + v[idx - 2]) / (4.0 * h * h)
+    return float((4.0 * d_h - d_2h) / 3.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_central_diff_equals_the_two_former_stencils(seed):
+    rng = np.random.default_rng(seed)
+    for n in (3, 4, 5, 9):
+        v = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        h = float(10.0 ** rng.uniform(-4, 0))
+        for idx in range(1, n - 1):
+            assert central_diff(v, idx, h, 1) == _central_d1(v, idx, h)
+            assert central_diff(v, idx, h, 2) == _central_d2(v, idx, h)
+        for idx in (0, n - 1):
+            for order in (1, 2):
+                with pytest.raises(DomainError):
+                    central_diff(v, idx, h, order)

@@ -437,3 +437,13 @@ def test_recover_mode_h(capsys):
 def test_recover_mode_h_needs_x(capsys):
     assert run_cli("recover", "--mode", "h") == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("price", "--family", "linear", "--t=-1", "--k", "0"),
+    ("boundary", "--family", "linear", "--t=-1"),
+])
+def test_negative_maturity_is_a_validation_error(capsys, argv):
+    # both used to die in math.sqrt with an uncaught ValueError
+    assert run_cli(*argv) == 2
+    assert "t must be non-negative" in capsys.readouterr().err

@@ -116,3 +116,64 @@ def test_workload_api_use_resolves():
         if name not in params and not any(p.kind is p.VAR_KEYWORD for p in params.values()):
             unknown.append(f"{'.'.join(chain)}({name}=...)")
     assert unknown == []
+
+
+# ---------------------------------------------------------------------------
+# One definition per input rule: only numerics checks grid order or the
+# [0, 1] range of probabilities (``increasing_grid``, ``probabilities``)
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "zonoid_lab"
+
+
+def _is_np_call(node, name):
+    return isinstance(node, ast.Call) and _chain(node.func) == ("np", name)
+
+
+def _is_const(node, value):
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value == value)
+
+
+def _rule_breaches(source):
+    """Line numbers where ``source`` compares np.diff(...) with 0, or tests
+    one array with np.isnan, < 0.0 and > 1.0 in one boolean expression."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left] + node.comparators
+            if (any(_is_np_call(o, "diff") for o in operands)
+                    and any(_is_const(o, 0) for o in operands)):
+                lines.add(node.lineno)
+        if isinstance(node, ast.BoolOp) or (isinstance(node, ast.BinOp)
+                                            and isinstance(node.op, ast.BitOr)):
+            nan, below, above = set(), set(), set()
+            for sub in ast.walk(node):
+                if _is_np_call(sub, "isnan") and sub.args:
+                    nan.add(ast.dump(sub.args[0]))
+                if isinstance(sub, ast.Compare) and len(sub.ops) == 1:
+                    left, op, right = sub.left, sub.ops[0], sub.comparators[0]
+                    if isinstance(op, ast.Lt) and _is_const(right, 0):
+                        below.add(ast.dump(left))
+                    if isinstance(op, ast.Gt) and _is_const(right, 1):
+                        above.add(ast.dump(left))
+            if nan & below & above:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_rule_guard_sees_both_rules():
+    assert _rule_breaches("if np.any(np.diff(x) <= 0.0): pass") == [1]
+    assert _rule_breaches("ok = 0 < np.diff(x)") == [1]
+    assert _rule_breaches("bad = np.any(np.isnan(p)) or np.any(p < 0.0) or np.any(p > 1.0)") == [1]
+    assert _rule_breaches("bad = np.isnan(q) | (q < 0.0) | (q > 1.0)") == [1]
+    assert _rule_breaches("bad = np.any(np.isnan(p)) or np.any(q < 0.0) or np.any(p > 1.0)") == []
+    assert _rule_breaches("gaps = np.diff(vals) > slack") == []
+
+
+def test_only_numerics_writes_the_grid_and_probability_rules():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    breaches = {path.name: _rule_breaches(path.read_text())
+                for path in modules if path.name != "numerics.py"}
+    assert {name: lines for name, lines in breaches.items() if lines} == {}

@@ -614,3 +614,42 @@ def test_model_curves_are_the_gaussian_family_curves(s0, sigma, t):
         ks = np.linspace(curve.k_lo, curve.k_hi, 257)
         assert np.array_equal(curve(ks), family(ks))
         assert np.max(np.abs(curve(ks) - formula(params, ks))) <= 1e-14 * max(1.0, abs(s0))
+
+
+@pytest.mark.parametrize("model", [GAUSS, LOGISTIC, CUSTOM_GAUSS, CUSTOM_LOGISTIC],
+                         ids=["gaussian", "logistic", "custom-gaussian", "custom-logistic"])
+@pytest.mark.parametrize("kind,s,ks", [
+    ("linear", -0.4, np.concatenate(([-0.4], np.linspace(-3.0, 2.0, 200)))),
+    ("geometric", 1.3, np.concatenate(([1.3], np.linspace(0.0, 3.0, 200)))),
+])
+def test_level_zero_is_the_point_mass_at_s(model, kind, s, ks):
+    call_view, flag_view, surv_view = {
+        "linear": (family_call_linear, family_call_linear_with_flag, survival_linear),
+        "geometric": (family_call_geometric, family_call_geometric_with_flag,
+                      survival_geometric)}[kind]
+    want = (np.maximum(s - ks, 0.0), (ks < s).astype(np.float64), np.ones(ks.size, bool))
+    got = family_prices(kind, model, s, 0.0, ks)
+    assert_same_prices(got, want)
+    call, surv, flag = got
+    assert np.array_equal(call_view(model, s, 0.0, ks), call)
+    assert_same_prices(flag_view(model, s, 0.0, ks), (call, flag))
+    assert np.array_equal(surv_view(model, s, 0.0, ks), surv)
+    assert np.array_equal(survival(kind, model, s, 0.0, ks), surv)
+    for i in (0, 1, 100, 200):  # K = s, the lowest strike, a middle one, the highest
+        k = float(ks[i])
+        c, sv, f = family_prices(kind, model, s, 0.0, k)
+        assert (type(c), type(sv), type(f)) == (float, float, bool)
+        assert (c, sv, f) == (max(s - k, 0.0), float(k < s), True)
+        assert call_view(model, s, 0.0, k) == c and surv_view(model, s, 0.0, k) == sv
+        assert flag_view(model, s, 0.0, k) == (c, f) and survival(kind, model, s, 0.0, k) == sv
+
+
+def test_level_zero_keeps_the_argument_rules():
+    with pytest.raises(DomainError):
+        family_prices("geometric", GAUSS, 1.0, 0.0, np.array([0.5, -0.5]))
+    with pytest.raises(DomainError):
+        family_prices("geometric", GAUSS, 0.0, 0.0, 0.5)
+    for kind in ("linear", "geometric"):
+        for y in (-1e-300, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                family_prices(kind, GAUSS, 1.0, y, 0.5)
