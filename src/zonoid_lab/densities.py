@@ -307,6 +307,12 @@ class DensityModel:
 # Operations
 # ---------------------------------------------------------------------------
 
+def require_log_concave(model: DensityModel, what: str) -> None:
+    """UnsupportedError unless the model carries a log-concavity certificate."""
+    if not model.is_log_concave:
+        raise UnsupportedError(f"{what} needs a log-concave model, got {model.family}")
+
+
 def inverse_log_slope(model: DensityModel, w):
     """U(w): the unique x with (log f)'(x) = w, for log-concave f.
 
@@ -314,9 +320,7 @@ def inverse_log_slope(model: DensityModel, w):
     the range of (log f)' and UnsupportedError when the model carries no
     log-concavity certificate.
     """
-    if not model.is_log_concave:
-        raise UnsupportedError(
-            f"inverse_log_slope needs a log-concave model, got {model.family}")
+    require_log_concave(model, "inverse_log_slope")
     w_arr = np.asarray(w, dtype=np.float64)
     if not np.all(np.isfinite(w_arr)):
         raise DomainError("w must be finite")
@@ -338,9 +342,7 @@ def inverse_ratio(model: DensityModel, y: float, r):
 
     Accepts a scalar or array of ratios r.
     """
-    if not model.is_log_concave:
-        raise UnsupportedError(
-            f"inverse_ratio needs a log-concave model, got {model.family}")
+    require_log_concave(model, "inverse_ratio")
     if not (np.isfinite(y) and y > 0.0):
         raise DomainError("y must be positive and finite")
     r_arr = np.asarray(r, dtype=np.float64)

@@ -193,15 +193,20 @@ def H_map(density: DensityModel, y: float, p):
     return like_input(out, p)
 
 
-def surface_boundary(spec: PeacockSpec, t: float, p):
-    """Upper boundary value of the family at time t: s p + Y(t) G(p) for the
-    linear family, s H_{Y(t)}(p) for the geometric one."""
-    yval = spec.time_change.value(t)
-    if spec.family == "linear":
-        out = spec.s * np.asarray(p, dtype=np.float64) + yval * G_map(spec.density, p)
+def family_boundary(family: str, density: DensityModel, s: float, y: float, p):
+    """Upper boundary of the family marginal at level y: s p + y G(p) for the
+    linear family, s H_y(p) for the geometric one."""
+    if family == "linear":
+        out = s * np.asarray(p, dtype=np.float64) + y * G_map(density, p)
     else:
-        out = spec.s * np.asarray(H_map(spec.density, yval, p))
+        out = s * np.asarray(H_map(density, y, p))
     return like_input(out, p)
+
+
+def surface_boundary(spec: PeacockSpec, t: float, p):
+    """Upper boundary value of the family at time t: ``family_boundary`` at
+    level Y(t)."""
+    return family_boundary(spec.family, spec.density, spec.s, spec.time_change.value(t), p)
 
 
 def boundary_surface(spec: PeacockSpec, tgrid, pgrid) -> SurfaceGrid:

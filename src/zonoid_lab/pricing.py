@@ -26,14 +26,15 @@ other, and ``bachelier_call`` / ``black_scholes_call`` keep the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
 
-from .densities import DensityModel, inverse_log_slope, inverse_ratio
+from .densities import DensityModel, inverse_log_slope, inverse_ratio, require_log_concave
 from .errors import DomainError, ValidationError
 from .numerics import as_float_array, like_input
+from .peacocks import family_boundary
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -215,8 +216,13 @@ def geometric_family_curve(model: DensityModel, s: float, y: float):
 
 def _family_curve(kind: str, model: DensityModel, s: float, y: float):
     """The family's call curve on the strike image of the density's quantile
-    bounds; (log f)' and the ratio decrease, so the right tail gives k_lo."""
+    bounds; (log f)' and the ratio decrease, so the right tail gives k_lo.
+    Its ``conjugate`` is the exact boundary (log-concave models only)."""
     from .zonoid import CallCurve
+
+    def conjugate(p):
+        require_log_concave(model, f"the {kind} family boundary")
+        return family_boundary(kind, model, s, y, p)
 
     if kind == "linear":
         edge = lambda q: s + y * float(model.log_slope(q))
@@ -225,7 +231,8 @@ def _family_curve(kind: str, model: DensityModel, s: float, y: float):
         edge = lambda q: s * math.exp(float(model.log_pdf(q + y)) - float(model.log_pdf(q)))
         price = family_call_geometric
     q_lo, q_hi = model.quantile_bounds()
-    return CallCurve.from_function(
+    return replace(CallCurve.from_function(
         lambda k: price(model, s, y, k), mean=s, domain=(edge(q_hi), edge(q_lo)),
         positive=kind == "geometric",
-        provenance={"family": kind, "density": model.family, "s": s, "y": y})
+        provenance={"family": kind, "density": model.family, "s": s, "y": y}),
+        conjugate=conjugate)

@@ -18,7 +18,9 @@ with the exact endpoint values boundary(0) = 0 and boundary(1) = E(X).
 two directions.  On grids both run the discrete Legendre transform
 ``numerics.legendre_min``: O(N + M log N) for N nodes and M output points;
 nodes that are not convex add a few vectorised hull passes, and the
-monotone-chain loop only when those do not settle the hull.
+monotone-chain loop only when those do not settle the hull.  A family curve
+from ``pricing`` carries its exact boundary, s p + y G(p) or s H_y(p), as
+``conjugate``: one G or H evaluation per p in place of golden section.
 ``boundary_from_quantile_integral`` is an independent route
 through the integral of the upper quantile function, and
 ``discrete_upper_boundary`` solves the finite-atom problem exactly by the
@@ -51,6 +53,15 @@ def _value_scale(mean: float) -> float:
     return max(1.0, abs(mean))
 
 
+def _probability_grid(probs, name: str) -> np.ndarray:
+    """``increasing_grid`` inside [0, 1]; a ValidationError, where
+    ``numerics.probabilities`` raises DomainError for single arguments."""
+    probs = increasing_grid(probs, name)
+    if probs[0] < 0.0 or probs[-1] > 1.0:
+        raise ValidationError("probability grid must lie in [0, 1]")
+    return probs
+
+
 # ---------------------------------------------------------------------------
 # Curve objects
 # ---------------------------------------------------------------------------
@@ -73,6 +84,8 @@ class CallCurve:
     values: Optional[np.ndarray] = None
     positive: bool = False
     provenance: dict = field(default_factory=dict)
+    # the exact boundary p -> values; set only by the pricing family curves
+    conjugate: Optional[Callable] = field(default=None, repr=False)
 
     @classmethod
     def from_function(cls, fn, mean, domain, positive=False, provenance=None) -> "CallCurve":
@@ -181,11 +194,9 @@ class ZonoidBoundary:
     @classmethod
     def from_grid(cls, probs, values, mean=None, provenance=None) -> "ZonoidBoundary":
         values = as_float_array(values, "values")
-        probs = increasing_grid(probs, "probs")
+        probs = _probability_grid(probs, "probs")
         if probs.shape != values.shape:
             raise ValidationError("probability and value grids must be matching 1-d arrays")
-        if probs[0] < 0.0 or probs[-1] > 1.0:
-            raise ValidationError("probability grid must lie in [0, 1]")
         if mean is None:
             if probs[-1] != 1.0:
                 raise ValidationError("mean is required when the grid does not reach p = 1")
@@ -318,23 +329,27 @@ def upper_boundary_from_calls(curve: CallCurve, pgrid=None, *,
                               validate: bool = True) -> ZonoidBoundary:
     """Conjugate transform boundary(p) = min_K [C(K) + p K] on a p grid.
 
-    Endpoint values are pinned exactly: boundary(0) = 0, boundary(1) = mean.
-    Grid-backed curves are minimised over their nodes by the linear-time
-    discrete Legendre transform (exact for piecewise linear curves);
-    closed-form curves by vectorised golden-section over the
-    stated strike domain with a parabolic refinement.
+    The p grid is checked before the curve is touched.  Endpoint values are
+    pinned exactly: boundary(0) = 0, boundary(1) = mean.  The provenance's
+    ``route`` names the method: "exact" for a family curve, which evaluates
+    its ``conjugate`` (one G or H evaluation per p); "grid" for a grid-backed
+    curve, minimised over its nodes by the linear-time discrete Legendre
+    transform; "golden" for any other closed-form curve, about 70 rounds of
+    vectorised golden section over its strike domain and a parabolic step.
     """
+    pgrid = _probability_grid(np.linspace(0.0, 1.0, _DEFAULT_GRID_N)
+                              if pgrid is None else pgrid, "pgrid")
     if validate:
         curve.validate()
-    if pgrid is None:
-        pgrid = np.linspace(0.0, 1.0, _DEFAULT_GRID_N)
-    pgrid = increasing_grid(pgrid, "pgrid")
-    if curve.is_grid:
+    if curve.conjugate is not None:
+        route, vals = "exact", curve.conjugate(pgrid)
+    elif curve.is_grid:
+        route = "grid"
         vals, _ = legendre_min(curve.strikes, curve.values, pgrid)
     else:
+        route = "golden"
         objective = lambda k: curve(k) + pgrid * k
-        lo = np.full(pgrid.size, curve.k_lo)
-        hi = np.full(pgrid.size, curve.k_hi)
+        lo, hi = (np.full(pgrid.size, k) for k in (curve.k_lo, curve.k_hi))
         _, vals = golden_section_min(objective, lo, hi)
         # the domain endpoints are candidates too (minimiser may sit there)
         vals = np.minimum(vals, curve(curve.k_lo) + pgrid * curve.k_lo)
@@ -342,7 +357,7 @@ def upper_boundary_from_calls(curve: CallCurve, pgrid=None, *,
     vals = np.where(pgrid == 0.0, 0.0, vals)
     vals = np.where(pgrid == 1.0, curve.mean, vals)
     return ZonoidBoundary.from_grid(pgrid, vals, mean=curve.mean,
-                                    provenance=dict(curve.provenance))
+                                    provenance=dict(curve.provenance, route=route))
 
 
 def _default_kgrid(boundary: ZonoidBoundary, n: int) -> np.ndarray:

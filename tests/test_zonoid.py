@@ -16,9 +16,10 @@ from scipy.stats import norm
 
 from zonoid_lab.densities import DensityModel
 from zonoid_lab.errors import DomainError, UnsupportedError, ValidationError
-from zonoid_lab.numerics import legendre_min
-from zonoid_lab.pricing import (ModelParams, bachelier_curve,
-                                black_scholes_curve, linear_family_curve)
+from zonoid_lab import pricing, zonoid
+from zonoid_lab.numerics import legendre_min, monotone_root
+from zonoid_lab.pricing import (ModelParams, bachelier_curve, black_scholes_curve,
+                                geometric_family_curve, linear_family_curve)
 from zonoid_lab.zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
                                boundary_from_quantile_integral,
                                calls_from_upper_boundary,
@@ -585,3 +586,140 @@ def test_projection_returns_cone_member_unchanged_at_scale():
     out, dist = project_convex_decreasing(strikes, vals)
     assert dist == 0.0
     assert np.array_equal(out, vals)
+
+
+# ---------------------------------------------------------------------------
+# Family curves carry their exact conjugate: the "exact" route
+# ---------------------------------------------------------------------------
+
+GAUSS_MODEL, LOGISTIC = DensityModel.gaussian(), DensityModel.logistic()
+
+
+def _custom_twin(model):
+    return DensityModel.custom(model.pdf, model.pdf_prime, model.cdf, model.quantile)
+
+
+def _bimodal(a=1.5):
+    """1/2 N(-a, 1) + 1/2 N(a, 1): not log-concave for a > 1."""
+    cdf = lambda x: 0.5 * (norm.cdf(x + a) + norm.cdf(x - a))
+    return DensityModel.custom(
+        lambda x: 0.5 * (norm.pdf(x + a) + norm.pdf(x - a)),
+        lambda x: -0.5 * ((x + a) * norm.pdf(x + a) + (x - a) * norm.pdf(x - a)),
+        cdf, lambda p: monotone_root(cdf, p, -a - 12.0, a + 12.0))
+
+
+def _family_curves():
+    params = ModelParams(1.2, 0.4, 2.0)
+    return {"bachelier_curve": bachelier_curve(params),
+            "black_scholes_curve": black_scholes_curve(params),
+            "linear_family_curve": linear_family_curve(LOGISTIC, -0.3, 0.9),
+            "geometric_family_curve": geometric_family_curve(LOGISTIC, 1.5, 0.7)}
+
+
+def _golden_twin(curve):
+    """The same call curve as a user closed-form curve, without the conjugate."""
+    return CallCurve.from_function(curve.fn, curve.mean, (curve.k_lo, curve.k_hi),
+                                   positive=curve.positive)
+
+
+def _counting(fn, counter):
+    def wrapped(*args, **kwargs):
+        counter.append(1)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("pgrid", [np.linspace(0.0, 2.0, 2001), [-0.1, 0.5, 1.0]],
+                         ids=["above-1", "below-0"])
+@pytest.mark.parametrize("validate", [True, False])
+def test_pgrid_is_checked_before_any_curve_evaluation(monkeypatch, pgrid, validate):
+    calls = []
+    user = CallCurve.from_function(_counting(bachelier_curve(ModelParams(0.0, 1.0, 1.0)).fn, calls),
+                                   0.0, (-9.0, 9.0))
+    monkeypatch.setattr(pricing, "family_prices", _counting(pricing.family_prices, calls))
+    for curve in [user] + list(_family_curves().values()):
+        with pytest.raises(ValidationError, match=r"probability grid must lie in \[0, 1\]"):
+            upper_boundary_from_calls(curve, pgrid, validate=validate)
+        with pytest.raises(ValidationError, match="pgrid must be 1-d, strictly increasing"):
+            upper_boundary_from_calls(curve, [0.0, 0.5, 0.5, 1.0], validate=validate)
+    assert calls == []
+
+
+@pytest.mark.parametrize("model", [DensityModel.cauchy(), _bimodal()], ids=["cauchy", "bimodal"])
+@pytest.mark.parametrize("kind", ["linear", "geometric"])
+@pytest.mark.parametrize("validate", [True, False])
+def test_no_boundary_for_densities_outside_the_theorem(model, kind, validate):
+    curve = pricing._family_curve(kind, model, 1.0, 0.8)
+    assert curve.conjugate is not None
+    for c in (curve, _golden_twin(curve)):
+        with pytest.raises(UnsupportedError):
+            upper_boundary_from_calls(c, np.linspace(0.0, 1.0, 11), validate=validate)
+
+
+def test_exact_route_keeps_validate(monkeypatch):
+    calls = []
+    monkeypatch.setattr(CallCurve, "validate", _counting(CallCurve.validate, calls))
+    curve = _family_curves()["linear_family_curve"]
+    upper_boundary_from_calls(curve, np.linspace(0.0, 1.0, 11), validate=False)
+    assert calls == []
+    upper_boundary_from_calls(curve, np.linspace(0.0, 1.0, 11))
+    assert len(calls) == 1
+
+
+def test_golden_section_runs_only_for_user_closed_form_curves(monkeypatch):
+    calls = []
+    monkeypatch.setattr(zonoid, "golden_section_min", _counting(zonoid.golden_section_min, calls))
+    p = np.linspace(0.0, 1.0, 101)
+    for name, curve in _family_curves().items():
+        b = upper_boundary_from_calls(curve, p)
+        assert (b.provenance["route"], len(calls)) == ("exact", 0), name
+        assert b.provenance == dict(curve.provenance, route="exact")
+        assert b.values[0] == 0.0 and b.values[-1] == curve.mean
+    b = upper_boundary_from_calls(_golden_twin(_family_curves()["bachelier_curve"]), p)
+    assert b.provenance["route"] == "golden" and len(calls) >= 1
+    calls.clear()
+    b = upper_boundary_from_calls(COIN.call_curve(), p)
+    assert (b.provenance["route"], len(calls)) == ("grid", 0)
+
+
+_ORACLE_MODELS = {"gaussian": GAUSS_MODEL, "logistic": LOGISTIC,
+                  "custom-gaussian": _custom_twin(GAUSS_MODEL),
+                  "custom-logistic": _custom_twin(LOGISTIC)}
+# (s, y) ranges of the benchmark's family-models workload
+_FAMILY_RANGES = {"linear": ((-1.0, 1.0), (0.5, 2.0)), "geometric": ((0.5, 2.0), (0.3, 1.2))}
+
+
+def _assert_routes_agree(name, kind, data):
+    """The exact route equals golden section on the same curve within
+    1e-9 max(1, |s|) on p in [1e-6, 1 - 1e-6].  Golden section minimises
+    over the curve's strike domain, cut at the 1e-12 quantile for custom
+    models and 1e-15 for the built-ins; for p below about that level its
+    minimiser sits on the domain end (the two differ by up to about 3e-11
+    at p = 1e-12 on the custom gaussian twin), and the exact route is the
+    correct one there."""
+    (s_lo, s_hi), (y_lo, y_hi) = _FAMILY_RANGES[kind]
+    s = data.draw(st.floats(s_lo, s_hi), label="s")
+    y = data.draw(st.floats(y_lo, y_hi), label="y")
+    inner = data.draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=9), label="p")
+    p = np.unique(np.concatenate(([1e-6, 1.0 - 1e-6], inner)))
+    curve = pricing._family_curve(kind, _ORACLE_MODELS[name], s, y)
+    exact = upper_boundary_from_calls(curve, p)
+    golden = upper_boundary_from_calls(_golden_twin(curve), p)
+    assert (exact.provenance["route"], golden.provenance["route"]) == ("exact", "golden")
+    assert np.max(np.abs(exact.values - golden.values)) <= 1e-9 * max(1.0, abs(s))
+
+
+@pytest.mark.parametrize("kind", ["linear", "geometric"])
+@pytest.mark.parametrize("name", ["gaussian", "logistic"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_exact_route_equals_golden_section_property(name, kind, data):
+    _assert_routes_agree(name, kind, data)
+
+
+@pytest.mark.parametrize("kind", ["linear", "geometric"])
+@pytest.mark.parametrize("name", ["custom-gaussian", "custom-logistic"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_exact_route_equals_golden_section_custom_property(name, kind, data):
+    _assert_routes_agree(name, kind, data)
