@@ -148,8 +148,10 @@ class DensityModel:
             z = self._z(x)
             out = np.exp(-0.5 * z * z) / (self.scale * _SQRT2PI)
         elif self.family == "logistic":
-            p = special.expit(self._z(x))
-            out = p * (1.0 - p) / self.scale
+            # expit(-z) in place of 1 - expit(z) keeps relative precision in
+            # the right tail, where 1 - p has lost it
+            z = self._z(x)
+            out = special.expit(z) * special.expit(-z) / self.scale
         elif self.family == "cauchy":
             z = self._z(x)
             out = 1.0 / (math.pi * self.scale * (1.0 + z * z))
@@ -163,8 +165,9 @@ class DensityModel:
             z = self._z(x)
             out = -z / self.scale * np.exp(-0.5 * z * z) / (self.scale * _SQRT2PI)
         elif self.family == "logistic":
-            p = special.expit(self._z(x))
-            out = p * (1.0 - p) * (1.0 - 2.0 * p) / self.scale ** 2
+            z = self._z(x)
+            p, q = special.expit(z), special.expit(-z)
+            out = p * q * (q - p) / self.scale ** 2
         elif self.family == "cauchy":
             z = self._z(x)
             out = -2.0 * z / (math.pi * self.scale ** 2 * (1.0 + z * z) ** 2)
@@ -287,25 +290,38 @@ class DensityModel:
         x_lo, x_hi = self.quantile_bounds()
         return (float(self.log_slope(x_hi)), float(self.log_slope(x_lo)))
 
-    def ratio_range(self, y: float) -> Tuple[float, float]:
-        """Open range (r_min, r_max) of x -> f(x+y)/f(x) for y > 0."""
-        if y <= 0.0 or not np.isfinite(y):
-            raise DomainError("y must be positive and finite")
+    def ratio_range(self, y):
+        """Open range (r_min, r_max) of x -> f(x+y)/f(x) for y > 0: floats for
+        a scalar level, arrays of its shape for an array of levels."""
+        y_arr = _levels(y)
+        exp = np.exp if y_arr.ndim else math.exp  # a scalar level keeps libm's rounding
         if self.family == "gaussian":
-            return (0.0, np.inf)
-        if self.family == "logistic":
-            return (math.exp(-y / self.scale), math.exp(y / self.scale))
-        if self.family == "cauchy":
+            lo, hi = np.zeros(y_arr.shape), np.full(y_arr.shape, np.inf)
+        elif self.family == "logistic":
+            lo, hi = exp(-y_arr / self.scale), exp(y_arr / self.scale)
+        elif self.family == "cauchy":
             raise UnsupportedError("cauchy ratio map is not monotone")
-        x_lo, x_hi = self.quantile_bounds()
-        lo = math.exp(float(self.log_pdf(x_hi + y) - self.log_pdf(x_hi)))
-        hi = math.exp(float(self.log_pdf(x_lo + y) - self.log_pdf(x_lo)))
-        return (lo, hi)
+        else:
+            x_lo, x_hi = self.quantile_bounds()
+            lo = exp(self.log_pdf(x_hi + y_arr) - self.log_pdf(x_hi))
+            hi = exp(self.log_pdf(x_lo + y_arr) - self.log_pdf(x_lo))
+        return (lo, hi) if y_arr.ndim else (float(lo), float(hi))
 
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
+
+def _levels(y) -> np.ndarray:
+    """The levels y as a float64 array; DomainError unless each is positive
+    and finite.  A scalar is tested in Python: a numpy reduction on a 0-d
+    array costs more than the rest of a scalar ratio range."""
+    y_arr = np.asarray(y, dtype=np.float64)
+    if not (0.0 < float(y_arr) < math.inf if y_arr.ndim == 0
+            else np.all((y_arr > 0.0) & np.isfinite(y_arr))):
+        raise DomainError("y must be positive and finite")
+    return y_arr
+
 
 def require_log_concave(model: DensityModel, what: str) -> None:
     """UnsupportedError unless the model carries a log-concavity certificate."""
@@ -337,34 +353,35 @@ def inverse_log_slope(model: DensityModel, w):
     return monotone_root(model.log_slope, w_arr, lo, hi, xtol=1e-13 * model.scale)
 
 
-def inverse_ratio(model: DensityModel, y: float, r):
+def inverse_ratio(model: DensityModel, y, r):
     """V_y(r): the unique x with f(x + y)/f(x) = r, for log-concave f and y > 0.
 
-    Accepts a scalar or array of ratios r.
+    The level y and the ratio r are scalars or arrays that broadcast
+    together; a float is returned only when both are scalars.
     """
     require_log_concave(model, "inverse_ratio")
-    if not (np.isfinite(y) and y > 0.0):
-        raise DomainError("y must be positive and finite")
+    y_arr = _levels(y)
     r_arr = np.asarray(r, dtype=np.float64)
     if not np.all(np.isfinite(r_arr) & (r_arr > 0.0)):
         raise RangeError(f"r must be positive and finite, got {r!r}")
     if model.family == "gaussian":
-        out = model.location - model.scale ** 2 * np.log(r_arr) / y - 0.5 * y
-        return like_input(out, r)
+        out = model.location - model.scale ** 2 * np.log(r_arr) / y_arr - 0.5 * y_arr
+        return like_input(out, out)
     if model.family == "logistic":
         # Solve lam*((1+u)/(1+lam*u))^2 = r for u = exp(-(x-loc)/scale).
         r_lo, r_hi = model.ratio_range(y)
         if (r_arr <= r_lo).any() or (r_arr >= r_hi).any():
             raise RangeError(f"r={r!r} outside the logistic ratio range for y={y!r}")
         half_log_r = 0.5 * np.log(r_arr)
-        a, b = half_log_r + 0.5 * y / model.scale, half_log_r - 0.5 * y / model.scale
+        a, b = half_log_r + 0.5 * y_arr / model.scale, half_log_r - 0.5 * y_arr / model.scale
         # an r within rounding of the range ends takes the limit x = +-inf
         log_u = (np.log(np.expm1(a), out=np.full_like(a, -np.inf), where=a > 0.0)
                  - np.log(-np.expm1(b), out=np.full_like(b, -np.inf), where=b < 0.0))
-        return like_input(model.location - model.scale * log_u, r)
+        out = model.location - model.scale * log_u
+        return like_input(out, out)
     lo, hi = model.quantile_bounds()
-    return monotone_root(lambda t: model.log_pdf(t + y) - model.log_pdf(t),
-                         np.log(r_arr), lo, hi, xtol=1e-13 * model.scale)
+    return monotone_root(lambda tl: model.log_pdf(tl[0] + tl[1]) - model.log_pdf(tl[0]),
+                         np.log(r_arr), lo, hi, args=(y_arr,), xtol=1e-13 * model.scale)
 
 
 def check_log_concavity(model: DensityModel, grid=None) -> ConcavityReport:

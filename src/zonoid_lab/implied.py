@@ -9,7 +9,8 @@ wherever K lies inside the ratio range of the density, with limit 1 as
 y -> infinity.  Three routes are provided:
 
 * ``vega_integral``: c(y,K) - (1-K)^+ as the integral of the level-vega
-  u -> f(V_u(K) + u), an independent cross-check of the closed form;
+  u -> f(V_u(K) + u) by ``numerics.gauss_kronrod``, an independent
+  cross-check of the closed form;
 * ``implied_y_root``: invert c in y by bracketed root-finding;
 * ``implied_y_minimization``: recover y directly as
   min_p [F^{-1}(c + pK) - F^{-1}(p)] over feasible p, together with the
@@ -26,12 +27,17 @@ import numpy as np
 
 from .densities import DensityModel, inverse_ratio
 from .errors import DomainError, RangeError
-from .numerics import golden_section_min, monotone_root
-from .pricing import family_call_geometric
+from .numerics import gauss_kronrod, golden_section_min, monotone_root
+from .pricing import check_level, family_call_geometric
 
 _DEGENERATE_TOL = 1e-14
 _P_EPS = 1e-9
 _N_SCAN = 512             # coarse scan of implied_y_minimization
+
+
+def _check_strike(k) -> None:
+    if not (np.isfinite(k) and k > 0.0):
+        raise DomainError(f"strike must be positive and finite, got {k!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +49,7 @@ class ImpliedQuery:
     k: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.k) and self.k > 0.0):
-            raise DomainError(f"strike must be positive and finite, got {self.k!r}")
+        _check_strike(self.k)
         if not np.isfinite(self.c):
             raise DomainError("price must be finite")
         intrinsic = max(1.0 - self.k, 0.0)
@@ -59,42 +64,40 @@ class ImpliedQuery:
 
 def normalized_call(density: DensityModel, y: float, k: float) -> float:
     """c(y, K) for the unit-mean geometric family; y = 0 gives (1 - K)^+."""
-    if not (np.isfinite(y) and y >= 0.0):
-        raise DomainError(f"y must be non-negative, got {y!r}")
-    if not (np.isfinite(k) and k > 0.0):
-        raise DomainError(f"strike must be positive, got {k!r}")
+    _check_strike(k)
     return float(family_call_geometric(density, 1.0, y, k))
 
 
 def vega_integral(density: DensityModel, y: float, k: float) -> float:
     """int_0^y f(V_u(K) + u) du, the exercise-boundary density integrated
     along the level; equals c(y,K) - (1-K)^+.  The integrand is zero for
-    levels u at which K falls outside the ratio range."""
-    if not (np.isfinite(y) and y >= 0.0):
-        raise DomainError(f"y must be non-negative, got {y!r}")
-    if not (np.isfinite(k) and k > 0.0):
-        raise DomainError(f"strike must be positive, got {k!r}")
+    levels u at which K falls outside the ratio range.  One adaptive
+    Gauss-Kronrod integral, split at the logistic kink u0 = scale |log K|;
+    each round evaluates the integrand at all its nodes with one array
+    inverse."""
+    check_level(y)
+    _check_strike(k)
     if y == 0.0:
         return 0.0
-    from scipy import integrate
 
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
+    def integrand(u: np.ndarray) -> np.ndarray:
         r_lo, r_hi = density.ratio_range(u)
-        if not (r_lo < k < r_hi):
-            return 0.0
-        v = inverse_ratio(density, u, k)
-        return float(density.pdf(v + u))
+        inside = (r_lo < k) & (k < r_hi)
+        out = np.zeros(u.shape)
+        if inside.any():
+            ui = u[inside]
+            # K as an array the size of the levels, so the ratio argument
+            # counts the elements solved, as in every other inverse call
+            out[inside] = density.pdf(inverse_ratio(density, ui, np.full_like(ui, k)) + ui)
+        return out
 
-    points = None
+    edges = [0.0, y]
     if density.family == "logistic" and k != 1.0:
         u0 = density.scale * abs(math.log(k))
         if 0.0 < u0 < y:
-            points = [u0]
-    val, _ = integrate.quad(integrand, 0.0, y, points=points,
-                            epsabs=1e-11, epsrel=1e-11, limit=300)
-    return float(val)
+            edges.insert(1, u0)
+    return float(gauss_kronrod(integrand, edges[:-1], edges[1:], np.zeros(len(edges) - 1, int),
+                               epsabs=1e-11, epsrel=1e-11)[0])
 
 
 def implied_y_root(query: ImpliedQuery) -> float:

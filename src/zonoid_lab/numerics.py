@@ -1,5 +1,8 @@
-"""Shared numeric building blocks: the bracketed root solver, golden-section,
-the discrete Legendre kernel, the central-difference stencil, grids.
+"""Shared numeric building blocks: the bracketed root solver, the batched
+adaptive Gauss-Kronrod quadrature, golden-section, the discrete Legendre
+kernel, the central-difference stencil, grids.  Each is the package's one
+kernel of its kind: the root solver and the quadrature take arrays of
+problems and call their map once per step on every unfinished one.
 
 These helpers are deliberately dumb about what they optimise; all of the
 domain knowledge (call curves, boundaries, densities) lives in the modules
@@ -20,6 +23,25 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = 1.0 - _INVPHI              # 1/phi^2
 _PEEL_PASSES = 32                     # vectorised hull passes before the loop
 _ROOT_ITERS = 300                     # Chandrupatla steps before giving up
+_GK_PANELS = 300                      # panels per integral before giving up
+
+# QUADPACK's 15-point Kronrod rule on [-1, 1] and its embedded 7-point
+# Gauss rule (zero weight at the Kronrod-only nodes), from the centre out
+_XGK = np.array([0.0, 0.207784955007898467600689403773245,
+                 0.405845151377397166906606412076961, 0.586087235467691130294144845693013,
+                 0.741531185599394439863864773280788, 0.864864423359769072789712788640926,
+                 0.949107912342758524526189684047851, 0.991455371120812639206854697526329])
+_WGK = np.array([0.209482141084727828012999174891714, 0.204432940075298892414161999234649,
+                 0.190350578064785409913256402421014, 0.169004726639267902826583426598550,
+                 0.140653259715525918745189590510238, 0.104790010322250183839876322541518,
+                 0.063092092629978553290700663189204, 0.022935322010529224963732008058970])
+_WG = np.array([0.417959183673469387755102040816327, 0.0, 0.381830050505118944950369775488975,
+                0.0, 0.279705391489276667901467771423780, 0.0,
+                0.129484966168869693270611432679082, 0.0])
+_GK_NODES = np.concatenate((-_XGK[:0:-1], _XGK))
+_GK_WEIGHTS = np.concatenate((_WGK[:0:-1], _WGK))
+_G_WEIGHTS = np.concatenate((_WG[:0:-1], _WG))
+_EPS = np.finfo(np.float64).eps
 
 
 def as_float_array(x, name: str = "x") -> np.ndarray:
@@ -56,13 +78,17 @@ def like_input(out, x):
     return out
 
 
-def monotone_root(fn: Callable[[np.ndarray], np.ndarray], target, lo, hi, *,
-                  xtol: float = 1e-13):
+def monotone_root(fn: Callable[..., np.ndarray], target, lo, hi, *,
+                  xtol: float = 1e-13, args: tuple = ()):
     """Solve fn(x) = target elementwise for an elementwise, monotone fn.
 
-    ``target``, ``lo`` and ``hi`` broadcast together (0-d allowed); each
-    element has its own bracket [lo, hi].  fn gets one array per step: the
-    broadcast shape at the endpoints, then the unsolved elements.
+    ``target``, ``lo``, ``hi`` and each of ``args`` (per-element parameters
+    of fn) broadcast together (0-d allowed); each element has its own
+    bracket [lo, hi].  fn gets one array per step: the broadcast shape at
+    the endpoints, then the unsolved elements.  With ``args`` it gets the
+    tuple (x, *args) instead, the parameters narrowed to the same elements;
+    fn always takes one argument, so a wrapper that forwards one argument
+    (a call counter, say) keeps working.
     Chandrupatla's method (Adv. Eng. Software 28, 1997): inverse quadratic
     interpolation where it is safe, bisection otherwise.  An element is done
     when its bracket is narrower than xtol + 8.9e-16 |x| or its residual is
@@ -70,9 +96,10 @@ def monotone_root(fn: Callable[[np.ndarray], np.ndarray], target, lo, hi, *,
     RangeError when a target is not bracketed, DomainError when fn is nan
     inside a bracket.  Returns a float for 0-d inputs, else an array.
     """
-    target, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64)
-                                           for v in (target, lo, hi)))
-    glo, ghi = (np.asarray(fn(v), dtype=np.float64) - target for v in (lo, hi))
+    target, lo, hi, *args = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64)
+                                                  for v in (target, lo, hi, *args)))
+    glo, ghi = (np.asarray(fn((v, *args) if args else v), dtype=np.float64) - target
+                for v in (lo, hi))
     bad = ~(np.sign(glo) * np.sign(ghi) <= 0.0)  # a nan residual brackets nothing
     if bad.any():
         i = np.argmax(bad)
@@ -88,10 +115,10 @@ def monotone_root(fn: Callable[[np.ndarray], np.ndarray], target, lo, hi, *,
                 x.flat[at[done]] = np.where(np.abs(fa) < np.abs(fb), a, b)[done]
                 if done.all():
                     return like_input(x, x)
-                a, fa, b, fb, c, fc, t, target, at = (
-                    v[~done] for v in (a, fa, b, fb, c, fc, t, target, at))
+                a, fa, b, fb, c, fc, t, target, at, *args = (
+                    v[~done] for v in (a, fa, b, fb, c, fc, t, target, at, *args))
             xt = a + t * (b - a)
-            ft = np.asarray(fn(xt), dtype=np.float64) - target
+            ft = np.asarray(fn((xt, *args) if args else xt), dtype=np.float64) - target
             if np.isnan(ft).any():
                 raise DomainError("the map is nan inside the bracket")
             # [()] turns the 0-d arrays of a scalar solve into numpy scalars,
@@ -108,6 +135,71 @@ def monotone_root(fn: Callable[[np.ndarray], np.ndarray], target, lo, hi, *,
             # the next point lands at least the tolerance inside the bracket
             t = np.minimum(np.maximum(np.where(iqi, t, 0.5)[()], tlim), 1.0 - tlim)
     raise ZonoidLabError(f"root solver did not converge in {_ROOT_ITERS} steps")
+
+
+def _gk15(fn, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """G7-K15 on every panel [lo_i, hi_i] from one fn call: the Kronrod
+    values and QUADPACK's error estimates (qk15)."""
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = (centre[:, None] + half[:, None] * _GK_NODES).ravel()
+    f = np.broadcast_to(np.asarray(fn(x), dtype=np.float64), x.shape).reshape(lo.size, 15)
+    if not np.all(np.isfinite(f)):
+        raise DomainError("the integrand is not finite at a quadrature node")
+    resk, ah = f @ _GK_WEIGHTS, np.abs(half)
+    resabs = np.abs(f) @ _GK_WEIGHTS * ah
+    resasc = np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS * ah
+    err = np.abs(resk - f @ _G_WEIGHTS) * ah
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    return resk * half, np.maximum(err, 50.0 * _EPS * resabs)
+
+
+def gauss_kronrod(fn: Callable[[np.ndarray], np.ndarray], lo, hi, owner=None, *,
+                  epsabs: float, epsrel: float) -> np.ndarray:
+    """Integrals of fn over unions of panels [lo_i, hi_i], all adaptively at once.
+
+    Panel i belongs to integral ``owner[i]`` (default: each panel is its own
+    integral); the result holds one value per owner 0 .. max(owner).  Each
+    round makes one fn call on the 15 Kronrod nodes of every panel not yet
+    evaluated (fn gets a 1-d array and returns one of its shape, or a scalar
+    that broadcasts), so fn must be elementwise.  An owner is done when the
+    sum of its panels' QUADPACK error estimates (Piessens et al., QUADPACK,
+    1983) is at most max(epsabs, epsrel |total|); otherwise every one of its
+    panels whose estimate exceeds an equal share of that budget is bisected.
+    Raises DomainError when fn is not finite at a node and ZonoidLabError
+    when an owner would need more than _GK_PANELS panels.
+    """
+    lo, hi = (np.asarray(v, dtype=np.float64).ravel() for v in (lo, hi))
+    own = np.arange(lo.size) if owner is None else np.asarray(owner, dtype=np.intp).ravel()
+    n = int(own.max()) + 1 if own.size else 0
+    out = np.zeros(n)
+    # kept panels: evaluated, of owners still over budget
+    k_lo = k_hi = k_res = k_err = np.empty(0)
+    k_own = np.empty(0, dtype=np.intp)
+    while lo.size:
+        res, err = _gk15(fn, lo, hi)
+        lo, hi, own, res, err = (np.concatenate(v) for v in (
+            (k_lo, lo), (k_hi, hi), (k_own, own), (k_res, res), (k_err, err)))
+        total, error = np.bincount(own, res, n), np.bincount(own, err, n)
+        count = np.bincount(own, minlength=n)
+        budget = np.maximum(epsabs, epsrel * np.abs(total))
+        over = error > budget  # an owner finished earlier has no panels left
+        done = ~over & (count > 0)
+        out[done] = total[done]
+        if not over.any():
+            break
+        if np.any(count[over] >= _GK_PANELS):
+            raise ZonoidLabError(f"quadrature did not converge in {_GK_PANELS} panels")
+        live = over[own]
+        split = live & (err > (budget / np.maximum(count, 1))[own])
+        keep = live & ~split
+        k_lo, k_hi, k_own, k_res, k_err = lo[keep], hi[keep], own[keep], res[keep], err[keep]
+        mid = 0.5 * (lo[split] + hi[split])
+        lo = np.concatenate((lo[split], mid))
+        hi = np.concatenate((mid, hi[split]))
+        own = np.tile(own[split], 2)
+    return out
 
 
 def golden_section_min(

@@ -100,6 +100,12 @@ def black_scholes_call(params: ModelParams, k):
 # Family prices
 # ---------------------------------------------------------------------------
 
+def check_level(y) -> None:
+    """DomainError unless the family level y is non-negative and finite."""
+    if not (y >= 0.0 and np.isfinite(y)):
+        raise DomainError("y must be non-negative and finite")
+
+
 def family_prices(kind: str, model: DensityModel, s: float, y: float, k):
     """Call price C(K), survival probability P(X > K) = -C'(K) and clamp flag
     of the ``kind`` ("linear" or "geometric") family marginal at level y,
@@ -114,8 +120,7 @@ def family_prices(kind: str, model: DensityModel, s: float, y: float, k):
     """
     if kind not in ("linear", "geometric"):
         raise ValidationError(f"unknown family kind {kind!r}")
-    if not (y >= 0.0 and np.isfinite(y)):
-        raise DomainError("y must be non-negative and finite")
+    check_level(y)
     if not np.isfinite(s) or (kind == "geometric" and s <= 0.0):
         raise DomainError("s must be finite, and positive for the geometric family")
     k = as_float_array(k, "strike")
@@ -217,6 +222,7 @@ def geometric_family_curve(model: DensityModel, s: float, y: float):
 def _family_curve(kind: str, model: DensityModel, s: float, y: float):
     """The family's call curve on the strike image of the density's quantile
     bounds; (log f)' and the ratio decrease, so the right tail gives k_lo.
+    At y = 0 it is the point mass at s, (s - K)^+, with boundary s p.
     Its ``conjugate`` is the exact boundary (log-concave models only)."""
     from .zonoid import CallCurve
 
@@ -230,9 +236,13 @@ def _family_curve(kind: str, model: DensityModel, s: float, y: float):
     else:
         edge = lambda q: s * math.exp(float(model.log_pdf(q + y)) - float(model.log_pdf(q)))
         price = family_call_geometric
-    q_lo, q_hi = model.quantile_bounds()
+    if y == 0.0:  # the point mass at s: C = (s - K)^+ on any domain around s
+        domain = (0.5 * s, 2.0 * s) if kind == "geometric" else (s - 1.0, s + 1.0)
+    else:
+        q_lo, q_hi = model.quantile_bounds()
+        domain = (edge(q_hi), edge(q_lo))
     return replace(CallCurve.from_function(
-        lambda k: price(model, s, y, k), mean=s, domain=(edge(q_hi), edge(q_lo)),
+        lambda k: price(model, s, y, k), mean=s, domain=domain,
         positive=kind == "geometric",
         provenance={"family": kind, "density": model.family, "s": s, "y": y}),
         conjugate=conjugate)

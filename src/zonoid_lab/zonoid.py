@@ -37,8 +37,8 @@ import numpy as np
 
 from .densities import DensityModel
 from .errors import DomainError, UnsupportedError, ValidationError
-from .numerics import (as_float_array, golden_section_min, increasing_grid, legendre_min,
-                       like_input, lower_hull, probabilities)
+from .numerics import (as_float_array, gauss_kronrod, golden_section_min, increasing_grid,
+                       legendre_min, like_input, lower_hull, probabilities)
 
 _P_EPS = 1e-9          # probability clipping for continuous searches
 _Q_EPS = 1e-12         # quantile clipping for quadrature supports
@@ -434,19 +434,12 @@ def boundary_from_quantile_integral(target: Union[DiscreteDistribution, DensityM
     elif isinstance(target, DensityModel):
         if not target.has_mean:
             raise DomainError(f"{target.family} has no mean; boundary undefined")
-        from scipy import integrate
-
+        # one integral per p, all in one quadrature, on [F^-1(1 - p), upper]
+        # clipped to the support cut: p <= 1e-12 gives the empty panel, 0
         upper = float(target.quantile(1.0 - _Q_EPS))
-        integrand = lambda x: x * float(target.pdf(x))
-        out = np.empty(p_arr.size)
-        for i, pi in enumerate(p_arr):
-            if pi <= 0.0:
-                out[i] = 0.0
-                continue
-            lo = float(target.quantile(max(1.0 - pi, _Q_EPS)))
-            val, _ = integrate.quad(integrand, lo, upper,
-                                    epsabs=1e-12, epsrel=1e-12, limit=300)
-            out[i] = val
+        lo = target.quantile(np.clip(1.0 - p_arr, _Q_EPS, 1.0 - _Q_EPS))
+        out = gauss_kronrod(lambda x: x * target.pdf(x), lo, np.full(lo.shape, upper),
+                            epsabs=1e-12, epsrel=1e-12)
     else:
         raise UnsupportedError(f"no quantile-integral route for {type(target).__name__}")
     return like_input(out, p)

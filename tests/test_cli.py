@@ -447,3 +447,14 @@ def test_negative_maturity_is_a_validation_error(capsys, argv):
     # both used to die in math.sqrt with an uncaught ValueError
     assert run_cli(*argv) == 2
     assert "t must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", [("--family", "linear"), ("--family", "geometric"),
+                                   ("--model", "black_scholes"), ("--model", "bachelier")])
+def test_boundary_at_zero_maturity_is_the_point_mass(capsys, route):
+    # the family curve at y = 0 is (s - K)^+, whose boundary is s p; both
+    # used to exit 2 ("call curve domain must be a finite interval")
+    assert run_cli("boundary", *route, "--t", "0", "--s0", "1.5", "--p-grid", "0:1:11") == 0
+    header, data = read_csv_text(capsys.readouterr().out)
+    assert header == ("p", "Chat")
+    assert np.array_equal(data[:, 1], 1.5 * data[:, 0])

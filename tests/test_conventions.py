@@ -177,3 +177,41 @@ def test_only_numerics_writes_the_grid_and_probability_rules():
     breaches = {path.name: _rule_breaches(path.read_text())
                 for path in modules if path.name != "numerics.py"}
     assert {name: lines for name, lines in breaches.items() if lines} == {}
+
+
+# ---------------------------------------------------------------------------
+# One quadrature kernel: numerics.gauss_kronrod, no scipy.integrate in src/
+# ---------------------------------------------------------------------------
+
+def _integrate_imports(source: str):
+    """Line numbers of the imports of scipy.integrate in a module's source."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name == "scipy.integrate" or a.name.startswith("scipy.integrate.")
+                   for a in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == "scipy.integrate" or node.module.startswith("scipy.integrate."):
+                lines.add(node.lineno)
+            elif node.module == "scipy" and any(a.name == "integrate" for a in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_integrate_guard_sees_every_import_form():
+    assert _integrate_imports("import scipy.integrate") == [1]
+    assert _integrate_imports("import scipy.integrate as si") == [1]
+    assert _integrate_imports("from scipy import integrate") == [1]
+    assert _integrate_imports("from scipy import special, integrate") == [1]
+    assert _integrate_imports("from scipy.integrate import quad") == [1]
+    assert _integrate_imports("def f():\n    from scipy import integrate\n") == [2]
+    assert _integrate_imports("from scipy import special\nimport numpy as np") == []
+    assert _integrate_imports("x = 'scipy.integrate'  # integrate the pieces") == []
+
+
+def test_no_module_imports_scipy_integrate():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    breaches = {path.name: _integrate_imports(path.read_text()) for path in modules}
+    assert {name: lines for name, lines in breaches.items() if lines} == {}

@@ -164,3 +164,70 @@ def test_round_trip_property(y, k, family):
 def test_price_monotone_in_level_property(y1, dy, k):
     assert (normalized_call(GAUSS, y1 + dy, k)
             >= normalized_call(GAUSS, y1, k) - 1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The batched vega integral and the argument checks
+# ---------------------------------------------------------------------------
+
+def twin(model):
+    """A custom model wrapping the built-in evaluators."""
+    return DensityModel.custom(model.pdf, model.pdf_prime, model.cdf, model.quantile)
+
+
+@pytest.mark.parametrize("base", [GAUSS, LOGISTIC], ids=["gaussian", "logistic"])
+def test_vega_integral_on_custom_twins_across_the_kink(base):
+    # levels below, near and past the logistic kink u0 = |log K| (0.22 at
+    # K = 0.8 and 1.25, 0.69 at K = 0.5 and 2)
+    model = twin(base)
+    for y in (0.2, 0.25, 0.7, 1.3, 3.0):
+        for k in (0.5, 0.8, 1.0, 1.25, 2.0):
+            want = normalized_call(base, y, k) - max(1.0 - k, 0.0)
+            got = vega_integral(model, y, k)
+            assert abs(got - vega_integral(base, y, k)) <= 1e-10
+            assert abs(got - want) <= 1e-10
+
+
+def test_vega_integral_splits_at_the_logistic_kink(monkeypatch):
+    # one array inverse per quadrature round; with the panels split at
+    # u0 = |log K| a few rounds do, without the split about 18
+    from zonoid_lab import implied
+
+    calls = []
+    inverse = implied.inverse_ratio
+    monkeypatch.setattr(implied, "inverse_ratio",
+                        lambda *a: (calls.append(np.shape(a[1])), inverse(*a))[1])
+    for y, k in ((1.3, 0.8), (3.0, 0.5), (2.0, 2.0), (0.7, 1.25)):
+        calls.clear()
+        want = normalized_call(LOGISTIC, y, k) - max(1.0 - k, 0.0)
+        assert abs(vega_integral(LOGISTIC, y, k) - want) <= 1e-10
+        assert 1 <= len(calls) <= 6 and all(len(sh) == 1 and sh[0] > 1 for sh in calls)
+
+
+def test_logistic_pdf_keeps_precision_in_both_tails():
+    # the custom logistic inverse ratio solves on log f: with f = p (1 - p)
+    # the right tail had lost its relative precision (1 - p rounds) and the
+    # solver found spurious roots there
+    z = np.linspace(-40.0, 40.0, 801)
+    want = np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))) ** 2
+    assert np.max(np.abs(LOGISTIC.pdf(z) / want - 1.0)) <= 1e-14
+    assert np.array_equal(LOGISTIC.pdf(z), LOGISTIC.pdf(-z))
+    slope = LOGISTIC.pdf_prime(z) / LOGISTIC.pdf(z)
+    assert np.max(np.abs(slope + np.tanh(0.5 * z))) <= 1e-14
+
+
+BAD_LEVELS = [float("nan"), float("inf"), -float("inf"), -0.1]
+BAD_STRIKES = [0.0, -1.0, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("fn", [normalized_call, vega_integral])
+def test_level_and_strike_checks(fn):
+    for y in BAD_LEVELS:
+        with pytest.raises(DomainError, match="y must be non-negative and finite"):
+            fn(GAUSS, y, 1.0)
+    for k in BAD_STRIKES:
+        with pytest.raises(DomainError):
+            fn(GAUSS, 0.7, k)
+        with pytest.raises(DomainError):
+            ImpliedQuery(GAUSS, 0.2, k)
+    assert fn(GAUSS, 0.0, 1.5) == 0.0

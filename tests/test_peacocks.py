@@ -344,6 +344,68 @@ def test_recover_errors():
         recover_F_from_G(lambda p: p * (1 - p), 0.0, -0.5)
 
 
+def quad_recover(gen, anchor, p0, pgrid):
+    """The former recover_F_from_G: one scipy.integrate.quad per grid
+    interval, the generator called one scalar at a time (test oracle)."""
+    from scipy import integrate
+
+    ps = np.unique(np.clip(np.append(pgrid, p0), 1e-6, 1.0 - 1e-6))
+    pieces = np.zeros(ps.size)
+    for i in range(ps.size - 1):
+        pieces[i + 1] = integrate.quad(lambda q: 1.0 / float(gen(q)), ps[i], ps[i + 1],
+                                       epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+    cum = np.cumsum(pieces)
+    i0 = int(np.searchsorted(ps, min(p0, ps[-1])))
+    return ps, anchor + cum - cum[i0]
+
+
+EDGE_GRIDS = {
+    "default": np.linspace(0.01, 0.99, 99),
+    "low edge": np.concatenate(([1e-7, 1e-5, 1e-3], np.linspace(0.01, 0.99, 99))),
+    "both edges": np.concatenate(([1e-7], np.linspace(0.01, 0.99, 99), [1.0 - 1e-8])),
+}
+
+
+@pytest.mark.parametrize("grid", list(EDGE_GRIDS), ids=list(EDGE_GRIDS))
+@pytest.mark.parametrize("density,exact", [(GAUSS, norm.ppf), (LOGISTIC, lambda p: np.log(p / (1 - p)))],
+                         ids=["gaussian", "logistic"])
+def test_recover_matches_the_quad_loop(density, exact, grid):
+    pgrid = EDGE_GRIDS[grid]
+    for p0 in (0.3, 0.5, 0.62):
+        gen = lambda p: G_map(density, p)
+        anchor = float(exact(p0))
+        ps, xs = recover_F_from_G(gen, anchor, p0, pgrid)
+        ps_q, xs_q = quad_recover(gen, anchor, p0, pgrid)
+        assert np.array_equal(ps, ps_q)
+        # below the top clip 1 - 1e-6 both routes are within 1e-11
+        low = ps < 1.0 - 1e-4
+        assert np.max(np.abs(xs[low] - xs_q[low])) <= 1e-11
+        # at the clip the nodes themselves round (1/G ~ 1/(1 - q)): quad is
+        # 4.2e-11 (logistic) and 8.2e-12 (gaussian) off the exact quantile
+        # there, so the two agree only to the quadrature tolerance, and the
+        # kernel must be no farther from the exact value than quad
+        top = ~low
+        assert np.all(np.abs(xs[top] - xs_q[top]) <= 1e-10 * np.abs(xs_q[top]))
+        assert np.all(np.abs(xs[top] - exact(ps[top]))
+                      <= np.abs(xs_q[top] - exact(ps[top])) + 1e-12)
+
+
+def test_recover_calls_the_generator_on_arrays():
+    seen = []
+
+    def gen(p):
+        seen.append(np.shape(p))
+        return p * (1.0 - p)
+
+    recover_F_from_G(gen, 0.0, 0.5)
+    assert seen[0] == (99,) and all(len(sh) == 1 and sh[0] % 15 == 0 for sh in seen[1:])
+    # a scalar return broadcasts: G = 1 gives F^-1(p) = anchor + p - p0
+    ps, xs = recover_F_from_G(lambda p: 1.0, 2.0, 0.5, np.array([0.1, 0.9]))
+    assert np.allclose(xs, 2.0 + ps - 0.5, rtol=0.0, atol=1e-15)
+    with pytest.raises(DomainError):  # still rejected: a constant 0
+        recover_F_from_G(lambda p: 0.0, 0.0, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------

@@ -653,3 +653,24 @@ def test_level_zero_keeps_the_argument_rules():
         for y in (-1e-300, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 family_prices(kind, GAUSS, 1.0, y, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["linear", "geometric"])
+@pytest.mark.parametrize("validate", [True, False])
+def test_family_curve_at_level_zero_is_the_point_mass(kind, validate):
+    from zonoid_lab.zonoid import upper_boundary_from_calls
+
+    build = linear_family_curve if kind == "linear" else geometric_family_curve
+    s = 1.5
+    for model in (GAUSS, LOGISTIC):
+        curve = build(model, s, 0.0)
+        assert curve.k_lo < s < curve.k_hi
+        ks = np.linspace(0.0, 3.0, 61)
+        assert np.array_equal(curve(ks), np.maximum(s - ks, 0.0))
+        ps = np.linspace(0.0, 1.0, 101)
+        boundary = upper_boundary_from_calls(curve, ps, validate=validate)
+        assert boundary.provenance["route"] == "exact"
+        assert np.array_equal(boundary.values, s * ps)
+    if kind == "linear":  # any sign of s
+        assert np.array_equal(upper_boundary_from_calls(build(GAUSS, -2.0, 0.0), ps).values,
+                              -2.0 * ps)

@@ -190,6 +190,69 @@ def test_monotone_root_gives_up_with_a_typed_error():
         monotone_root(step, 0.0, 0.0, 1.0, xtol=0.0)
 
 
+def test_monotone_root_narrows_args_with_the_active_set():
+    # fn((x, a, b)) = a x^3 + b with per-element a and b: a misaligned
+    # narrowing would solve one element with another's parameters
+    rng = np.random.default_rng(7)
+    roots = rng.uniform(0.05, 1.95, size=200)
+    a = rng.uniform(0.5, 4.0, size=200)
+    b = rng.uniform(-1.0, 1.0, size=(1, 200))  # broadcasts against the others
+    seen = []
+
+    def fn(xab):
+        x, a_, b_ = xab
+        seen.append((x.shape, a_.shape, b_.shape))
+        return a_ * x ** 3 + b_
+
+    got = monotone_root(fn, a * roots ** 3 + b, 0.0, 2.0, args=(a, b))
+    assert got.shape == (1, 200)
+    assert np.max(np.abs(got[0] - roots)) <= 2.0 * (1e-13 + 8.9e-16 * 2.0)
+    assert all(xs == sa == sb for xs, sa, sb in seen)
+    # the endpoints see the broadcast shape, later steps only unsolved elements
+    assert seen[0][0] == (1, 200) and any(len(sh[0]) == 1 and sh[0][0] < 200 for sh in seen)
+    # a 0-d solve with a 0-d parameter returns a float
+    one = monotone_root(lambda xc: xc[0] ** 3 - xc[1], 0.0, 0.0, 2.0, args=(1.0,))
+    assert type(one) is float and abs(one - 1.0) <= 2e-13
+    # fn takes one argument: a forwarding wrapper sees every call
+    calls = []
+    counted = lambda v: (calls.append(1), fn(v))[1]
+    seen.clear()
+    again = monotone_root(counted, a * roots ** 3 + b, 0.0, 2.0, args=(a, b))
+    assert np.array_equal(again, got) and len(calls) == len(seen)
+
+
+@pytest.mark.parametrize("model", [
+    DensityModel.gaussian(0.2, 1.3), DensityModel.logistic(-0.1, 0.8),
+    affine_custom("gaussian", 0.2, 1.3), affine_custom("logistic", -0.1, 0.8)],
+    ids=["gaussian", "logistic", "custom-gaussian", "custom-logistic"])
+def test_inverse_ratio_with_array_levels_equals_scalar_calls(model):
+    rng = np.random.default_rng(11)
+    ys = rng.uniform(0.1, 3.0, size=40)
+    # ratios well inside every level's range: preimages at quantiles 0.05-0.95
+    xs = model.quantile(rng.uniform(0.05, 0.95, size=40))
+    rs = np.exp(model.log_pdf(xs + ys) - model.log_pdf(xs))
+    got = inverse_ratio(model, ys, rs)
+    want = np.array([inverse_ratio(model, float(y), float(r)) for y, r in zip(ys, rs)])
+    assert got.shape == (40,)
+    if model.family == "custom":  # one solve per array vs per element
+        assert np.max(np.abs(got - want)) <= 2.0 * (1e-13 * model.scale + 8.9e-16 * np.abs(want)).max()
+    else:
+        assert np.array_equal(got, want)
+    # one ratio against many levels broadcasts, and ratio_range follows suit
+    r0 = float(np.exp(model.log_pdf(xs[0] + ys[0]) - model.log_pdf(xs[0])))
+    lo, hi = model.ratio_range(ys[:5])
+    assert lo.shape == hi.shape == (5,)
+    # arrays take numpy's exp, scalars libm's: the two may differ by an ulp
+    want_lo, want_hi = zip(*(model.ratio_range(float(y)) for y in ys[:5]))
+    np.testing.assert_allclose(lo, want_lo, rtol=4.0 * np.finfo(float).eps, atol=0.0)
+    np.testing.assert_allclose(hi, want_hi, rtol=4.0 * np.finfo(float).eps, atol=0.0)
+    inside = (lo < r0) & (r0 < hi)
+    got0 = inverse_ratio(model, ys[:5][inside], r0)
+    want0 = [inverse_ratio(model, float(y), r0) for y in ys[:5][inside]]
+    assert np.allclose(got0, want0, rtol=0.0, atol=1e-12 * model.scale)
+    assert type(inverse_ratio(model, float(ys[0]), float(rs[0]))) is float
+
+
 def brentq_implied(density, c, k):
     """The former implied_y_root: the same doubling, then brentq."""
     g = lambda y: normalized_call(density, y, k) - c
@@ -217,6 +280,28 @@ def test_implied_root_matches_brentq_on_the_acceptance_grid(density):
 def test_import_loads_neither_scipy_optimize_nor_integrate():
     code = ("import sys, zonoid_lab; "
             "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_quadrature_routes_leave_scipy_integrate_unloaded():
+    # the three former scipy.integrate.quad sites run on numerics.gauss_kronrod
+    code = "\n".join([
+        "import sys",
+        "from zonoid_lab import DensityModel",
+        "from zonoid_lab.implied import vega_integral",
+        "from zonoid_lab.peacocks import G_map, recover_F_from_G",
+        "from zonoid_lab.zonoid import boundary_from_quantile_integral",
+        "g = DensityModel.gaussian()",
+        "twin = DensityModel.custom(g.pdf, g.pdf_prime, g.cdf, g.quantile)",
+        "recover_F_from_G(lambda p: G_map(g, p), 0.0, 0.5)",
+        "vega_integral(g, 1.3, 0.8)",
+        "vega_integral(DensityModel.logistic(), 1.3, 0.8)",
+        "vega_integral(twin, 1.3, 0.8)",
+        "boundary_from_quantile_integral(g, [0.0, 0.3, 1.0])",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))",
+    ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

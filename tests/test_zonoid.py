@@ -229,6 +229,38 @@ def test_quantile_integral_rejects_cauchy():
         boundary_from_quantile_integral(DensityModel.cauchy(), 0.5)
 
 
+def quad_quantile_integral(target, ps):
+    """The former density branch of boundary_from_quantile_integral: one
+    scipy.integrate.quad per p (test oracle)."""
+    from scipy import integrate
+
+    upper = float(target.quantile(1.0 - 1e-12))
+    out = np.zeros(len(ps))
+    for i, p in enumerate(ps):
+        if p > 0.0:
+            lo = float(target.quantile(max(1.0 - p, 1e-12)))
+            out[i] = integrate.quad(lambda x: x * float(target.pdf(x)), lo, upper,
+                                    epsabs=1e-12, epsrel=1e-12, limit=300)[0]
+    return out
+
+
+@pytest.mark.parametrize("target", [
+    DensityModel.gaussian(), DensityModel.gaussian(0.7, 2.5), DensityModel.logistic(),
+    DensityModel.logistic(-1.0, 0.3)], ids=["gaussian", "gaussian-scaled", "logistic",
+                                           "logistic-scaled"])
+def test_quantile_integral_matches_the_quad_loop(target):
+    ps = np.concatenate(([0.0, 1e-12, 1e-6], np.linspace(0.01, 0.99, 41), [1.0 - 1e-9, 1.0]))
+    got = boundary_from_quantile_integral(target, ps)
+    want = quad_quantile_integral(target, ps)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert got[0] == 0.0
+    assert type(boundary_from_quantile_integral(target, 0.3)) is float
+    # below the 1e-12 support cut the quad loop integrated a reversed
+    # interval and returned about -7e-12; the route now returns 0 there
+    tiny = boundary_from_quantile_integral(target, [1e-17, 1e-16, 1e-13])
+    assert np.array_equal(tiny, np.zeros(3))
+
+
 def test_three_routes_agree_for_bachelier():
     # conjugate of the closed-form curve vs quantile integral vs exact formula
     t = 0.25
