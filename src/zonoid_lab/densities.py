@@ -244,8 +244,8 @@ class DensityModel:
         if self.family == "gaussian":
             out = np.full_like(x, -1.0 / self.scale ** 2)
         elif self.family == "logistic":
-            p = special.expit(self._z(x))
-            out = -2.0 * p * (1.0 - p) / self.scale ** 2
+            z = self._z(x)  # expit(-z), not 1 - expit(z): both tails keep precision
+            out = -2.0 * special.expit(z) * special.expit(-z) / self.scale ** 2
         elif self.family == "cauchy":
             z = self._z(x)
             out = 2.0 * (z * z - 1.0) / (self.scale ** 2 * (1.0 + z * z) ** 2)

@@ -32,7 +32,6 @@ from .pricing import check_level, family_call_geometric
 
 _DEGENERATE_TOL = 1e-14
 _P_EPS = 1e-9
-_N_SCAN = 512             # coarse scan of implied_y_minimization
 
 
 def _check_strike(k) -> None:
@@ -121,33 +120,18 @@ def implied_y_minimization(query: ImpliedQuery) -> Tuple[float, float]:
     """The level recovered as y* = min_p [F^{-1}(c + pK) - F^{-1}(p)] over
     feasible p (0 < p and c + pK < 1); returns (y*, p_hat).
 
-    A coarse scan locates the minimum basin (the objective is not proven
-    unimodal), then golden-section refines it.  Prices at the intrinsic
-    value are degenerate: (0, nan) is returned.
+    ``numerics.golden_section_min`` scans p evenly in logit (the objective
+    is not proven unimodal) and refines every local minimum of the scan.
+    Prices at the intrinsic value are degenerate: (0, nan) is returned.
     """
     c, k, density = query.c, query.k, query.density
     if c - query.intrinsic < _DEGENERATE_TOL:
         return 0.0, float("nan")
-    p_max = min(1.0, (1.0 - c) / k)
-    lo = _P_EPS
-    hi = p_max - _P_EPS
+    lo, hi = _P_EPS, min(1.0, (1.0 - c) / k) - _P_EPS
     if not lo < hi:
         raise DomainError("empty feasible range for the minimization")
-
-    def objective(p):
-        p = np.asarray(p, dtype=np.float64)
-        return (np.asarray(density.quantile(np.clip(c + p * k, 0.0, 1.0)))
-                - np.asarray(density.quantile(p)))
-
-    ps = np.linspace(lo, hi, _N_SCAN)
-    vals = objective(ps)
-    i = int(np.argmin(vals))
-    b_lo = ps[max(i - 1, 0)]
-    b_hi = ps[min(i + 1, _N_SCAN - 1)]
-    p_hat, y_star = golden_section_min(objective, float(b_lo), float(b_hi))
-    p_hat, y_star = float(p_hat), float(y_star)
-    if vals[i] < y_star:
-        p_hat, y_star = float(ps[i]), float(vals[i])
+    objective = lambda p: density.quantile(np.clip(c + p * k, 0.0, 1.0)) - density.quantile(p)
+    p_hat, y_star = golden_section_min(objective, lo, hi, logit=True)
     return max(y_star, 0.0), p_hat
 
 

@@ -1,8 +1,8 @@
 """Shared numeric building blocks: the bracketed root solver, the batched
-adaptive Gauss-Kronrod quadrature, golden-section, the discrete Legendre
+adaptive Gauss-Kronrod quadrature, the minimiser, the discrete Legendre
 kernel, the central-difference stencil, grids.  Each is the package's one
-kernel of its kind: the root solver and the quadrature take arrays of
-problems and call their map once per step on every unfinished one.
+kernel of its kind: the root solver, the quadrature and the minimiser take
+arrays of problems and call their map once per step on every unfinished one.
 
 These helpers are deliberately dumb about what they optimise; all of the
 domain knowledge (call curves, boundaries, densities) lives in the modules
@@ -13,16 +13,19 @@ grid) and ``probabilities`` (every entry in [0, 1]).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import DomainError, RangeError, ValidationError, ZonoidLabError
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INVPHI2 = 1.0 - _INVPHI              # 1/phi^2
 _PEEL_PASSES = 32                     # vectorised hull passes before the loop
 _ROOT_ITERS = 300                     # Chandrupatla steps before giving up
+_MIN_ITERS = 200                      # minimiser steps before giving up
+_SCAN_N = 129                         # minimiser scan nodes, shared by all elements
+_SCAN_CELLS = 1 << 15                 # minimiser scan-matrix entries per fn call
+_GOLD = (3.0 - 5.0 ** 0.5) / 2.0      # 2 - phi: golden sectioning of the larger interval
 _GK_PANELS = 300                      # panels per integral before giving up
 
 # QUADPACK's 15-point Kronrod rule on [-1, 1] and its embedded 7-point
@@ -202,41 +205,86 @@ def gauss_kronrod(fn: Callable[[np.ndarray], np.ndarray], lo, hi, owner=None, *,
     return out
 
 
-def golden_section_min(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo,
-    hi,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised golden-section minimisation over [lo, hi] per component.
+def golden_section_min(fn: Callable[..., np.ndarray], lo: float, hi: float, *,
+                       args: tuple = (), logit: bool = False):
+    """Minimise fn over [lo, hi] for every element at once; returns (argmin, min).
 
-    `fn` must accept and return arrays of the bracket shape.  Returns
-    (argmin, min_value) after 70 golden steps and one parabolic refinement
-    step on the final bracket, which helps when the bracket is still wide.
+    Elements differ by ``args`` (broadcast); fn takes x or (x, *args), as in
+    ``monotone_root``.  A scan calls fn on _SCAN_N nodes, even or even in
+    logit, x of shape (nodes,) and args as columns (one call per block of
+    rows); every scan-local minimum is then refined from (node - 1, node,
+    node + 1), an end from (end, end, node), by Chandrupatla's quadratic-fit
+    sectioning (Comput. Methods Appl. Mech. Engrg. 152, 1998), all at once.
+    A bracket is done when f1 - 2 f2 + f3 <= ftol = 4 eps (1 + |f2|) or its
+    larger half is within twice the distance over which its parabola rises
+    by ftol.  Raises DomainError when fn is nan, ZonoidLabError after
+    _MIN_ITERS steps.  The name is historical.
     """
-    a = np.array(lo, dtype=np.float64, copy=True, ndmin=1)
-    b = np.array(hi, dtype=np.float64, copy=True, ndmin=1)
-    scalar = np.isscalar(lo) and np.isscalar(hi)
-    c = a + _INVPHI2 * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = np.asarray(fn(c), dtype=np.float64)
-    fd = np.asarray(fn(d), dtype=np.float64)
-    for _ in range(70):
-        left = fc < fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c = a + _INVPHI2 * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc = np.asarray(fn(c), dtype=np.float64)
-        fd = np.asarray(fn(d), dtype=np.float64)
-    x = np.where(fc < fd, c, d)
-    fx = np.minimum(fc, fd)
-    x2, f2 = _parabolic_step(fn, a, x, b, fx)
-    better = f2 < fx
-    x = np.where(better, x2, x)
-    fx = np.minimum(fx, f2)
-    if scalar:
-        return float(x[0]), float(fx[0])
-    return x, fx
+    def call(x, params):
+        out = np.asarray(fn((x, *params)) if params else fn(x), dtype=np.float64)
+        if np.isnan(out).any():
+            raise DomainError("the objective is nan inside the domain")
+        return out
+
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in args))
+    shape, args = (args[0].shape if args else ()), [a.ravel() for a in args]
+    size = args[0].size if args else 1
+    t = np.linspace(*(math.log(v / (1.0 - v)) if logit else v for v in (lo, hi)), _SCAN_N)[1:-1]
+    nodes = np.concatenate(([lo, lo], 1.0 / (1.0 + np.exp(-t)) if logit else t, [hi, hi]))
+    best_x, best_f, brackets = np.empty(size), np.empty(size), []
+    block = _SCAN_CELLS // nodes.size  # rows per scan call: its matrix stays near 0.25 MB
+    for i in range(0, size, block):
+        scan = np.broadcast_to(call(nodes, [a[i:i + block, None] for a in args]),
+                               (min(block, size - i), nodes.size))
+        best = np.argmin(scan, axis=1)
+        best_x[i:i + block], best_f[i:i + block] = nodes[best], scan[np.arange(len(scan)), best]
+        mid, left, right = scan[:, 1:-1], scan[:, :-2], scan[:, 2:]
+        mask = (mid <= left) & (mid <= right) & ((mid < left) | (mid < right))
+        r, j = np.divmod(np.flatnonzero(mask), nodes.size - 2)  # 10x faster than 2-d nonzero
+        brackets.append((r + i, j, scan[r, j], scan[r, j + 1], scan[r, j + 2]))
+    row, j, f1, f2, f3 = (np.concatenate(v) for v in zip(*brackets))
+    x1, x2, x3 = nodes[j], nodes[j + 1], nodes[j + 2]
+    q0 = x3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MIN_ITERS):
+            # the larger interval is (x2, x3); x1 and x3 may lie on either side
+            swap = np.abs(x3 - x2) < np.abs(x2 - x1)
+            x1, x3, f1, f3 = (np.where(swap, u, v)
+                              for u, v in ((x3, x1), (x1, x3), (f3, f1), (f1, f3)))
+            x21, x32 = x2 - x1, x3 - x2
+            u, v = x21 * (f3 - f2), x32 * (f1 - f2)
+            ftol = 4.0 * _EPS * (1.0 + np.abs(f2))
+            # the distance over which the parabola through the points rises by
+            # ftol, at least 4 eps of the larger of |x2| and the domain's ends
+            xtol = np.fmax(np.sqrt(ftol * x21 * x32 * (x21 + x32) / (u + v)),
+                           4.0 * _EPS * np.maximum(np.abs(x2), max(abs(lo), abs(hi))))
+            # within 2 xtol, a step of xtol from x2 could land on x3 (the paper's rule)
+            done = (f1 - 2.0 * f2 + f3 <= ftol) | (np.abs(x32) <= 2.0 * xtol)
+            r, xd, fd = row[done], x2[done], f2[done]
+            np.minimum.at(best_f, r, fd)  # each row keeps its best
+            best_x[r[fd == best_f[r]]] = xd[fd == best_f[r]]
+            if done.all():
+                break
+            if done.any():
+                row, x1, x2, x3, f1, f2, f3, q0, u, v, x21, x32, xtol = (
+                    w[~done] for w in (row, x1, x2, x3, f1, f2, f3, q0, u, v, x21, x32, xtol))
+            q1 = 0.5 * (u / (u + v) * (x1 - x3) + x2 + x3)  # vertex of the parabola
+            fit = np.abs(q1 - q0) < 0.5 * np.abs(x21)
+            q1 = np.where(fit & (np.abs(q1 - x2) <= xtol), x2 + np.sign(x32) * xtol, q1)
+            x = np.where(fit, q1, x2 + _GOLD * x32)
+            q0, f = q1, call(x, [a[row] for a in args])
+            # a higher point or (if lower) the old middle replaces x1 or x3
+            up = f > f2
+            xe, fe = np.where(up, x, x2), np.where(up, f, f2)
+            on1 = up != (np.sign(x - x2) == np.sign(x32))
+            x1, f1, x3, f3 = (np.where(on1, xe, x1), np.where(on1, fe, f1),
+                              np.where(on1, x3, xe), np.where(on1, f3, fe))
+            x2, f2 = np.where(up, x2, x), np.where(up, f2, f)
+        else:
+            raise ZonoidLabError(f"minimiser did not converge in {_MIN_ITERS} steps")
+    if not shape:
+        return float(best_x[0]), float(best_f[0])
+    return best_x.reshape(shape), best_f.reshape(shape)
 
 
 def _turns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -305,19 +353,6 @@ def legendre_min(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> Tuple[np.ndarra
     best = np.argmin(vals, axis=0)
     cols = np.arange(p.size)
     return vals[best, cols], hull[cand[best, cols]]
-
-
-def _parabolic_step(fn, a, m, b, fm):
-    """One parabolic interpolation through (a, m, b); clipped to the bracket."""
-    fa = np.asarray(fn(a), dtype=np.float64)
-    fb = np.asarray(fn(b), dtype=np.float64)
-    num = (m - a) ** 2 * (fm - fb) - (m - b) ** 2 * (fm - fa)
-    den = (m - a) * (fm - fb) - (m - b) * (fm - fa)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(np.abs(den) > 0.0, num / (2.0 * den), 0.0)
-    x = np.clip(m - step, np.minimum(a, b), np.maximum(a, b))
-    x = np.where(np.isfinite(x), x, m)
-    return x, np.asarray(fn(x), dtype=np.float64)
 
 
 def second_differences(values: np.ndarray) -> np.ndarray:

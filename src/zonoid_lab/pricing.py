@@ -223,11 +223,12 @@ def _family_curve(kind: str, model: DensityModel, s: float, y: float):
     """The family's call curve on the strike image of the density's quantile
     bounds; (log f)' and the ratio decrease, so the right tail gives k_lo.
     At y = 0 it is the point mass at s, (s - K)^+, with boundary s p.
-    Its ``conjugate`` is the exact boundary (log-concave models only)."""
+    Its ``conjugate`` is the exact boundary (log-concave models only, or y = 0)."""
     from .zonoid import CallCurve
 
     def conjugate(p):
-        require_log_concave(model, f"the {kind} family boundary")
+        if y != 0.0:
+            require_log_concave(model, f"the {kind} family boundary")
         return family_boundary(kind, model, s, y, p)
 
     if kind == "linear":

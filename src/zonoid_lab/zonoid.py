@@ -20,7 +20,7 @@ two directions.  On grids both run the discrete Legendre transform
 nodes that are not convex add a few vectorised hull passes, and the
 monotone-chain loop only when those do not settle the hull.  A family curve
 from ``pricing`` carries its exact boundary, s p + y G(p) or s H_y(p), as
-``conjugate``: one G or H evaluation per p in place of golden section.
+``conjugate``: one G or H evaluation per p in place of the minimiser.
 ``boundary_from_quantile_integral`` is an independent route
 through the integral of the upper quantile function, and
 ``discrete_upper_boundary`` solves the finite-atom problem exactly by the
@@ -334,8 +334,8 @@ def upper_boundary_from_calls(curve: CallCurve, pgrid=None, *,
     ``route`` names the method: "exact" for a family curve, which evaluates
     its ``conjugate`` (one G or H evaluation per p); "grid" for a grid-backed
     curve, minimised over its nodes by the linear-time discrete Legendre
-    transform; "golden" for any other closed-form curve, about 70 rounds of
-    vectorised golden section over its strike domain and a parabolic step.
+    transform; "golden" for any other closed-form curve, the minimiser route
+    (``numerics.golden_section_min`` over the strike domain).
     """
     pgrid = _probability_grid(np.linspace(0.0, 1.0, _DEFAULT_GRID_N)
                               if pgrid is None else pgrid, "pgrid")
@@ -348,12 +348,8 @@ def upper_boundary_from_calls(curve: CallCurve, pgrid=None, *,
         vals, _ = legendre_min(curve.strikes, curve.values, pgrid)
     else:
         route = "golden"
-        objective = lambda k: curve(k) + pgrid * k
-        lo, hi = (np.full(pgrid.size, k) for k in (curve.k_lo, curve.k_hi))
-        _, vals = golden_section_min(objective, lo, hi)
-        # the domain endpoints are candidates too (minimiser may sit there)
-        vals = np.minimum(vals, curve(curve.k_lo) + pgrid * curve.k_lo)
-        vals = np.minimum(vals, curve(curve.k_hi) + pgrid * curve.k_hi)
+        _, vals = golden_section_min(lambda kp: curve(kp[0]) + kp[1] * kp[0],
+                                     curve.k_lo, curve.k_hi, args=(pgrid,))
     vals = np.where(pgrid == 0.0, 0.0, vals)
     vals = np.where(pgrid == 1.0, curve.mean, vals)
     return ZonoidBoundary.from_grid(pgrid, vals, mean=curve.mean,
@@ -377,7 +373,7 @@ def calls_from_upper_boundary(boundary: ZonoidBoundary, kgrid=None, *,
                               validate: bool = True) -> CallCurve:
     """Conjugate transform C(K) = max_{0<=p<=1} [boundary(p) - p K] on a
     strike grid; the p in {0, 1} endpoint candidates (0 and mean - K) are
-    always included."""
+    always included; a closed-form boundary goes to the minimiser."""
     if validate:
         boundary.validate()
     if kgrid is None:
@@ -387,10 +383,8 @@ def calls_from_upper_boundary(boundary: ZonoidBoundary, kgrid=None, *,
     if boundary.is_grid:
         neg, _ = legendre_min(boundary.probs, -boundary.values, kgrid)
     else:
-        objective = lambda p: -(boundary(p) - kgrid * p)
-        lo = np.full(kgrid.size, _P_EPS)
-        hi = np.full(kgrid.size, 1.0 - _P_EPS)
-        _, neg = golden_section_min(objective, lo, hi)
+        _, neg = golden_section_min(lambda pk: pk[1] * pk[0] - boundary(pk[0]),
+                                    _P_EPS, 1.0 - _P_EPS, args=(kgrid,), logit=True)
     vals = np.maximum(0.0 - neg, 0.0)   # 0.0 - x keeps an exact zero at +0.0
     vals = np.maximum(vals, m - kgrid)
     positive = bool(kgrid[0] >= 0.0 and m > 0.0
@@ -462,20 +456,14 @@ def inverse_boundary_positive(curve: CallCurve, q: float) -> float:
     scale = _value_scale(m)
     if abs(float(curve(0.0)) - m) > 1e-6 * scale:
         raise ValidationError("curve is not consistent with a positive variable: C(0) != mean")
-    k_hi = curve.k_hi
-    k_lo = max(curve.k_lo, 1e-12 * scale)
+    k_lo, k_hi = max(curve.k_lo, 1e-12 * scale), curve.k_hi
     if curve.is_grid:
         nodes = curve.strikes[curve.strikes > 0.0]
         ratios = (q - curve(nodes)) / nodes
         return float(np.clip(np.max(ratios), 0.0, 1.0))
     # maximise (q - C(K))/K; unimodal in K for convex C, searched in log-K
     neg = lambda u: -(q - curve(np.exp(u))) / np.exp(u)
-    us = np.linspace(math.log(k_lo), math.log(k_hi), 257)
-    vals = neg(us)
-    i = int(np.argmin(vals))
-    lo_u = us[max(i - 1, 0)]
-    hi_u = us[min(i + 1, us.size - 1)]
-    _, best = golden_section_min(neg, float(lo_u), float(hi_u))
+    _, best = golden_section_min(neg, math.log(k_lo), math.log(k_hi))
     return float(np.clip(-best, 0.0, 1.0))
 
 

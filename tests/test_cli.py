@@ -450,10 +450,13 @@ def test_negative_maturity_is_a_validation_error(capsys, argv):
 
 
 @pytest.mark.parametrize("route", [("--family", "linear"), ("--family", "geometric"),
-                                   ("--model", "black_scholes"), ("--model", "bachelier")])
+                                   ("--model", "black_scholes"), ("--model", "bachelier"),
+                                   ("--family", "linear", "--density", "cauchy"),
+                                   ("--family", "geometric", "--density", "cauchy")])
 def test_boundary_at_zero_maturity_is_the_point_mass(capsys, route):
     # the family curve at y = 0 is (s - K)^+, whose boundary is s p; both
-    # used to exit 2 ("call curve domain must be a finite interval")
+    # used to exit 2 ("call curve domain must be a finite interval"), and
+    # with a density that is not log-concave ("needs a log-concave model")
     assert run_cli("boundary", *route, "--t", "0", "--s0", "1.5", "--p-grid", "0:1:11") == 0
     header, data = read_csv_text(capsys.readouterr().out)
     assert header == ("p", "Chat")

@@ -180,38 +180,47 @@ def test_only_numerics_writes_the_grid_and_probability_rules():
 
 
 # ---------------------------------------------------------------------------
-# One quadrature kernel: numerics.gauss_kronrod, no scipy.integrate in src/
+# One quadrature kernel and one minimiser, numerics.gauss_kronrod and
+# numerics.golden_section_min: no scipy.integrate or scipy.optimize in src/
 # ---------------------------------------------------------------------------
 
-def _integrate_imports(source: str):
-    """Line numbers of the imports of scipy.integrate in a module's source."""
+_KERNEL_MODULES = ("integrate", "optimize")
+
+
+def _scipy_imports(source: str):
+    """Line numbers of the imports of scipy.integrate or scipy.optimize, or
+    of a submodule of either, in a module's source."""
+    def banned(name):
+        return any(name == f"scipy.{m}" or name.startswith(f"scipy.{m}.") for m in _KERNEL_MODULES)
+
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            if any(a.name == "scipy.integrate" or a.name.startswith("scipy.integrate.")
-                   for a in node.names):
+            if any(banned(a.name) for a in node.names):
                 lines.add(node.lineno)
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module == "scipy.integrate" or node.module.startswith("scipy.integrate."):
-                lines.add(node.lineno)
-            elif node.module == "scipy" and any(a.name == "integrate" for a in node.names):
+            if banned(node.module) or (node.module == "scipy" and
+                                       any(a.name in _KERNEL_MODULES for a in node.names)):
                 lines.add(node.lineno)
     return sorted(lines)
 
 
-def test_integrate_guard_sees_every_import_form():
-    assert _integrate_imports("import scipy.integrate") == [1]
-    assert _integrate_imports("import scipy.integrate as si") == [1]
-    assert _integrate_imports("from scipy import integrate") == [1]
-    assert _integrate_imports("from scipy import special, integrate") == [1]
-    assert _integrate_imports("from scipy.integrate import quad") == [1]
-    assert _integrate_imports("def f():\n    from scipy import integrate\n") == [2]
-    assert _integrate_imports("from scipy import special\nimport numpy as np") == []
-    assert _integrate_imports("x = 'scipy.integrate'  # integrate the pieces") == []
+def test_scipy_guard_sees_every_import_form():
+    for m in _KERNEL_MODULES:
+        assert _scipy_imports(f"import scipy.{m}") == [1]
+        assert _scipy_imports(f"import scipy.{m} as si") == [1]
+        assert _scipy_imports(f"from scipy import {m}") == [1]
+        assert _scipy_imports(f"from scipy import special, {m}") == [1]
+        assert _scipy_imports(f"from scipy.{m} import quad") == [1]
+        assert _scipy_imports(f"from scipy.{m}.elementwise import find_minimum") == [1]
+        assert _scipy_imports(f"def f():\n    from scipy import {m}\n") == [2]
+        assert _scipy_imports(f"x = 'scipy.{m}'  # {m} the pieces") == []
+    assert _scipy_imports("from scipy import special\nimport numpy as np") == []
+    assert _scipy_imports("import scipy.optimizer\nfrom scipy import stats") == []
 
 
-def test_no_module_imports_scipy_integrate():
+def test_no_module_imports_scipy_integrate_or_optimize():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 5
-    breaches = {path.name: _integrate_imports(path.read_text()) for path in modules}
+    breaches = {path.name: _scipy_imports(path.read_text()) for path in modules}
     assert {name: lines for name, lines in breaches.items() if lines} == {}

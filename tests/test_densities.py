@@ -7,6 +7,7 @@ central finite differences for derivative cross-checks.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +63,18 @@ def test_frozen_logistic_values():
     assert LOGISTIC.cdf(0.0) == 0.5
     assert LOGISTIC.cdf(1.0) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-15)
     assert LOGISTIC.pdf(0.0) == pytest.approx(0.25, abs=1e-15)
+
+
+@pytest.mark.parametrize("model", [LOGISTIC, DensityModel.logistic(location=1.2, scale=0.4)],
+                         ids=["standard", "shifted"])
+def test_logistic_log_curvature_in_both_tails(model):
+    # (log f)'' = -1 / (2 scale^2 cosh^2(z / 2)); -2 p (1 - p) had lost the
+    # right tail (1 - p rounds: 0 at z = 40)
+    mpmath.mp.dps = 40
+    for z in (-40.0, -30.0, 30.0, 40.0):
+        want = -1.0 / (2 * mpmath.mpf(model.scale) ** 2 * mpmath.cosh(mpmath.mpf(z) / 2) ** 2)
+        got = model.log_curvature(model.location + model.scale * z)
+        assert abs(got / float(want) - 1.0) <= 1e-13
 
 
 def test_frozen_cauchy_values():
