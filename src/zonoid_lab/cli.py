@@ -1,15 +1,16 @@
 """Batch command-line front door.
 
 Every subcommand is a thin adapter over the library: it parses flags, calls
-the same functions a Python caller would, and writes CSV or JSON artifacts.
-Exit codes: 0 success, 1 usage error (bad flags), 2 validation failure
-(domain errors, failed certificates, failed checks).
+the same functions a Python caller would, and writes its CSV or JSON artifact
+through a ``curve_io`` writer on ``_sink(--out)``: the same bytes to stdout
+(``-``) as to a path.  Exit codes: 0 success, 1 usage error (bad flags, a
+path that cannot be opened), 2 validation failure (domain errors, failed
+certificates, failed checks).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -80,18 +81,6 @@ def _floats_type(text: str) -> np.ndarray:
 def _sink(path: str):
     """stdout for "-", else the path; the curve_io writers take either."""
     return sys.stdout if path == "-" else path
-
-
-def _emit_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-
-
-def _emit_json(path: str, payload: dict) -> None:
-    _emit_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_curve(path: str, obj, fmt: str) -> None:
@@ -225,16 +214,13 @@ def _cmd_surface(args, parser) -> int:
         if args.k_grid is None:
             parser.error("--k-grid is required for --space call")
         grid = call_surface(spec, args.t_grid, args.k_grid)
-    if args.out == "-":
-        sys.stdout.write(curve_io.surface_to_string(grid))
-    else:
-        curve_io.write_surface_csv(args.out, grid)
+    curve_io.write_surface_csv(_sink(args.out), grid)
     return 0
 
 
 def _cmd_certify(args, parser) -> int:
     cert = certify_peacock(_spec(args), args.t_grid, args.p_grid)
-    _emit_json(args.out, cert.to_dict())
+    curve_io.write_json(_sink(args.out), cert)
     return 0 if cert.ok else 2
 
 
@@ -244,9 +230,8 @@ def _cmd_implied(args, parser) -> int:
         y_star, p_hat = implied_y_root(query), None
     else:
         y_star, p_hat = implied_y_minimization(query)
-        if p_hat is not None and math.isnan(p_hat):
-            p_hat = None
-    _emit_json(args.out, {"y_star": y_star, "p_hat": p_hat, "method": args.method})
+    curve_io.write_json(_sink(args.out),
+                        {"y_star": y_star, "p_hat": p_hat, "method": args.method})
     return 0
 
 
@@ -287,9 +272,7 @@ def _cmd_localvol(args, parser) -> int:
                 surf = boundary_surface(spec, tgrid, pgrid)
                 res = dupire_from_boundary(surf, t, p)
                 rows.append((t, res.strike, res.sigma_sq, res.method))
-    fmt = curve_io.format_float
-    _emit_text(args.out, "t,K,sigma_sq,method\n" + "".join(
-        f"{fmt(t)},{fmt(k)},{fmt(sig)},{method}\n" for t, k, sig, method in rows))
+    curve_io.write_table(_sink(args.out), ("t", "K", "sigma_sq", "method"), *zip(*rows))
     return 0
 
 
@@ -298,16 +281,13 @@ def _cmd_simulate(args, parser) -> int:
                        antithetic=args.antithetic)
     if args.report:
         report = mc_check_propositions(config, pgrid=args.p_grid)
-        _emit_json(args.out, report.to_dict())
+        curve_io.write_json(_sink(args.out), report)
         return 0 if report.ok else 2
     if args.k_grid is None:
         parser.error("--k-grid is required unless --report is given")
     sample = simulate_terminal(config)
-    values, errors = [], []
-    for k in args.k_grid:
-        value, se, _ = _estimate(np.maximum(sample - k, 0.0), config.antithetic)
-        values.append(value)
-        errors.append(se)
+    values, errors, _ = zip(*[_estimate(np.maximum(sample - k, 0.0), config.antithetic)
+                              for k in args.k_grid])
     curve_io.write_table(_sink(args.out), ("K", "mc_value", "std_error"),
                          args.k_grid, values, errors)
     return 0
@@ -334,10 +314,7 @@ def _cmd_recover(args, parser) -> int:
 
 def _cmd_density_check(args, parser) -> int:
     report = check_log_concavity(args.density)
-    payload = {"is_concave": report.is_concave,
-               "witness": list(report.witness) if report.witness else None,
-               "max_violation": report.max_violation}
-    _emit_json(args.out, payload)
+    curve_io.write_json(_sink(args.out), report)
     return 0 if report.is_concave else 2
 
 
@@ -472,6 +449,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except OSError as exc:  # a path that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

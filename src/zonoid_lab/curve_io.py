@@ -1,17 +1,17 @@
-"""CSV and JSON serialization for curves, boundaries, and surfaces.
+"""The package's one output path: CSV and JSON for curves, boundaries,
+surfaces and reports, each writer taking a path or an open file.
 
 CSV numbers are written with 17 significant digits so doubles round-trip
 bit-exactly.  Call curves use the header ``K,C``; boundaries ``p,Chat``.
 Surfaces are matrices whose first row is the second-axis values and first
-column the times (top-left cell empty); their descriptive metadata travels
-in a ``<name>.meta.json`` sidecar.
+column the times (top-left cell empty); written to a path, their metadata
+travels in a ``<name>.meta.json`` sidecar.  JSON follows ``numerics.jsonable``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import os
 from typing import Optional, Sequence, TextIO, Tuple, Union
@@ -19,6 +19,7 @@ from typing import Optional, Sequence, TextIO, Tuple, Union
 import numpy as np
 
 from .errors import UnsupportedError, ValidationError
+from .numerics import jsonable
 from .peacocks import SurfaceGrid
 from .zonoid import CallCurve, ZonoidBoundary
 
@@ -41,17 +42,26 @@ def _opened(path_or_file: Union[str, TextIO], mode: str):
 
 
 def write_table(path_or_file, header: Sequence[str], *columns) -> None:
-    """Write aligned columns as CSV with a header row."""
-    cols = [np.asarray(c, dtype=np.float64) for c in columns]
+    """Write aligned columns as CSV with a header row: float columns at 17
+    significant digits, string columns as they are."""
+    cols = [np.asarray(c) for c in columns]
     if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
         raise ValidationError("columns must be 1-d and equally long")
     if len(cols) != len(header):
         raise ValidationError("header width must match the column count")
+    cells = [c.tolist() if c.dtype.kind == "U" else [format_float(v) for v in c]
+             for c in cols]
     with _opened(path_or_file, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
-        for row in zip(*cols):
-            writer.writerow([format_float(v) for v in row])
+        writer.writerows(zip(*cells))
+
+
+def write_json(path_or_file, obj) -> None:
+    """A report, envelope or dict as indented JSON, by ``numerics.jsonable``."""
+    with _opened(path_or_file, "w") as fh:
+        json.dump(jsonable(obj), fh, indent=2)
+        fh.write("\n")
 
 
 def read_table(path_or_file) -> Tuple[Tuple[str, ...], np.ndarray]:
@@ -69,21 +79,25 @@ def read_table(path_or_file) -> Tuple[Tuple[str, ...], np.ndarray]:
 # Curve envelopes
 # ---------------------------------------------------------------------------
 
+def _grid_form(obj) -> Tuple[str, str, Tuple[str, str]]:
+    """(envelope kind, abscissa attribute, CSV header) of a grid curve."""
+    if isinstance(obj, CallCurve):
+        form = ("call-curve", "strikes", CALL_HEADER)
+    elif isinstance(obj, ZonoidBoundary):
+        form = ("zonoid-boundary", "probs", BOUNDARY_HEADER)
+    else:
+        raise UnsupportedError(f"cannot serialize {type(obj).__name__}")
+    if not obj.is_grid:
+        raise UnsupportedError(f"only a grid-backed {form[0]} serializes")
+    return form
+
+
 def curve_to_envelope(obj: Union[CallCurve, ZonoidBoundary]) -> dict:
     """JSON-ready dict for a grid-backed curve or boundary."""
-    if isinstance(obj, CallCurve):
-        if not obj.is_grid:
-            raise UnsupportedError("only grid-backed call curves serialize")
-        return {"kind": "call-curve", "mean": obj.mean, "positive": obj.positive,
-                "strikes": obj.strikes.tolist(), "values": obj.values.tolist(),
-                "provenance": dict(obj.provenance)}
-    if isinstance(obj, ZonoidBoundary):
-        if not obj.is_grid:
-            raise UnsupportedError("only grid-backed boundaries serialize")
-        return {"kind": "zonoid-boundary", "mean": obj.mean,
-                "probs": obj.probs.tolist(), "values": obj.values.tolist(),
-                "provenance": dict(obj.provenance)}
-    raise UnsupportedError(f"cannot serialize {type(obj).__name__}")
+    kind, axis, _ = _grid_form(obj)
+    positive = {"positive": obj.positive} if kind == "call-curve" else {}
+    return {"kind": kind, "mean": obj.mean, **positive, axis: getattr(obj, axis).tolist(),
+            "values": obj.values.tolist(), "provenance": dict(obj.provenance)}
 
 
 def envelope_to_curve(env: dict) -> Union[CallCurve, ZonoidBoundary]:
@@ -101,9 +115,7 @@ def envelope_to_curve(env: dict) -> Union[CallCurve, ZonoidBoundary]:
 
 
 def write_curve_json(path_or_file, obj) -> None:
-    with _opened(path_or_file, "w") as fh:
-        json.dump(curve_to_envelope(obj), fh, indent=2)
-        fh.write("\n")
+    write_json(path_or_file, curve_to_envelope(obj))
 
 
 def read_curve_json(path_or_file):
@@ -113,16 +125,8 @@ def read_curve_json(path_or_file):
 
 def write_curve_csv(path_or_file, obj) -> None:
     """Grid-backed curve/boundary as two-column CSV with its standard header."""
-    if isinstance(obj, CallCurve):
-        if not obj.is_grid:
-            raise UnsupportedError("only grid-backed call curves serialize")
-        write_table(path_or_file, CALL_HEADER, obj.strikes, obj.values)
-    elif isinstance(obj, ZonoidBoundary):
-        if not obj.is_grid:
-            raise UnsupportedError("only grid-backed boundaries serialize")
-        write_table(path_or_file, BOUNDARY_HEADER, obj.probs, obj.values)
-    else:
-        raise UnsupportedError(f"cannot serialize {type(obj).__name__}")
+    _, axis, header = _grid_form(obj)
+    write_table(path_or_file, header, getattr(obj, axis), obj.values)
 
 
 def read_curve_csv(path_or_file, mean: Optional[float] = None,
@@ -141,49 +145,30 @@ def read_curve_csv(path_or_file, mean: Optional[float] = None,
 # Surfaces
 # ---------------------------------------------------------------------------
 
-def _write_surface_rows(fh, surface: SurfaceGrid) -> None:
-    """Matrix CSV rows: first row = axis, first column = times."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow([""] + [format_float(v) for v in surface.axis])
-    for t, row in zip(surface.times, surface.values):
-        writer.writerow([format_float(t)] + [format_float(v) for v in row])
-
-
-def write_surface_csv(path: str, surface: SurfaceGrid) -> None:
-    """Matrix CSV plus a ``<path>.meta.json`` sidecar carrying axis_kind and
-    the generating parameters."""
-    with open(path, "w", newline="") as fh:
-        _write_surface_rows(fh, surface)
-    meta = {"axis_kind": surface.axis_kind}
-    meta.update(surface.meta)
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+def write_surface_csv(path_or_file, surface: SurfaceGrid) -> None:
+    """Matrix CSV (first row the axis, first column the times); written to a
+    path, also a ``<path>.meta.json`` sidecar carrying axis_kind and the
+    generating parameters."""
+    write_table(path_or_file, [""] + [format_float(v) for v in surface.axis],
+                surface.times, *surface.values.T)
+    if isinstance(path_or_file, str):
+        write_json(path_or_file + ".meta.json",
+                   {"axis_kind": surface.axis_kind, **surface.meta})
 
 
 def read_surface_csv(path: str, axis_kind: Optional[str] = None) -> SurfaceGrid:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2 or len(rows[0]) < 2 or rows[0][0] != "":
+    header, cols = read_table(path)
+    if len(header) < 2 or header[0] != "":
         raise ValidationError("surface CSV must start with an empty-corner axis row")
-    axis = np.array([float(v) for v in rows[0][1:]])
-    times = np.array([float(r[0]) for r in rows[1:]])
-    values = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     meta = {}
     sidecar = path + ".meta.json"
     if os.path.exists(sidecar):
         with open(sidecar) as fh:
             meta = json.load(fh)
-    kind = axis_kind or meta.pop("axis_kind", None)
+    kind = axis_kind or meta.get("axis_kind")
+    meta.pop("axis_kind", None)
     if kind is None:
         raise ValidationError("axis_kind needed: pass it or provide the meta sidecar")
-    else:
-        meta.pop("axis_kind", None)
-    return SurfaceGrid(times, axis, values, kind, meta=meta)
+    axis = np.array([float(v) for v in header[1:]])
+    return SurfaceGrid(cols[0], axis, cols[1:].T, kind, meta=meta)
 
-
-def surface_to_string(surface: SurfaceGrid) -> str:
-    """Matrix CSV as a string (for stdout use)."""
-    buf = io.StringIO()
-    _write_surface_rows(buf, surface)
-    return buf.getvalue()

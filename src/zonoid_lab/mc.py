@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -29,7 +29,7 @@ from scipy import special
 
 from .densities import DensityModel
 from .errors import DomainError, ValidationError
-from .numerics import as_float_array, legendre_min
+from .numerics import as_float_array, jsonable, legendre_min
 from .peacocks import PeacockSpec, TimeChange, surface_boundary
 from .pricing import MODEL_FAMILIES
 from .zonoid import CallCurve, project_convex_decreasing
@@ -227,19 +227,9 @@ class McPropositionReport:
     max_dev_se_units: float
     projection_distance: float
     ok: bool
-    meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model, "t": self.t, "n_paths": self.n_paths,
-            "probs": self.probs.tolist(),
-            "mc_boundary": self.mc_boundary.tolist(),
-            "exact_boundary": self.exact_boundary.tolist(),
-            "std_errors": self.std_errors.tolist(),
-            "max_dev_se_units": self.max_dev_se_units,
-            "projection_distance": self.projection_distance,
-            "ok": self.ok,
-        }
+        return jsonable(self)
 
 
 def exact_boundary(model: str, t: float, p):

@@ -8,11 +8,13 @@ These helpers are deliberately dumb about what they optimise; all of the
 domain knowledge (call curves, boundaries, densities) lives in the modules
 that call them.  The two input rules every module shares are written here
 and nowhere else: ``increasing_grid`` (a finite, 1-d, strictly increasing
-grid) and ``probabilities`` (every entry in [0, 1]).
+grid) and ``probabilities`` (every entry in [0, 1]); so are the two output
+conventions, ``like_input`` (scalar or array) and ``jsonable`` (JSON).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Tuple
 
@@ -79,6 +81,21 @@ def like_input(out, x):
     if np.ndim(x) == 0:
         return np.asarray(out).item()
     return out
+
+
+def jsonable(obj):
+    """The package's JSON rule, applied recursively: a dataclass becomes a
+    dict of its fields in declaration order, arrays and tuples become lists,
+    numpy scalars Python scalars, and nan None (JSON null)."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(value) for value in obj]
+    return None if isinstance(obj, float) and math.isnan(obj) else obj
 
 
 def monotone_root(fn: Callable[..., np.ndarray], target, lo, hi, *,

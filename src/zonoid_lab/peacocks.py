@@ -28,8 +28,9 @@ import numpy as np
 
 from .densities import ConcavityReport, DensityModel
 from .errors import DomainError, UnsupportedError, ValidationError
-from .numerics import (as_float_array, gauss_kronrod, increasing_grid, legendre_min,
-                       like_input, probabilities, require_uniform, second_differences)
+from .numerics import (as_float_array, gauss_kronrod, increasing_grid, jsonable,
+                       legendre_min, like_input, probabilities, require_uniform,
+                       second_differences)
 
 _FAMILIES = ("linear", "geometric")
 _AXIS_KINDS = ("call-space", "zonoid-space")
@@ -255,12 +256,6 @@ class KellererReport:
     witness: Optional[Tuple[float, float, float]] = None  # (K, t_lo, t_hi)
     skipped: bool = False
 
-    def to_dict(self) -> dict:
-        violation = self.max_violation
-        return {"ok": self.ok,
-                "max_violation": None if math.isnan(violation) else violation,
-                "witness": self.witness, "skipped": self.skipped}
-
 
 @dataclass(frozen=True)
 class PeacockCertificate:
@@ -273,15 +268,7 @@ class PeacockCertificate:
     mean_max_dev: float
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "concavity": {"is_concave": self.concavity.is_concave,
-                          "witness": self.concavity.witness,
-                          "max_violation": self.concavity.max_violation},
-            "kellerer": self.kellerer.to_dict(),
-            "mean_ok": self.mean_ok,
-            "mean_max_dev": self.mean_max_dev,
-        }
+        return jsonable(self)
 
 
 def certify_peacock(spec: PeacockSpec, tgrid, pgrid=None,
@@ -296,14 +283,15 @@ def certify_peacock(spec: PeacockSpec, tgrid, pgrid=None,
         faithful representation of it), and
     (c) the mean boundary(t, 1) is exactly constant equal to s.
 
-    pgrid must be uniform and span [0, 1]; defaults to 2001 points.
+    pgrid must be uniform, span [0, 1] and have at least 3 points (one
+    second difference); defaults to 2001 points.
     """
     tgrid = increasing_grid(tgrid, "tgrid")
     if np.any(tgrid < 0.0):
         raise DomainError("times must be non-negative")
     if pgrid is None:
         pgrid = np.linspace(0.0, 1.0, 2001)
-    pgrid = as_float_array(pgrid, "pgrid")
+    pgrid = increasing_grid(pgrid, "pgrid", min_size=3)
     require_uniform(pgrid, "pgrid")
     if pgrid[0] != 0.0 or pgrid[-1] != 1.0:
         raise ValidationError("pgrid must span [0, 1] exactly")

@@ -64,6 +64,69 @@ def test_validation_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_two_point_certificate_grid_is_one_error_line(capsys):
+    assert run_cli("certify", "--family", "linear", "--p-grid", "0:1:2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: pgrid ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("calls", "--boundary", "{tmp}/missing.csv", "--k-grid", "0:1:3"),
+    ("price", "--model", "bachelier", "--k", "1", "--out", "{tmp}/no-dir/x.csv"),
+], ids=["read", "write"])
+def test_path_that_cannot_be_opened_exits_1(tmp_path, capsys, argv):
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# One output path: stdout and a file get the same bytes
+# ---------------------------------------------------------------------------
+
+def _no_constant(token):
+    raise AssertionError(f"non-finite JSON token {token}")
+
+
+@pytest.mark.parametrize("fmt,argv", [
+    ("csv", ("price", "--model", "black_scholes", "--k-grid", "0.5:2:7")),
+    ("json", ("boundary", "--atoms", "0,1", "--weights", "0.5,0.5", "--p-grid", "0:1:11",
+              "--format", "json")),
+    ("csv", ("calls", "--boundary", "{boundary}", "--mean", "0", "--k-grid=-3:3:31")),
+    ("csv", ("surface", "--family", "linear", "--s", "0", "--t-grid", "1:2:2",
+             "--p-grid", "0:1:5")),
+    ("json", ("certify", "--family", "linear", "--density", "cauchy",
+              "--t-grid", "0.25:4:4", "--p-grid", "0:1:101")),
+    ("json", ("implied", "--density", "gaussian", "--c", "0", "--k", "1", "--method", "min")),
+    ("csv", ("localvol", "--from", "closed", "--family", "linear", "--s0", "0",
+             "--sigma", "0.5", "--t", "1", "--k", "0", "--k", "0.5")),
+    ("json", ("simulate", "--model", "bachelier", "--n", "2000", "--seed", "7", "--report",
+              "--p-grid", "0.1:0.9:9")),
+    ("csv", ("recover", "--mode", "h", "--density", "logistic", "--x", "0.5", "--x", "1")),
+    ("json", ("density-check", "--density", "cauchy")),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_both_sinks_write_the_same_bytes(tmp_path, capsysbinary, fmt, argv):
+    boundary = tmp_path / "boundary.csv"
+    assert run_cli("boundary", "--model", "bachelier", "--s0", "0",
+                   "--p-grid", "0:1:51", "--out", str(boundary)) == 0
+    argv = [a.format(boundary=boundary) for a in argv]
+    code = run_cli(*argv, "--out", "-")
+    stdout = capsysbinary.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["boundary.csv"]
+    out = tmp_path / "out.dat"
+    assert run_cli(*argv, "--out", str(out)) == code
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == stdout and stdout
+    if fmt == "json":
+        json.loads(stdout, parse_constant=_no_constant)
+    sidecar = tmp_path / "out.dat.meta.json"
+    assert sidecar.exists() == (argv[0] == "surface")
+    if sidecar.exists():
+        json.loads(sidecar.read_bytes(), parse_constant=_no_constant)
+
+
 # ---------------------------------------------------------------------------
 # density-check
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 * One scalar/array return convention: ``numerics.like_input`` gives a Python
   scalar for a 0-d input and the array otherwise.
+* One JSON rule, ``numerics.jsonable``, and one output path: only
+  ``curve_io`` writes files, JSON, CSV or stdout.
 * Every public name resolves: everything in ``zonoid_lab.__all__``, every
   function the benchmark's tracer patches by name (``_TARGETS`` in
   ``perfbench/spans.py``), and every ``zonoid_lab`` attribute the benchmark
@@ -10,6 +12,7 @@
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -17,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 import zonoid_lab
-from zonoid_lab.numerics import like_input
+from zonoid_lab.numerics import jsonable, like_input
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 WORKLOADS = SPANS.with_name("workloads.py")
@@ -37,6 +40,32 @@ def test_like_input_array_for_array_input():
     assert like_input(arr, np.array([3.0])) is arr
     arr = np.array([1.0, 2.0])
     assert like_input(arr, [0.0, 1.0]) is arr
+
+
+@dataclasses.dataclass
+class _Inner:
+    witness: tuple
+    value: float
+
+
+@dataclasses.dataclass
+class _Outer:
+    values: np.ndarray
+    inner: _Inner
+    flag: np.bool_
+    count: int = 2
+
+
+def test_jsonable_rule():
+    out = jsonable(_Outer(np.array([1.5, np.nan]), _Inner((1.0, 2.0), np.float64("nan")),
+                          np.bool_(True)))
+    assert out == {"values": [1.5, None], "inner": {"witness": [1.0, 2.0], "value": None},
+                   "flag": True, "count": 2}
+    assert list(out) == ["values", "inner", "flag", "count"]  # declaration order
+    assert type(out["flag"]) is bool and type(out["inner"]["witness"][0]) is float
+    assert jsonable(np.array(2.5)) == 2.5 and type(jsonable(np.array(2.5))) is float
+    assert jsonable({"a": (np.int64(1), "s", None)}) == {"a": [1, "s", None]}
+    assert jsonable(np.zeros((2, 1))) == [[0.0], [0.0]]
 
 
 def test_public_names_resolve():
@@ -224,3 +253,56 @@ def test_no_module_imports_scipy_integrate_or_optimize():
     assert len(modules) > 5
     breaches = {path.name: _scipy_imports(path.read_text()) for path in modules}
     assert {name: lines for name, lines in breaches.items() if lines} == {}
+
+
+# ---------------------------------------------------------------------------
+# One output path: only curve_io writes (json.dump, json.dumps, csv.writer,
+# builtin open, sys.stdout.write); reading (json.loads, csv.reader) is free
+# ---------------------------------------------------------------------------
+
+_WRITERS = {"json.dump", "json.dumps", "csv.writer", "builtins.open", "sys.stdout.write"}
+
+
+def _writer_calls(source: str):
+    """Line numbers of the calls in a module's source that write output,
+    through any import form or alias."""
+    tree = ast.parse(source)
+    names = {"open": "builtins.open"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+    lines = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        chain = (func.id,) if isinstance(func, ast.Name) else _chain(func)
+        if chain and ".".join((names.get(chain[0], chain[0]),) + chain[1:]) in _WRITERS:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_writer_guard_sees_every_form():
+    assert _writer_calls("json.dump(x, fh)") == [1]
+    assert _writer_calls("import json as j\ntext = j.dumps(x)") == [2]
+    assert _writer_calls("from json import dump\ndump(x, fh)") == [2]
+    assert _writer_calls("w = csv.writer(fh)") == [1]
+    assert _writer_calls("from csv import writer as w\nw(fh).writerow(r)") == [2]
+    assert _writer_calls("with open(path, 'w') as fh:\n    pass") == [1]
+    assert _writer_calls("def f(path):\n    return open(path)") == [2]
+    assert _writer_calls("sys.stdout.write(text)") == [1]
+    assert _writer_calls("from sys import stdout\nstdout.write(text)") == [2]
+    assert _writer_calls("spec = json.loads(text)\nrows = csv.reader(fh)") == []
+    assert _writer_calls("os.open(os.devnull, os.O_WRONLY)\nprint(m, file=sys.stderr)") == []
+    assert _writer_calls("sys.stdout.flush()\nfh.write(text)") == []
+
+
+def test_only_curve_io_writes():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    breaches = {path.name: _writer_calls(path.read_text())
+                for path in modules if path.name != "curve_io.py"}
+    assert {name: lines for name, lines in breaches.items() if lines} == {}
+    assert _writer_calls((SRC / "curve_io.py").read_text())  # the guard sees the writers

@@ -122,13 +122,30 @@ def test_surface_without_sidecar_needs_axis_kind(tmp_path):
     assert loaded.axis_kind == "call-space"
 
 
-def test_surface_string_matches_file(tmp_path):
+def test_surface_to_an_open_file_has_no_sidecar(tmp_path):
     grid = SurfaceGrid(np.array([1.0, 2.0]), np.array([0.0, 1.0]),
-                       np.array([[1.0, 2.0], [3.0, 4.0]]), "call-space", {})
-    path = str(tmp_path / "surf.csv")
-    curve_io.write_surface_csv(path, grid)
-    with open(path) as fh:
-        assert fh.read() == curve_io.surface_to_string(grid)
+                       np.array([[1.0, 2.0], [3.0, 4.0]]), "call-space", {"s": 1.0})
+    path = tmp_path / "surf.csv"
+    curve_io.write_surface_csv(str(path), grid)
+    buf = io.StringIO()
+    curve_io.write_surface_csv(buf, grid)
+    assert buf.getvalue() == path.read_text() == ",0,1\n1,1,2\n2,3,4\n"
+    assert json.loads((tmp_path / "surf.csv.meta.json").read_text()) == {
+        "axis_kind": "call-space", "s": 1.0}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["surf.csv", "surf.csv.meta.json"]
+
+
+def test_table_with_a_string_column():
+    buf = io.StringIO()
+    curve_io.write_table(buf, ("t", "method"), [1.0, 0.1 + 0.2], ["closed-form", "fd-calls"])
+    assert buf.getvalue() == "t,method\n1,closed-form\n0.30000000000000004,fd-calls\n"
+
+
+def test_write_json_follows_the_package_rule():
+    buf = io.StringIO()
+    curve_io.write_json(buf, {"x": np.array([1.5, np.nan]), "w": (1.0, 2.0), "n": np.int64(3)})
+    assert buf.getvalue() == json.dumps({"x": [1.5, None], "w": [1.0, 2.0], "n": 3},
+                                        indent=2) + "\n"
 
 
 def test_surface_rejects_malformed(tmp_path):

@@ -266,8 +266,22 @@ def test_certify_grid_validation():
         certify_peacock(spec, TGRID, np.linspace(0.1, 1.0, 10))
     with pytest.raises(ValidationError):
         certify_peacock(spec, TGRID, np.array([0.0, 0.3, 1.0]))
+    with pytest.raises(ValidationError):  # no second difference to test
+        certify_peacock(spec, TGRID, [0.0, 1.0])
     with pytest.raises(DomainError):
         certify_peacock(spec, np.array([-1.0, 1.0]))
+    assert certify_peacock(spec, TGRID, [0.0, 0.5, 1.0]).ok
+
+
+def test_certificate_dict_is_json_ready():
+    spec = PeacockSpec("linear", CAUCHY, 0.0, TimeChange.sqrt())
+    cert = certify_peacock(spec, TGRID, PGRID, n_strikes=401)
+    d = cert.to_dict()
+    assert list(d) == ["ok", "concavity", "kellerer", "mean_ok", "mean_max_dev"]
+    assert d["concavity"] == {"is_concave": False, "witness": list(cert.concavity.witness),
+                              "max_violation": cert.concavity.max_violation}
+    assert d["kellerer"] == {"ok": False, "max_violation": None, "witness": None,
+                             "skipped": True}  # nan -> None
 
 
 # ---------------------------------------------------------------------------

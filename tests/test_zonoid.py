@@ -7,6 +7,7 @@ and uniform two-atom laws) pin exact values.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scipy.stats import norm
 
 from zonoid_lab.densities import DensityModel
 from zonoid_lab.errors import DomainError, UnsupportedError, ValidationError
-from zonoid_lab import pricing, zonoid
+from zonoid_lab import numerics, pricing, zonoid
 from zonoid_lab.numerics import legendre_min, monotone_root
 from zonoid_lab.pricing import (ModelParams, bachelier_curve, black_scholes_curve,
                                 geometric_family_curve, linear_family_curve)
@@ -581,6 +582,26 @@ def test_legendre_min_handles_tiny_inputs():
     assert np.array_equal(vals, [1.0, 2.0, 5.0]) and np.array_equal(idx, [0, 0, 0])
     vals, idx = legendre_min(np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([-1.0, 1.0]))
     assert np.array_equal(vals, [-1.0, 0.0]) and np.array_equal(idx, [1, 0])
+
+
+def test_legendre_min_monotone_chain_fallback(monkeypatch):
+    # a parabola whose last node is pulled far down: each peeling pass drops
+    # one node, so the monotone chain ends the hull after _PEEL_PASSES passes
+    x = np.linspace(0.0, 1.0, 20001)
+    y = (x - 0.5) ** 2
+    y[-1] = -1e6
+    p = np.concatenate([np.linspace(-3.0, 3.0, 101), -(np.diff(y) / np.diff(x))[:50]])
+    chains, lower_hull = [], numerics.lower_hull
+    monkeypatch.setattr(numerics, "lower_hull",
+                        lambda *a: chains.append(a[0].size) or lower_hull(*a))
+    start = time.perf_counter()
+    vals, idx = legendre_min(x, y, p)
+    elapsed = time.perf_counter() - start
+    assert len(chains) == 1
+    assert np.array_equal(vals, legendre_min_oracle(y, x, p))
+    assert np.array_equal(y[idx] + p * x[idx], vals)
+    # about 35 ms on a 2-core machine; peeling to convergence takes seconds
+    assert elapsed < 1.5
 
 
 @settings(max_examples=200, deadline=None)
