@@ -235,44 +235,40 @@ def _cmd_implied(args, parser) -> int:
     return 0
 
 
+def _stencil(flag: str, x: float, h: float, lo: float = -math.inf, hi: float = math.inf):
+    """The stencil x + h (-2, ..., 2) of --flag x; ValidationError unless inside [lo, hi]."""
+    grid = x + h * np.arange(-2.0, 3.0)
+    if grid[0] < lo or grid[-1] > hi:
+        raise ValidationError(f"--{flag} {float(x)!r} needs a margin of 2 steps ({2.0 * h!r}) "
+                              f"inside [{lo!r}, {hi!r}] for the 5-point stencil")
+    return grid
+
+
 def _cmd_localvol(args, parser) -> int:
     density, family, s0 = args.density, args.family, args.s0
     if args.sigma is not None:
         args.y_scale = args.sigma  # --sigma names the sqrt/linear scale
     tc = _time_change(args)
-    rows = []
     if args.source == "closed":
+        closed = localvol_linear_closed if family == "linear" else localvol_geometric_closed
         strikes = _collect_strikes(args, parser)
-        for t in args.t:
-            for k in strikes:
-                if family == "linear":
-                    res = localvol_linear_closed(density, tc, s0, t, k)
-                else:
-                    res = localvol_geometric_closed(density, tc, s0, t, k)
-                rows.append((t, k, res.sigma_sq, res.method))
+        results = [closed(density, tc, s0, t, k) for t in args.t for k in strikes]
     elif args.source == "calls":
         strikes = _collect_strikes(args, parser)
-        spec = PeacockSpec(family, density, s0, tc)
-        for t in args.t:
-            tgrid = t + args.h_t * np.arange(-2.0, 3.0)
-            for k in strikes:
-                h_k = args.h_k * max(1.0, abs(k))
-                kgrid = k + h_k * np.arange(-2.0, 3.0)
-                surf = call_surface(spec, tgrid, kgrid)
-                res = dupire_from_calls(surf, t, k)
-                rows.append((t, k, res.sigma_sq, res.method))
+        spec, k_lo = PeacockSpec(family, density, s0, tc), -math.inf if family == "linear" else 0.0
+        results = [dupire_from_calls(call_surface(
+            spec, _stencil("t", t, args.h_t, 0.0),
+            _stencil("k", k, args.h_k * max(1.0, abs(k)), k_lo)), t, k)
+            for t in args.t for k in strikes]
     else:
         if not args.p:
             parser.error("--from boundary requires --p")
         spec = PeacockSpec(family, density, s0, tc)
-        for t in args.t:
-            tgrid = t + args.h_t * np.arange(-2.0, 3.0)
-            for p in args.p:
-                pgrid = p + args.h_p * np.arange(-2.0, 3.0)
-                surf = boundary_surface(spec, tgrid, pgrid)
-                res = dupire_from_boundary(surf, t, p)
-                rows.append((t, res.strike, res.sigma_sq, res.method))
-    curve_io.write_table(_sink(args.out), ("t", "K", "sigma_sq", "method"), *zip(*rows))
+        results = [dupire_from_boundary(boundary_surface(
+            spec, _stencil("t", t, args.h_t, 0.0), _stencil("p", p, args.h_p, 0.0, 1.0)), t, p)
+            for t in args.t for p in args.p]
+    curve_io.write_table(_sink(args.out), ("t", "K", "sigma_sq", "method"),
+                         *zip(*[(r.t, r.strike, r.sigma_sq, r.method) for r in results]))
     return 0
 
 

@@ -64,14 +64,26 @@ def write_json(path_or_file, obj) -> None:
         fh.write("\n")
 
 
+def _number(cell: str, line: int, col: int) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValidationError(f"line {line}, cell {col}: {cell!r} is not a number") from None
+
+
 def read_table(path_or_file) -> Tuple[Tuple[str, ...], np.ndarray]:
-    """Read a header + float-column CSV; returns (header, columns array)."""
+    """Read a header + float-column CSV; returns (header, columns array).  A
+    ragged row or a cell that is not a number is a ValidationError naming it."""
     with _opened(path_or_file, "r") as fh:
         rows = list(csv.reader(fh))
-    if not rows or len(rows) < 2:
+    if len(rows) < 2:
         raise ValidationError("table must have a header and at least one row")
     header = tuple(rows[0])
-    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
+    for line, row in enumerate(rows[1:], 2):
+        if len(row) != len(header):
+            raise ValidationError(f"line {line} has {len(row)} cells, the header has {len(header)}")
+    data = np.array([[_number(v, line, col) for col, v in enumerate(row, 1)]
+                     for line, row in enumerate(rows[1:], 2)], dtype=np.float64)
     return header, data.T
 
 
@@ -169,6 +181,6 @@ def read_surface_csv(path: str, axis_kind: Optional[str] = None) -> SurfaceGrid:
     meta.pop("axis_kind", None)
     if kind is None:
         raise ValidationError("axis_kind needed: pass it or provide the meta sidecar")
-    axis = np.array([float(v) for v in header[1:]])
+    axis = np.array([_number(v, 1, col) for col, v in enumerate(header[1:], 2)])
     return SurfaceGrid(cols[0], axis, cols[1:].T, kind, meta=meta)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .densities import DensityModel, inverse_ratio
 from .errors import DomainError, RangeError
-from .numerics import gauss_kronrod, golden_section_min, monotone_root
+from .numerics import gauss_kronrod, golden_section_min, monotone_root, stand_in
 from .pricing import check_level, family_call_geometric
 
 _DEGENERATE_TOL = 1e-14
@@ -70,31 +70,32 @@ def normalized_call(density: DensityModel, y: float, k: float) -> float:
 def vega_integral(density: DensityModel, y: float, k: float) -> float:
     """int_0^y f(V_u(K) + u) du, the exercise-boundary density integrated
     along the level; equals c(y,K) - (1-K)^+.  The integrand is zero for
-    levels u at which K falls outside the ratio range.  One adaptive
-    Gauss-Kronrod integral, split at the logistic kink u0 = scale |log K|;
-    each round evaluates the integrand at all its nodes with one array
-    inverse."""
+    levels u at which K falls outside the ratio range, and has a kink at the
+    level u0 where K enters it.  One adaptive Gauss-Kronrod integral, split
+    at u0 when it lies in (0, y); each round evaluates the integrand at all
+    its nodes with one array inverse."""
     check_level(y)
     _check_strike(k)
-    if y == 0.0:
+    ends = density.ratio_range(y) if y > 0.0 else (1.0, 1.0)
+    r_in = stand_in(1.0, *ends)
+    if math.isnan(r_in):  # y = 0, or no float inside the range: K never enters it
         return 0.0
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        r_lo, r_hi = density.ratio_range(u)
-        inside = (r_lo < k) & (k < r_hi)
-        out = np.zeros(u.shape)
-        if inside.any():
-            ui = u[inside]
-            # K as an array the size of the levels, so the ratio argument
-            # counts the elements solved, as in every other inverse call
-            out[inside] = density.pdf(inverse_ratio(density, ui, np.full_like(ui, k)) + ui)
-        return out
+        lo, hi = density.ratio_range(u)
+        inside = (lo < k) & (k < hi)
+        u_in = np.where(inside, u, y)  # the levels outside solve r_in at level y
+        return np.where(inside, density.pdf(inverse_ratio(density, u_in, np.where(inside, k, r_in))
+                                            + u_in), 0.0)
 
-    edges = [0.0, y]
-    if density.family == "logistic" and k != 1.0:
-        u0 = density.scale * abs(math.log(k))
-        if 0.0 < u0 < y:
-            edges.insert(1, u0)
+    # K enters where the end it crosses (r_hi above 1, r_lo below) reaches it
+    # (the gaussian ends, 0 and inf, never do)
+    edges, end = [0.0, y], int(k > 1.0)
+    with np.errstate(divide="ignore"):
+        top = np.log(ends[end])
+    if k != 1.0 and np.isfinite(top) and top / math.log(k) > 1.0:
+        edges.insert(1, monotone_root(lambda u: np.log(density.ratio_range(u)[end]),
+                                      math.log(k), math.ulp(0.0), y))
     return float(gauss_kronrod(integrand, edges[:-1], edges[1:], np.zeros(len(edges) - 1, int),
                                epsabs=1e-11, epsrel=1e-11)[0])
 

@@ -83,6 +83,13 @@ def like_input(out, x):
     return out
 
 
+def stand_in(x: float, lo: float, hi: float) -> float:
+    """``x`` moved strictly inside (lo, hi), nan if no float lies inside: where a map
+    is evaluated, and the result dropped by ``np.where``, for elements out of range."""
+    x = min(max(x, math.nextafter(lo, math.inf)), math.nextafter(hi, -math.inf))
+    return x if lo < x < hi else math.nan
+
+
 def jsonable(obj):
     """The package's JSON rule, applied recursively: a dataclass becomes a
     dict of its fields in declaration order, arrays and tuples become lists,
@@ -131,7 +138,7 @@ def monotone_root(fn: Callable[..., np.ndarray], target, lo, hi, *,
     t, done = np.full(target.shape, 0.5), (glo == 0.0) | (ghi == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_ROOT_ITERS):
-            if done.any():  # store the better end of each done bracket, drop it
+            if done.any() or not done.size:  # store the better end of each done bracket, drop it
                 x.flat[at[done]] = np.where(np.abs(fa) < np.abs(fb), a, b)[done]
                 if done.all():
                     return like_input(x, x)

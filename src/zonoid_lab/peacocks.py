@@ -174,12 +174,10 @@ class SurfaceGrid:
 
 def G_map(density: DensityModel, p):
     """G(p) = f(F^{-1}(p)), with G(0) = G(1) = 0 by convention."""
-    p_arr = np.atleast_1d(probabilities(p, "p"))
-    out = np.zeros(p_arr.shape)
-    interior = (p_arr > 0.0) & (p_arr < 1.0)
-    if np.any(interior):
-        out[interior] = density.pdf(density.quantile(p_arr[interior]))
-    return like_input(out, p)
+    p = probabilities(p, "p")
+    interior = (p > 0.0) & (p < 1.0)  # the ends are evaluated at p = 1/2
+    x = density.quantile(np.where(interior, p, 0.5))
+    return like_input(np.where(interior, density.pdf(x), 0.0), p)
 
 
 def H_map(density: DensityModel, y: float, p):
@@ -187,13 +185,12 @@ def H_map(density: DensityModel, y: float, p):
     by convention, and H_0 is the identity exactly."""
     if not np.isfinite(y):
         raise DomainError("y must be finite")
-    p_arr = np.atleast_1d(probabilities(p, "p"))
-    out = p_arr.copy()
-    if y != 0.0:
-        interior = (p_arr > 0.0) & (p_arr < 1.0)
-        if np.any(interior):
-            out[interior] = density.cdf(density.quantile(p_arr[interior]) + y)
-    return like_input(out, p)
+    p = probabilities(p, "p")
+    if y == 0.0:
+        return like_input(p.copy(), p)
+    interior = (p > 0.0) & (p < 1.0)  # the ends are evaluated at p = 1/2
+    x = density.quantile(np.where(interior, p, 0.5))
+    return like_input(np.where(interior, density.cdf(x + y), p), p)
 
 
 def family_boundary(family: str, density: DensityModel, s: float, y: float, p):

@@ -33,7 +33,7 @@ from scipy import special
 
 from .densities import DensityModel, inverse_log_slope, inverse_ratio, require_log_concave
 from .errors import DomainError, ValidationError
-from .numerics import as_float_array, like_input
+from .numerics import as_float_array, like_input, stand_in
 from .peacocks import family_boundary
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -124,37 +124,31 @@ def family_prices(kind: str, model: DensityModel, s: float, y: float, k):
     if not np.isfinite(s) or (kind == "geometric" and s <= 0.0):
         raise DomainError("s must be finite, and positive for the geometric family")
     k = as_float_array(k, "strike")
-    karr = np.atleast_1d(k)
-    if kind == "geometric" and np.any(karr < 0.0):
+    if kind == "geometric" and (k < 0.0).any():
         raise DomainError("geometric family strikes must be non-negative")
     if y == 0.0:
-        below = karr < s
-        clamped = np.ones(karr.shape, dtype=bool)
+        below, clamped, mid = k < s, np.ones(k.shape, dtype=bool), math.nan
     else:
         if kind == "linear":
-            x = (karr - s) / y
-            x_lo, x_hi = model.log_slope_range()
+            x, (x_lo, x_hi), mid = (k - s) / y, model.log_slope_range(), 0.0
         else:
-            x = karr / s
-            x_lo, x_hi = model.ratio_range(y)
+            x, (x_lo, x_hi), mid = k / s, model.ratio_range(y), 1.0
         below = x <= x_lo
         clamped = below | (x >= x_hi)
-    call = np.zeros(karr.shape)
-    call[below] = s - karr[below]
-    surv = below.astype(np.float64)
-    if not clamped.all():
-        inside = ~clamped
-        xi = x[inside]
+        mid = stand_in(mid, x_lo, x_hi)  # the inverse's argument at clamped strikes
+    call, surv = np.where(below, s - k, 0.0), below.astype(np.float64)
+    if not math.isnan(mid):  # else y = 0 or a range with no float inside: all clamped
+        x = np.where(clamped, mid, x)
         if kind == "linear":
-            u = inverse_log_slope(model, xi)
+            u = inverse_log_slope(model, x)
             tail = model.cdf(u)
-            call[inside] = y * (model.pdf(u) - tail * xi)
+            inner = y * (model.pdf(u) - tail * x)
         else:
-            v = inverse_ratio(model, y, xi)
+            v = inverse_ratio(model, y, x)
             tail = model.cdf(v)
             # s F(V + y) - K F(V) cancels near the top edge; a call is >= 0
-            call[inside] = np.maximum(s * model.cdf(v + y) - karr[inside] * tail, 0.0)
-        surv[inside] = tail
+            inner = np.maximum(s * model.cdf(v + y) - k * tail, 0.0)
+        call, surv = np.where(clamped, call, inner), np.where(clamped, surv, tail)
     return like_input(call, k), like_input(surv, k), like_input(clamped, k)
 
 

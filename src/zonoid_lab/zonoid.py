@@ -121,21 +121,13 @@ class CallCurve:
 
     def __call__(self, k):
         k = as_float_array(k, "strike")
-        k_arr = np.atleast_1d(k)
-        # outside [k_lo, k_hi] the curve sits on its asymptotes; the fn is
-        # only trusted inside (it may not even accept outside strikes)
+        # outside [k_lo, k_hi] the curve sits on its asymptotes; the fn is only
+        # trusted inside (it may reject outside strikes), so it gets them clipped
         if self.fn is not None:
-            out = np.empty(k_arr.shape)
-            inside = (k_arr >= self.k_lo) & (k_arr <= self.k_hi)
-            if np.any(inside):
-                out[inside] = np.asarray(self.fn(k_arr[inside]), dtype=np.float64)
+            out = np.where(k > self.k_hi, 0.0, self.fn(np.clip(k, self.k_lo, self.k_hi)))
         else:
-            out = np.interp(k_arr, self.strikes, self.values)
-        below = k_arr < self.k_lo
-        above = k_arr > self.k_hi
-        out[below] = self.mean - k_arr[below]
-        out[above] = 0.0
-        return like_input(out, k)
+            out = np.interp(k, self.strikes, self.values, right=0.0)
+        return like_input(np.where(k < self.k_lo, self.mean - k, out), k)
 
     def sample_grid(self) -> np.ndarray:
         if self.is_grid:

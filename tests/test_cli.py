@@ -71,6 +71,20 @@ def test_two_point_certificate_grid_is_one_error_line(capsys):
     assert captured.err.startswith("error: pgrid ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text,argv", [
+    ("p,Chat\n0,abc\n1,1\n", ("calls", "--boundary", "{path}", "--k-grid", "0:1:3")),
+    ("p,Chat\n0,0\n1\n", ("calls", "--boundary", "{path}", "--k-grid", "0:1:3")),
+    ("K,C\n-1,1\n0,zero\n1,0\n", ("boundary", "--calls", "{path}", "--mean", "0")),
+], ids=["calls-word", "calls-ragged", "boundary-word"])
+def test_malformed_csv_is_one_error_line(tmp_path, capsys, text, argv):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert run_cli(*(a.format(path=path) for a in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: line ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("calls", "--boundary", "{tmp}/missing.csv", "--k-grid", "0:1:3"),
     ("price", "--model", "bachelier", "--k", "1", "--out", "{tmp}/no-dir/x.csv"),
@@ -431,6 +445,34 @@ def test_localvol_fd_routes(capsys):
     assert abs(data[0][1]) < 1e-6  # strike = boundary slope = s0 at p = 1/2
     assert data[0][2] == pytest.approx(1.0, abs=1e-2)
     assert methods == ["fd-boundary"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--from", "calls", "--family", "linear", "--t", "0.001", "--k", "1"),
+     "error: --t 0.001 needs a margin of 2 steps (0.002) inside [0.0, inf]"),
+    (("--from", "boundary", "--family", "linear", "--t", "1", "--p", "0.001"),
+     "error: --p 0.001 needs a margin of 2 steps (0.002) inside [0.0, 1.0]"),
+    (("--from", "boundary", "--family", "linear", "--t", "1", "--p", "0.9985"),
+     "error: --p 0.9985 needs a margin of 2 steps (0.002) inside [0.0, 1.0]"),
+    (("--from", "calls", "--family", "geometric", "--t", "1", "--k", "0.001"),
+     "error: --k 0.001 needs a margin of 2 steps (0.002) inside [0.0, inf]"),
+], ids=["t", "p-low", "p-high", "k-geometric"])
+def test_localvol_stencil_must_fit_the_domain(capsys, argv, message):
+    # the 5-point stencils of --h-t, --h-p, --h-k around the point given
+    assert run_cli("localvol", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--from", "calls", "--family", "geometric", "--t", "1", "--k", "0.2", "--h-k", "0.1"),
+    ("--from", "calls", "--family", "linear", "--t", "0.002", "--k", "1.01"),
+    ("--from", "boundary", "--family", "linear", "--t", "1", "--p", "0.002", "--p", "0.998"),
+], ids=["k-geometric", "t-linear", "p-both-ends"])
+def test_localvol_stencil_at_the_margin_runs(capsys, argv):
+    assert run_cli("localvol", *argv) == 0
+    capsys.readouterr()
 
 
 def test_localvol_boundary_needs_p(capsys):

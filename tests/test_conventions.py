@@ -306,3 +306,54 @@ def test_only_curve_io_writes():
                 for path in modules if path.name != "curve_io.py"}
     assert {name: lines for name, lines in breaches.items() if lines} == {}
     assert _writer_calls((SRC / "curve_io.py").read_text())  # the guard sees the writers
+
+
+# ---------------------------------------------------------------------------
+# Evaluate, then select: outside the numerics kernels (whose solvers keep
+# active-set updates) no module scatters into an array through a mask or an
+# index array; it evaluates every element and picks with np.where
+# ---------------------------------------------------------------------------
+
+def _fixed_index(node):
+    """A slice, an integer constant (negative allowed) or a string constant."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Slice) or (isinstance(node, ast.Constant)
+                                           and type(node.value) in (int, str))
+
+
+def _scatter_targets(source: str):
+    """Line numbers of the assignments in ``source`` whose target is
+    subscripted by anything but a fixed index."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Subscript) and not _fixed_index(sub.slice):
+                    lines.add(sub.lineno)
+    return sorted(lines)
+
+
+def test_scatter_guard_sees_every_form():
+    assert _scatter_targets("out[mask] = s - k[mask]") == [1]
+    assert _scatter_targets("out[~m] = 0.0") == [1]
+    assert _scatter_targets("out[i] = 0.0") == [1]
+    assert _scatter_targets("x.flat[at[done]] = a[done]") == [1]
+    assert _scatter_targets("out[m] += 1.0") == [1]
+    assert _scatter_targets("a, b[m] = 1.0, 2.0") == [1]
+    assert _scatter_targets("out: np.ndarray\nout[m]: float = 0.0") == [2]
+    assert _scatter_targets("def f(out, m):\n    out[m > 0] = 1.0\n") == [2]
+    assert _scatter_targets("out[:k] = 0.0\na[-1] = 1.0\nd['key'] = v\nz[0::2] = base") == []
+    assert _scatter_targets("b[1:], c[2] = x, y\nv = x[mask]\nout = np.where(m, a, b)") == []
+
+
+def test_only_numerics_scatters_through_masks():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    breaches = {path.name: _scatter_targets(path.read_text())
+                for path in modules if path.name != "numerics.py"}
+    assert {name: lines for name, lines in breaches.items() if lines} == {}
+    assert _scatter_targets((SRC / "numerics.py").read_text())  # the guard sees the kernels

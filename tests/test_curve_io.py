@@ -153,3 +153,23 @@ def test_surface_rejects_malformed(tmp_path):
     path.write_text("1,2\n3,4\n")
     with pytest.raises(ValidationError):
         curve_io.read_surface_csv(str(path), axis_kind="call-space")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("p,Chat\n0,abc\n1,1\n", r"line 2, cell 2: 'abc' is not a number"),
+    ("K,C\n0,1\n1,\n", r"line 3, cell 2: '' is not a number"),
+    ("p,Chat\n0,0\n1\n", r"line 3 has 1 cells, the header has 2"),
+    ("p,Chat\n0,0,7\n1,1\n", r"line 2 has 3 cells, the header has 2"),
+], ids=["word", "empty-cell", "short-row", "long-row"])
+def test_malformed_table_names_the_line_and_cell(text, message):
+    with pytest.raises(ValidationError, match=message):
+        curve_io.read_table(io.StringIO(text))
+    with pytest.raises(ValidationError, match=message):
+        curve_io.read_curve_csv(io.StringIO(text))
+
+
+def test_surface_header_must_be_numbers(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(",0.5,x1\n0,1,2\n")
+    with pytest.raises(ValidationError, match=r"line 1, cell 3: 'x1' is not a number"):
+        curve_io.read_surface_csv(str(path), axis_kind="call-space")

@@ -231,3 +231,46 @@ def test_level_and_strike_checks(fn):
         with pytest.raises(DomainError):
             ImpliedQuery(GAUSS, 0.2, k)
     assert fn(GAUSS, 0.0, 1.5) == 0.0
+
+
+def test_vega_integral_splits_where_k_enters_the_range_for_any_model(monkeypatch):
+    # the custom logistic twin splits at the root of its range end, as the
+    # built-in at scale |log K|: a few quadrature rounds, not 17-20, and
+    # agreement with the closed form to rounding, not to 6e-14
+    from zonoid_lab import numerics
+
+    rounds = []
+    gk15 = numerics._gk15
+    monkeypatch.setattr(numerics, "_gk15", lambda *a: (rounds.append(1), gk15(*a))[1])
+    model = twin(LOGISTIC)
+    for y, k in ((1.3, 1.5), (2.0, 0.6), (3.0, 1.8), (1.0, 1.2), (1.3, 0.8)):
+        rounds.clear()
+        got = vega_integral(model, y, k)
+        assert len(rounds) <= 4
+        assert abs(got - vega_integral(LOGISTIC, y, k)) <= 1e-15
+        assert abs(got - (normalized_call(LOGISTIC, y, k) - max(1.0 - k, 0.0))) <= 1e-15
+
+
+def test_vega_integral_builtin_values_unchanged():
+    # gaussian range ends are 0 and inf, so it is never split and keeps every
+    # bit; the logistic split is now a root of its range end, within a few
+    # ulps of scale |log K|, which moves the integral by at most 1e-14
+    gaussian = {(0.7, 0.6): "0x1.2346e6e99b2e1p-4", (1.3, 1.5): "0x1.85686fb8b7d16p-2",
+                (3.0, 0.5): "0x1.a0ef8f931926ep-2"}
+    for (y, k), want in gaussian.items():
+        assert vega_integral(GAUSS, y, k) == float.fromhex(want)
+    assert vega_integral(LOGISTIC, 2.0, 1.0) == float.fromhex("0x1.d9353d7568af3p-2")
+    logistic = {(0.7, 0.6): "0x1.3e1d999590d76p-7", (1.3, 1.5): "0x1.6e20b63b5a19ap-3",
+                (3.0, 0.5): "0x1.f8d83ccb64454p-3"}
+    for (y, k), want in logistic.items():
+        assert vega_integral(LOGISTIC, y, k) == pytest.approx(float.fromhex(want), rel=1e-14)
+
+
+def test_vega_integral_at_levels_too_small_to_split_the_range():
+    # at u < 1.1e-16 the logistic ratio range (exp(-u), exp(u)) holds no
+    # float but 1; such levels are evaluated at the top level, and a top
+    # level like that gives 0
+    for model in (LOGISTIC, twin(LOGISTIC)):
+        assert vega_integral(model, 1e-17, 1.0) == 0.0
+        got = vega_integral(model, 1e-14, 1.0)
+        assert 0.0 < got == pytest.approx(normalized_call(LOGISTIC, 1e-14, 1.0), rel=1e-6)

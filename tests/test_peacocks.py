@@ -143,6 +143,28 @@ def test_h_map_conventions():
         H_map(GAUSS, np.inf, 0.5)
 
 
+def test_maps_never_evaluate_the_quantile_at_the_ends():
+    # the ends take their conventions; the quantile sees the interior and
+    # the stand-in p = 1/2, never 0 or 1 (where a custom quantile may raise)
+    def quantile(p):
+        p = np.asarray(p, dtype=np.float64)
+        if np.any((p <= 0.0) | (p >= 1.0)):
+            raise AssertionError(f"quantile evaluated at {p!r}")
+        return GAUSS.quantile(p)
+
+    model = DensityModel.custom(GAUSS.pdf, GAUSS.pdf_prime, GAUSS.cdf, quantile)
+    ps = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(G_map(model, ps), G_map(GAUSS, ps))
+    assert G_map(model, ps)[[0, -1]].tolist() == [0.0, 0.0]
+    for y in (0.7, -1.5):
+        assert np.array_equal(H_map(model, y, ps), H_map(GAUSS, y, ps))
+        assert H_map(model, y, ps)[[0, -1]].tolist() == [0.0, 1.0]
+    for p, g, h in ((0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (np.array(1.0), 0.0, 1.0)):
+        assert type(G_map(model, p)) is float and G_map(model, p) == g
+        assert type(H_map(model, 2.0, p)) is float and H_map(model, 2.0, p) == h
+    assert np.array_equal(G_map(model, np.array([[0.0, 1.0]])), [[0.0, 0.0]])
+
+
 def test_h_map_negative_levels_invert():
     ps = np.linspace(0.01, 0.99, 25)
     for y in (0.25, 1.0, 3.0):

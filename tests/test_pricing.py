@@ -19,6 +19,7 @@ from scipy.stats import norm
 
 from zonoid_lab.densities import DensityModel, inverse_log_slope, inverse_ratio
 from zonoid_lab.errors import DomainError, ValidationError
+from zonoid_lab.implied import vega_integral
 from zonoid_lab.pricing import (ModelParams, bachelier_call, bachelier_curve,
                                 black_scholes_call, black_scholes_curve,
                                 family_call_geometric,
@@ -674,3 +675,59 @@ def test_family_curve_at_level_zero_is_the_point_mass(kind, validate):
     if kind == "linear":  # any sign of s
         assert np.array_equal(upper_boundary_from_calls(build(GAUSS, -2.0, 0.0), ps).values,
                               -2.0 * ps)
+
+
+# ---------------------------------------------------------------------------
+# Evaluate, then select: the clamped strikes reach the inverse maps as a
+# stand-in that lies strictly inside the map's range
+# ---------------------------------------------------------------------------
+
+def _spy_inside(monkeypatch, module, name, seen):
+    inverse = getattr(module, name)
+
+    def wrapped(model, *args):
+        lo, hi = model.log_slope_range() if len(args) == 1 else model.ratio_range(args[0])
+        x = np.asarray(args[-1])
+        assert np.all((lo < x) & (x < hi)), (name, model.family, args)
+        seen.append(name)
+        return inverse(model, *args)
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def test_inverse_maps_see_only_arguments_inside_their_range(monkeypatch):
+    from zonoid_lab import implied, pricing
+
+    seen = []
+    _spy_inside(monkeypatch, pricing, "inverse_log_slope", seen)
+    _spy_inside(monkeypatch, pricing, "inverse_ratio", seen)
+    _spy_inside(monkeypatch, implied, "inverse_ratio", seen)
+    below_inside_above = {"linear": np.linspace(-60.0, 60.0, 121),
+                          "geometric": np.concatenate(([0.0], np.geomspace(1e-12, 1e12, 49)))}
+    clamped = 0
+    for model in (GAUSS, LOGISTIC, CUSTOM_GAUSS, CUSTOM_LOGISTIC):
+        # y = 16: the custom gaussian ratio range at its tail cut ends below 1
+        for kind, y in ((kind, y) for kind in ("linear", "geometric") for y in (0.05, 0.8, 16.0)):
+            ks = below_inside_above[kind]
+            want = family_prices(kind, model, 1.3, y, ks)
+            clamped += np.count_nonzero(want[2])
+            for j in (0, len(ks) // 2, -1):  # one strike at a time, clamped or not
+                got = family_prices(kind, model, 1.3, y, ks[j])
+                assert got == tuple(w[j].item() for w in want)
+        # levels where K is outside the ratio range: below the kink, and
+        # past the custom gaussian's falling range end
+        for y, k in ((1.3, 1.5), (3.0, 0.5), (16.0, 1.5)):
+            assert vega_integral(model, y, k) > 0.0
+    assert clamped > 100 and {"inverse_log_slope", "inverse_ratio"} <= set(seen)
+
+
+def test_levels_with_no_float_inside_the_range_clamp_every_strike():
+    # (exp(-y), exp(y)) rounds to (1, 1) at y = 1e-17: no stand-in exists,
+    # and no strike is inside, so nothing is solved
+    ks = np.array([0.5, 1.0, 2.0])
+    for model in (LOGISTIC, CUSTOM_LOGISTIC):
+        call, surv, clamped = family_prices("geometric", model, 1.0, 1e-17, ks)
+        assert np.array_equal(call, [0.5, 0.0, 0.0]) and np.array_equal(surv, [1.0, 1.0, 0.0])
+        assert clamped.all()
+    for model in (GAUSS, CUSTOM_GAUSS):  # an empty batch is solved at once
+        for kind in ("linear", "geometric"):
+            assert [v.shape for v in family_prices(kind, model, 1.0, 0.8, np.array([]))] == [(0,)] * 3

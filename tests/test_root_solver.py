@@ -143,6 +143,16 @@ def test_monotone_root_per_element_brackets_and_shapes():
     assert type(root) is float and root == pytest.approx(math.log(2.0), abs=2e-13)
 
 
+def test_monotone_root_solves_an_empty_batch_at_once():
+    # no element is ever done in an empty batch, so it once ran every step
+    # and raised "did not converge"
+    calls = []
+    for shape in ((0,), (0, 3)):
+        got = monotone_root(lambda x: (calls.append(1), x)[1], np.zeros(shape), -1.0, 1.0)
+        assert got.shape == shape and got.dtype == np.float64
+    assert len(calls) == 4  # the two bracket ends of each batch
+
+
 def test_monotone_root_converges_superlinearly():
     # a step lands at least the tolerance inside the bracket, so the far end
     # moves too: 100 cube roots take 11 steps after the two endpoint calls

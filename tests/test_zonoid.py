@@ -776,3 +776,26 @@ def test_exact_route_equals_golden_section_property(name, kind, data):
 @given(data=st.data())
 def test_exact_route_equals_golden_section_custom_property(name, kind, data):
     _assert_routes_agree(name, kind, data)
+
+
+def test_call_curve_fn_sees_only_strikes_in_its_domain():
+    # strikes beyond either end reach the fn clipped to [k_lo, k_hi] and take
+    # the asymptotes; a scalar strike reaches it as a 0-d array
+    base = bachelier_curve(ModelParams(0.0, 1.0, 1.0))
+    ndims = []
+
+    def fn(k):
+        k = np.asarray(k)
+        assert np.all((base.k_lo <= k) & (k <= base.k_hi)), k
+        ndims.append(k.ndim)
+        return base.fn(k)
+
+    curve = CallCurve.from_function(fn, base.mean, (base.k_lo, base.k_hi))
+    for k in (base.k_lo - 1.0, base.k_hi + 1.0, -1e6, 1e6, np.array(base.k_hi + 5.0), 0.3):
+        got = curve(k)
+        assert type(got) is float and got == base(k)
+    assert curve(base.k_lo - 1.0) == base.mean - (base.k_lo - 1.0) and curve(1e6) == 0.0
+    assert set(ndims) == {0}
+    ks = np.linspace(base.k_lo - 5.0, base.k_hi + 5.0, 101)
+    assert np.array_equal(curve(ks), base(ks))
+    assert np.array_equal(curve(ks.reshape(1, 101)), base(ks).reshape(1, 101))
