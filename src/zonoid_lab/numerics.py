@@ -47,6 +47,10 @@ _GK_NODES = np.concatenate((-_XGK[:0:-1], _XGK))
 _GK_WEIGHTS = np.concatenate((_WGK[:0:-1], _WGK))
 _G_WEIGHTS = np.concatenate((_WG[:0:-1], _WG))
 _EPS = np.finfo(np.float64).eps
+# Shewchuk's ccwerrboundA for the unit roundoff 2^-53, and an absolute slack
+# for the error of products and bounds in the subnormal range (< 2^-1074 each)
+_CCW_BOUND = (3.0 + 8.0 * _EPS) * 0.5 * _EPS
+_CCW_SLACK = 2.0 ** -1068
 
 
 def as_float_array(x, name: str = "x") -> np.ndarray:
@@ -70,7 +74,7 @@ def increasing_grid(x, name: str, min_size: int = 2) -> np.ndarray:
 def probabilities(p, name: str) -> np.ndarray:
     """Coerce to a float64 array; DomainError unless every entry lies in [0, 1]."""
     arr = np.asarray(p, dtype=np.float64)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():  # nan fails both comparisons
         raise DomainError(f"{name} must lie in [0, 1]")
     return arr
 
@@ -311,36 +315,93 @@ def golden_section_min(fn: Callable[..., np.ndarray], lo: float, hi: float, *,
     return best_x.reshape(shape), best_f.reshape(shape)
 
 
-def _turns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Turn at each interior node, read by its sign: > 0 where the node lies
-    strictly below the chord of its neighbours, 0 on it, < 0 above it."""
-    return (y[2:] - y[:-2]) * (x[1:-1] - x[:-2]) - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2])
+def _turn_terms(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The two products of the turn a - b at each interior node, in floats:
+    a = (y2 - y0)(x1 - x0), b = (y1 - y0)(x2 - x0).  The turn is > 0 where
+    the node lies strictly below the chord of its neighbours, 0 on it, < 0
+    above it."""
+    return (y[2:] - y[:-2]) * (x[1:-1] - x[:-2]), (y[1:-1] - y[:-2]) * (x[2:] - x[:-2])
 
 
-def lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Indices of the lower convex hull of (x, y), x strictly increasing.
+def _scaled(v: float) -> int:
+    """The float v times 2^1074, an integer for every finite double."""
+    num, den = v.as_integer_ratio()
+    return num << (1075 - den.bit_length())
 
-    Andrew's monotone chain.  A node on or above the chord of its hull
-    neighbours is dropped, so collinear interior nodes are not kept.  When
-    every interior node already turns strictly, the chain keeps them all;
-    that case is settled by one vectorised test with the loop's arithmetic.
+
+def _exact_turn_up(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float) -> bool:
+    """Whether the turn at (x1, y1) is > 0, in integer arithmetic."""
+    x0, y0, x1, y1, x2, y2 = map(_scaled, (x0, y0, x1, y1, x2, y2))
+    return (y2 - y0) * (x1 - x0) > (y1 - y0) * (x2 - x0)
+
+
+def _turn_up(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float) -> bool:
+    """Whether the exact turn at (x1, y1) is > 0, that is whether the node
+    lies strictly below the chord of its neighbours.
+
+    The float turn decides wherever Shewchuk's static filter (ccwerrboundA,
+    Discrete Comput. Geom. 18, 1997), plus an absolute slack for products
+    that underflow, proves its sign; a node level with both neighbours is on
+    the chord; the rest are decided in integer arithmetic.
     """
-    n = x.size
-    if np.all(_turns(x, y) > 0.0):
-        return np.arange(n)
+    a, b = (y2 - y0) * (x1 - x0), (y1 - y0) * (x2 - x0)
+    t, err = a - b, _CCW_BOUND * (abs(a) + abs(b)) + _CCW_SLACK
+    if t > err or t < -err:
+        return t > 0.0
+    return not y0 == y1 == y2 and _exact_turn_up(x0, y0, x1, y1, x2, y2)
+
+
+def _turns_up(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_turn_up`` at every interior node: its float filter vectorised, then
+    ``_turn_up`` itself at the nodes the filter leaves unsure."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan turns are unsure
+        a, b = _turn_terms(x, y)
+        t, err = a - b, _CCW_BOUND * (np.abs(a) + np.abs(b)) + _CCW_SLACK
+        up = t > err
+        unsure = np.flatnonzero(~up)
+        unsure = unsure[~(t[unsure] < -err[unsure])]
+    if unsure.size:
+        nodes = zip(*(v[unsure + j].tolist() for j in range(3) for v in (x, y)))
+        up[unsure] = [_turn_up(*node) for node in nodes]
+    return up
+
+
+def _monotone_chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Andrew's monotone chain with the exact turn: indices of the strict
+    lower hull of (x, y), x strictly increasing."""
     # python floats: the same IEEE operations as numpy scalars, 4x faster
     xs, ys = x.tolist(), y.tolist()
     hull = [0]
-    for i in range(1, n):
+    for i in range(1, len(xs)):
         xi, yi = xs[i], ys[i]
-        while len(hull) >= 2:
-            j, k = hull[-2], hull[-1]
-            if (ys[k] - ys[j]) * (xi - xs[j]) >= (yi - ys[j]) * (xs[k] - xs[j]):
-                hull.pop()
-            else:
-                break
+        while len(hull) >= 2 and not _turn_up(xs[hull[-2]], ys[hull[-2]],
+                                              xs[hull[-1]], ys[hull[-1]], xi, yi):
+            hull.pop()
         hull.append(i)
     return np.asarray(hull)
+
+
+def lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the strict lower convex hull of (x, y), x strictly increasing:
+    a node on or above the segment between two others is dropped, so
+    collinear interior nodes are not kept.
+
+    Every turn is decided exactly (``_turns_up``), so the hull does not
+    depend on rounding.  Vectorised peel passes each drop every interior
+    node whose turn is <= 0 against its current neighbours (such a node is
+    never a hull vertex), until a pass drops nothing: one pass for strictly
+    convex nodes, about ten for noisy curves.  After _PEEL_PASSES passes
+    Andrew's monotone chain finishes the survivors with the same predicate,
+    which bounds the worst case at O(N) after the passes.
+    """
+    hull, xh, yh = np.arange(x.size), x, y
+    for _ in range(_PEEL_PASSES):
+        drop = np.flatnonzero(~_turns_up(xh, yh))
+        if drop.size == 0:
+            return hull
+        hull = np.delete(hull, drop + 1)
+        xh, yh = x[hull], y[hull]
+    return hull[_monotone_chain(xh, yh)]
 
 
 def legendre_min(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -351,18 +412,22 @@ def legendre_min(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> Tuple[np.ndarra
     for p is the lower-hull node whose incoming and outgoing slopes bracket
     -p, found by binary search on the hull slopes.  Any convex chain through
     the hull vertices serves, so the hull is peeled in vectorised passes
-    that drop every node above the chord of its neighbours; collinear nodes
-    stay.  Convex nodes take one pass, noisy ones about ten; after
-    _PEEL_PASSES the monotone chain finishes the job.  The value is the
-    smallest of y_i + p x_i over the bracketing node and its two chain
-    neighbours, evaluated with the same operations as the brute-force min
-    over all nodes, so the two agree bit for bit unless a node off the chain
-    ties the minimum to within rounding.  Cost O(N + M log N) for N nodes
-    and M values of p.
+    that drop every node whose float turn is < 0 (above the chord of its
+    neighbours); collinear nodes stay.  Convex nodes take one pass, noisy
+    ones about ten; after _PEEL_PASSES the exact ``lower_hull`` finishes the
+    job.  The peel stays in floats because the chain only has to reach the
+    minimiser: the value is the smallest of y_i + p x_i over the bracketing
+    node and its two chain neighbours, evaluated with the same operations as
+    the brute-force min over all nodes, so the two agree bit for bit unless
+    a node off the chain ties the minimum to within rounding.  (Deciding its
+    turns exactly would cost thousands of integer-arithmetic turns per call
+    on the near-collinear runs of a projected curve.)  Cost O(N + M log N)
+    for N nodes and M values of p.
     """
     hull = np.arange(x.size)
     for _ in range(_PEEL_PASSES):
-        above = np.flatnonzero(_turns(x[hull], y[hull]) < 0.0)
+        a, b = _turn_terms(x[hull], y[hull])
+        above = np.flatnonzero(a < b)
         if above.size == 0:
             break
         hull = np.delete(hull, above + 1)

@@ -32,7 +32,7 @@ import numpy as np
 from scipy import special
 
 from .densities import DensityModel, inverse_log_slope, inverse_ratio, require_log_concave
-from .errors import DomainError, ValidationError
+from .errors import DomainError, RangeError, ValidationError
 from .numerics import as_float_array, like_input, stand_in
 from .peacocks import family_boundary
 
@@ -116,7 +116,10 @@ def family_prices(kind: str, model: DensityModel, s: float, y: float, k):
     level 0 from the point mass at s, so y = 0 clamps every strike:
     C = (s - K)^+ and P = 1{K < s}.  Raises DomainError unless s is finite
     (and positive, with non-negative strikes, for the geometric family) and
-    y is non-negative and finite.
+    y is non-negative and finite.  Raises RangeError, naming the level, when
+    the geometric ratio range holds floats but not 1: the tail cut of a
+    ``custom`` model has then lost the law's mass (the gaussian twin from
+    y = 14.07 on).  A range with no float inside clamps every strike.
     """
     if kind not in ("linear", "geometric"):
         raise ValidationError(f"unknown family kind {kind!r}")
@@ -136,6 +139,10 @@ def family_prices(kind: str, model: DensityModel, s: float, y: float, k):
         below = x <= x_lo
         clamped = below | (x >= x_hi)
         mid = stand_in(mid, x_lo, x_hi)  # the inverse's argument at clamped strikes
+        if kind == "geometric" and not (math.isnan(mid) or mid == 1.0):
+            # E f(Z + y)/f(Z) = 1, so a range without 1 has lost the law's mass
+            raise RangeError(f"level y = {y!r} is past the model's tail cut: its ratio "
+                             f"range ({x_lo!r}, {x_hi!r}) does not contain 1")
     call, surv = np.where(below, s - k, 0.0), below.astype(np.float64)
     if not math.isnan(mid):  # else y = 0 or a range with no float inside: all clamped
         x = np.where(clamped, mid, x)

@@ -17,8 +17,11 @@ with the exact endpoint values boundary(0) = 0 and boundary(1) = E(X).
 ``upper_boundary_from_calls`` and ``calls_from_upper_boundary`` implement the
 two directions.  On grids both run the discrete Legendre transform
 ``numerics.legendre_min``: O(N + M log N) for N nodes and M output points;
-nodes that are not convex add a few vectorised hull passes, and the
-monotone-chain loop only when those do not settle the hull.  A family curve
+nodes that are not convex add a few vectorised float hull passes, and the
+exact ``numerics.lower_hull`` only when those do not settle the hull.
+``project_convex_decreasing`` starts from that exact strict lower hull:
+vectorised peel passes with an exact turn predicate, then the monotone
+chain with the same predicate when 32 passes do not settle it.  A family curve
 from ``pricing`` carries its exact boundary, s p + y G(p) or s H_y(p), as
 ``conjugate``: one G or H evaluation per p in place of the minimiser.
 ``boundary_from_quantile_integral`` is an independent route

@@ -12,7 +12,7 @@ import pytest
 
 from zonoid_lab.densities import DensityModel
 from zonoid_lab.errors import DomainError, ValidationError
-from zonoid_lab.numerics import central_diff, require_uniform
+from zonoid_lab.numerics import central_diff, probabilities, require_uniform
 from zonoid_lab.peacocks import (G_map, H_map, PeacockSpec, SurfaceGrid, TimeChange,
                                  certify_peacock)
 from zonoid_lab.zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
@@ -88,6 +88,24 @@ def test_probability_entry_points_share_one_rule(entry):
             fn(p)
         with pytest.raises(DomainError):
             fn(np.array([0.5, p]))
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, -1e-300, np.nextafter(1.0, 2.0),
+                               np.array(np.nan), [0.0, np.nan], [[1.0], [-np.inf]]],
+                         ids=["nan", "inf", "-inf", "-1e-300", "1+ulp", "0-d nan", "list", "2-d"])
+def test_probability_rule_rejects_every_entry_outside_the_interval(p):
+    with pytest.raises(DomainError, match=r"^p must lie in \[0, 1\]$"):
+        probabilities(p, "p")
+
+
+def test_probability_rule_accepts_the_closed_interval():
+    for p in (-0.0, 0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0), 1.0):
+        got = probabilities(p, "p")
+        assert got.shape == () and got.dtype == np.float64 and got == p
+    assert np.signbit(probabilities(-0.0, "p"))
+    assert probabilities([], "p").shape == (0,)
+    assert probabilities(np.zeros((0, 3)), "p").shape == (0, 3)
+    assert np.array_equal(probabilities([[0.0, 1.0]], "p"), [[0.0, 1.0]])
 
 
 def _central_d1(v, idx, h):

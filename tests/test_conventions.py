@@ -166,7 +166,8 @@ def _is_const(node, value):
 
 def _rule_breaches(source):
     """Line numbers where ``source`` compares np.diff(...) with 0, or tests
-    one array with np.isnan, < 0.0 and > 1.0 in one boolean expression."""
+    one array with np.isnan, < 0.0 and > 1.0, or with >= 0.0 and <= 1.0, in
+    one boolean expression."""
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Compare):
@@ -175,18 +176,18 @@ def _rule_breaches(source):
                     and any(_is_const(o, 0) for o in operands)):
                 lines.add(node.lineno)
         if isinstance(node, ast.BoolOp) or (isinstance(node, ast.BinOp)
-                                            and isinstance(node.op, ast.BitOr)):
-            nan, below, above = set(), set(), set()
+                                            and isinstance(node.op, (ast.BitOr, ast.BitAnd))):
+            nan, below, above, at_least, at_most = set(), set(), set(), set(), set()
             for sub in ast.walk(node):
                 if _is_np_call(sub, "isnan") and sub.args:
                     nan.add(ast.dump(sub.args[0]))
                 if isinstance(sub, ast.Compare) and len(sub.ops) == 1:
                     left, op, right = sub.left, sub.ops[0], sub.comparators[0]
-                    if isinstance(op, ast.Lt) and _is_const(right, 0):
-                        below.add(ast.dump(left))
-                    if isinstance(op, ast.Gt) and _is_const(right, 1):
-                        above.add(ast.dump(left))
-            if nan & below & above:
+                    for kind, value, found in ((ast.Lt, 0, below), (ast.Gt, 1, above),
+                                               (ast.GtE, 0, at_least), (ast.LtE, 1, at_most)):
+                        if isinstance(op, kind) and _is_const(right, value):
+                            found.add(ast.dump(left))
+            if nan & below & above or at_least & at_most:
                 lines.add(node.lineno)
     return sorted(lines)
 
@@ -198,6 +199,13 @@ def test_rule_guard_sees_both_rules():
     assert _rule_breaches("bad = np.isnan(q) | (q < 0.0) | (q > 1.0)") == [1]
     assert _rule_breaches("bad = np.any(np.isnan(p)) or np.any(q < 0.0) or np.any(p > 1.0)") == []
     assert _rule_breaches("gaps = np.diff(vals) > slack") == []
+
+
+def test_rule_guard_sees_the_interval_form():
+    assert _rule_breaches("if not ((p >= 0.0) & (p <= 1.0)).all(): pass") == [1]
+    assert _rule_breaches("ok = np.all((q >= 0) & (q <= 1))") == [1]
+    assert _rule_breaches("ok = 0.0 <= p and p <= 1.0") == []  # a scalar's chained test
+    assert _rule_breaches("ok = (p >= 0.0) & (q <= 1.0)") == []
 
 
 def test_only_numerics_writes_the_grid_and_probability_rules():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from zonoid_lab.densities import DensityModel, inverse_log_slope, inverse_ratio
-from zonoid_lab.errors import DomainError, ValidationError
+from zonoid_lab.errors import DomainError, RangeError, ValidationError
 from zonoid_lab.implied import vega_integral
 from zonoid_lab.pricing import (ModelParams, bachelier_call, bachelier_curve,
                                 black_scholes_call, black_scholes_curve,
@@ -705,9 +705,14 @@ def test_inverse_maps_see_only_arguments_inside_their_range(monkeypatch):
                           "geometric": np.concatenate(([0.0], np.geomspace(1e-12, 1e12, 49)))}
     clamped = 0
     for model in (GAUSS, LOGISTIC, CUSTOM_GAUSS, CUSTOM_LOGISTIC):
-        # y = 16: the custom gaussian ratio range at its tail cut ends below 1
+        # y = 16: the custom gaussian ratio range at its tail cut ends below 1,
+        # so its geometric prices raise RangeError
         for kind, y in ((kind, y) for kind in ("linear", "geometric") for y in (0.05, 0.8, 16.0)):
             ks = below_inside_above[kind]
+            if model is CUSTOM_GAUSS and kind == "geometric" and y == 16.0:
+                with pytest.raises(RangeError, match="y = 16.0"):
+                    family_prices(kind, model, 1.3, y, ks)
+                continue
             want = family_prices(kind, model, 1.3, y, ks)
             clamped += np.count_nonzero(want[2])
             for j in (0, len(ks) // 2, -1):  # one strike at a time, clamped or not
@@ -718,6 +723,24 @@ def test_inverse_maps_see_only_arguments_inside_their_range(monkeypatch):
         for y, k in ((1.3, 1.5), (3.0, 0.5), (16.0, 1.5)):
             assert vega_integral(model, y, k) > 0.0
     assert clamped > 100 and {"inverse_log_slope", "inverse_ratio"} <= set(seen)
+
+
+def test_geometric_levels_past_the_tail_cut_raise():
+    # the custom gaussian's ratio range is (3.4e-105, 1.95e-7) at y = 16: every
+    # strike above s 1.95e-7 used to clamp, and the calls came out [0, 0]
+    with pytest.raises(RangeError, match=r"y = 16\.0 .* does not contain 1"):
+        family_prices("geometric", CUSTOM_GAUSS, 1.0, 16.0, [0.5, 1.0])
+    with pytest.raises(RangeError, match="y = 16.0"):
+        family_call_geometric(CUSTOM_GAUSS, 1.0, 16.0, 1.0)
+    assert np.allclose(family_prices("geometric", GAUSS, 1.0, 16.0, [0.5, 1.0])[0], 1.0,
+                       rtol=0.0, atol=1e-12)
+    # y = 13: (3.9e-77, 1041) still holds 1, and the twin prices as the built-in
+    got, want = (family_prices("geometric", m, 1.0, 13.0, [0.5, 1.0]) for m in (CUSTOM_GAUSS, GAUSS))
+    assert not got[2].any() and np.allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+    # y = 1e-17: the logistic range (1, 1) holds no float, so every strike clamps
+    for model in (LOGISTIC, CUSTOM_LOGISTIC):
+        call, _, clamped = family_prices("geometric", model, 1.0, 1e-17, [0.5, 1.0])
+        assert np.array_equal(call, [0.5, 0.0]) and clamped.all()
 
 
 def test_levels_with_no_float_inside_the_range_clamp_every_strike():

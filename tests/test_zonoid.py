@@ -8,6 +8,7 @@ and uniform two-atom laws) pin exact values.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,18 +42,28 @@ def legendre_min_oracle(call_values, kgrid, p):
                   axis=1)
 
 
-def project_oracle(x, y):
-    """Node-by-node reference for project_convex_decreasing: the same
-    arithmetic, one hull step and one re-anchoring step at a time."""
+def exact_turn_up(x0, y0, x1, y1, x2, y2):
+    """Whether (x1, y1) lies strictly below the chord of its neighbours, in
+    rational arithmetic (every float is an exact Fraction)."""
+    return (y2 - y0) * (x1 - x0) > (y1 - y0) * (x2 - x0)
+
+
+def exact_hull_oracle(x, y):
+    """Strict lower hull, node by node: Andrew's monotone chain on exact turns."""
+    xs, ys = [Fraction(v) for v in x.tolist()], [Fraction(v) for v in y.tolist()]
     hull_idx = [0]
     for i in range(1, x.size):
-        while len(hull_idx) >= 2:
-            j, k = hull_idx[-2], hull_idx[-1]
-            if (y[k] - y[j]) * (x[i] - x[j]) >= (y[i] - y[j]) * (x[k] - x[j]):
-                hull_idx.pop()
-            else:
-                break
+        while len(hull_idx) >= 2 and not exact_turn_up(
+                xs[hull_idx[-2]], ys[hull_idx[-2]], xs[hull_idx[-1]], ys[hull_idx[-1]], xs[i], ys[i]):
+            hull_idx.pop()
         hull_idx.append(i)
+    return np.asarray(hull_idx)
+
+
+def project_oracle(x, y):
+    """Node-by-node reference for project_convex_decreasing: the exact strict
+    hull, then one re-anchoring step at a time in the same arithmetic."""
+    hull_idx = exact_hull_oracle(x, y)
     hull = np.interp(x, x[hull_idx], y[hull_idx])
     slopes = np.diff(hull) / np.diff(x)
     clipped = np.clip(slopes, -1.0, 0.0)
@@ -604,32 +615,104 @@ def test_legendre_min_monotone_chain_fallback(monkeypatch):
     assert elapsed < 1.5
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400),
-       shape=st.sampled_from(["call", "noisy-call", "arbitrary", "lattice"]))
-def test_projection_equals_loop_reference_property(seed, n, shape):
+PROJECTION_SHAPES = ["call", "noisy-call", "arbitrary", "lattice", "near-collinear", "flat-tail"]
+
+
+def projection_input(seed, n, shape):
+    """Nodes of one of PROJECTION_SHAPES: a call curve at its kinks, one with
+    noise, random values, a k/10 lattice, a line with 1e-16 relative noise
+    on half its nodes, and a noisy call curve whose zero tail stays exact."""
     rng = np.random.default_rng(seed)
     if shape == "call":
-        x, y = atom_call_curve(np.sort(rng.normal(size=n)))
-    elif shape == "lattice":
-        x = np.cumsum(rng.integers(1, 4, n)) / 10.0
-        y = rng.integers(-5, 5, n) / 10.0
-    else:
-        x = np.cumsum(rng.uniform(0.01, 1.0, n))
-        if shape == "arbitrary":
-            y = rng.normal(size=n)
-        else:
-            y = np.maximum(0.5 * x[-1] - x, 0.0) + rng.normal(0.0, 1e-3, n)
+        return atom_call_curve(np.sort(rng.normal(size=n)))
+    if shape == "lattice":
+        return np.cumsum(rng.integers(1, 4, n)) / 10.0, rng.integers(-5, 5, n) / 10.0
+    x = np.cumsum(rng.uniform(0.01, 1.0, n))
+    if shape == "arbitrary":
+        return x, rng.normal(size=n)
+    if shape == "near-collinear":
+        y = rng.uniform(0.0, 2.0) * x[-1] - rng.uniform(0.0, 1.0) * x
+        return x, y * (1.0 + 1e-16 * rng.normal(size=n) * (rng.random(n) < 0.5))
+    y = np.maximum(0.5 * x[-1] - x, 0.0)
+    noise = rng.normal(0.0, 1e-3, n)
+    return x, y + (noise if shape == "noisy-call" else np.where(y > 0.0, noise, 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400),
+       shape=st.sampled_from(PROJECTION_SHAPES))
+def test_lower_hull_equals_exact_oracle_property(seed, n, shape):
+    x, y = projection_input(seed, n, shape)
+    assert np.array_equal(numerics.lower_hull(x, y), exact_hull_oracle(x, y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400),
+       shape=st.sampled_from(PROJECTION_SHAPES))
+def test_projection_equals_loop_reference_property(seed, n, shape):
+    x, y = projection_input(seed, n, shape)
     out, dist = project_convex_decreasing(x, y)
     want, want_dist = project_oracle(x, y)
     slopes = np.diff(y) / np.diff(x)
-    if np.all(np.diff(slopes) > 0.0) and np.all((slopes >= -1.0) & (slopes <= 0.0)):
+    if exact_hull_oracle(x, y).size == x.size and np.all((slopes >= -1.0) & (slopes <= 0.0)):
         # a cone member comes back as is; the loop re-anchored it, with rounding
         assert dist == 0.0 and np.array_equal(out, y)
         assert want_dist <= 1e-12
     else:
         assert np.array_equal(out, want)
         assert dist == want_dist
+
+
+def test_projection_monotone_chain_fallback(monkeypatch):
+    # the pulled parabola of test_legendre_min_monotone_chain_fallback: each
+    # exact peel pass drops one node, so the chain finishes after _PEEL_PASSES
+    x = np.linspace(0.0, 1.0, 20001)
+    y = (x - 0.5) ** 2
+    y[-1] = -1e6
+    chains, chain = [], numerics._monotone_chain
+    monkeypatch.setattr(numerics, "_monotone_chain",
+                        lambda *a: chains.append(a[0].size) or chain(*a))
+    start = time.perf_counter()
+    out, dist = project_convex_decreasing(x, y)
+    elapsed = time.perf_counter() - start
+    assert chains == [x.size - numerics._PEEL_PASSES]
+    want, want_dist = project_oracle(x, y)
+    assert np.array_equal(out, want) and dist == want_dist
+    # about 40 ms on a 2-core machine; peeling to convergence takes 19,999 passes
+    assert elapsed < 1.5
+
+
+@st.composite
+def turn_triples(draw):
+    """Three nodes, x strictly increasing, of a shape where a float turn can
+    get its sign wrong or overflow: scaled collinear triples, equal y, k/10
+    lattices, magnitudes from 1e-300 to 1e300, and products that underflow."""
+    kind = draw(st.sampled_from(["collinear", "level", "lattice", "magnitudes", "underflow"]))
+    ints = st.integers(-50, 50)
+    if kind in ("collinear", "lattice"):
+        k = sorted(draw(st.lists(ints, min_size=3, max_size=3, unique=True)))
+        if kind == "lattice":
+            return [v / 10.0 for v in k], [draw(ints) / 10.0 for _ in range(3)]
+        scale = draw(st.sampled_from([2.0, 10.0])) ** draw(st.integers(-300, 300))
+        m, c = draw(ints), draw(ints)  # on the line c + m k in the unscaled integers
+        return [v * scale for v in k], [(c + m * v) * scale for v in k]
+    if kind == "underflow":
+        mags = st.floats(1e-170, 1e-150) | st.floats(5e-324, 1e-300)
+    else:
+        mags = st.floats(1e-300, 1e300)
+    signed = st.builds(lambda sign, mag: sign * mag, st.sampled_from([-1.0, 1.0]), mags)
+    x = sorted(draw(st.lists(signed, min_size=3, max_size=3, unique=True)))
+    y = draw(st.lists(signed, min_size=3, max_size=3))
+    return x, [y[0]] * 3 if kind == "level" else y
+
+
+@settings(max_examples=500, deadline=None)
+@given(triple=turn_triples())
+def test_turn_predicate_equals_rational_arithmetic_property(triple):
+    x, y = triple
+    want = exact_turn_up(*(Fraction(v) for pair in zip(x, y) for v in pair))
+    assert numerics._turn_up(*(v for pair in zip(x, y) for v in pair)) == want
+    assert numerics._turns_up(np.array(x), np.array(y)).tolist() == [want]
 
 
 def test_projection_returns_cone_member_unchanged_at_scale():
