@@ -20,7 +20,7 @@ import numpy as np
 from . import curve_io
 from .densities import DensityModel, check_log_concavity
 from .errors import ValidationError, ZonoidLabError
-from .implied import ImpliedQuery, implied_y_minimization, implied_y_root
+from .implied import ImpliedQuery, implied_y
 from .localvol import (dupire_from_boundary, dupire_from_calls,
                        localvol_geometric_closed, localvol_linear_closed)
 from .mc import SimConfig, _estimate, mc_check_propositions, simulate_terminal
@@ -225,11 +225,8 @@ def _cmd_certify(args, parser) -> int:
 
 
 def _cmd_implied(args, parser) -> int:
-    query = ImpliedQuery(args.density, args.c, args.k)
-    if args.method == "root":
-        y_star, p_hat = implied_y_root(query), None
-    else:
-        y_star, p_hat = implied_y_minimization(query)
+    found = implied_y(ImpliedQuery(args.density, args.c, args.k), args.method)
+    y_star, p_hat = found if args.method == "min" else (found, None)
     curve_io.write_json(_sink(args.out),
                         {"y_star": y_star, "p_hat": p_hat, "method": args.method})
     return 0
@@ -302,8 +299,7 @@ def _cmd_recover(args, parser) -> int:
         if not args.x:
             parser.error("--mode h requires --x")
         xs = np.array(args.x, dtype=np.float64)
-        probs = [recover_F_from_H(lambda y, p: H_map(density, y, p),
-                                  anchor, args.p0, x) for x in xs]
+        probs = recover_F_from_H(lambda y, p: H_map(density, y, p), anchor, args.p0, xs)
         curve_io.write_table(_sink(args.out), ("x", "F"), xs, probs)
     return 0
 

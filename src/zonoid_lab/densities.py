@@ -53,6 +53,17 @@ class ConcavityReport:
     max_violation: float
 
 
+def _concavity_report(grid: np.ndarray, values: np.ndarray, slack: float) -> ConcavityReport:
+    """The second-difference rule on the rows of ``values`` over ``grid``: the
+    worst is the first largest in row-major order, a violation above slack."""
+    d2 = second_differences(values)
+    i = np.unravel_index(int(np.argmax(d2)), d2.shape)
+    worst, j = float(d2[i]), i[-1]
+    if worst <= slack:
+        return ConcavityReport(True, None, worst)
+    return ConcavityReport(False, (float(grid[j]), float(grid[j + 1]), float(grid[j + 2])), worst)
+
+
 @dataclass(frozen=True)
 class DensityModel:
     """A positive density on R from a named family or user callables.
@@ -396,12 +407,4 @@ def check_log_concavity(model: DensityModel, grid=None) -> ConcavityReport:
     if grid.ndim != 1 or grid.size < 3:
         raise ValidationError("concavity grid needs at least 3 points")
     h = require_uniform(grid, "grid")
-    values = model.log_pdf(grid)
-    d2 = second_differences(values)
-    slack = 1e-10 * h * h
-    idx = int(np.argmax(d2))
-    max_violation = float(d2[idx])
-    if max_violation <= slack:
-        return ConcavityReport(True, None, max_violation)
-    witness = (float(grid[idx]), float(grid[idx + 1]), float(grid[idx + 2]))
-    return ConcavityReport(False, witness, max_violation)
+    return _concavity_report(grid, model.log_pdf(grid), 1e-10 * h * h)

@@ -51,10 +51,9 @@ class ImpliedQuery:
         _check_strike(self.k)
         if not np.isfinite(self.c):
             raise DomainError("price must be finite")
-        intrinsic = max(1.0 - self.k, 0.0)
-        if self.c < intrinsic or self.c >= 1.0:
+        if self.c < self.intrinsic or self.c >= 1.0:
             raise DomainError(
-                f"price {self.c!r} outside [(1-K)^+, 1) = [{intrinsic!r}, 1)")
+                f"price {self.c!r} outside [(1-K)^+, 1) = [{self.intrinsic!r}, 1)")
 
     @property
     def intrinsic(self) -> float:

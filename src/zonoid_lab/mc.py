@@ -132,31 +132,19 @@ def simulate_terminal(config: SimConfig) -> np.ndarray:
             out[lo:hi] = np.exp(w - 0.5 * config.t)
 
     workers = _worker_count(n)
-    if workers == 1:
-        fill(0, n)
-        return out
     # slice at even offsets so antithetic pairs never straddle workers
     step = 2 * ((n // workers) // 2 + 1)
     bounds = list(range(0, n, step)) + [n]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        jobs = [pool.submit(fill, lo, hi)
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-        for job in jobs:
-            job.result()
+        list(pool.map(fill, bounds[:-1], bounds[1:]))  # re-raises a worker's error
     return out
 
 
 def _estimate(payoffs: np.ndarray, antithetic: bool) -> Tuple[float, float, int]:
-    if antithetic:
-        pairs = 0.5 * (payoffs[0::2] + payoffs[1::2])
-        m = pairs.size
-        value = float(np.sum(pairs) / m)
-        se = float(np.std(pairs, ddof=1) / math.sqrt(m))
-    else:
-        n = payoffs.size
-        value = float(np.sum(payoffs) / n)
-        se = float(np.std(payoffs, ddof=1) / math.sqrt(n))
-    return value, se, payoffs.size
+    """Mean, standard error and path count, of the payoffs or, under
+    antithetic sampling, of their pair means."""
+    v = 0.5 * (payoffs[0::2] + payoffs[1::2]) if antithetic else payoffs
+    return float(np.sum(v) / v.size), float(np.std(v, ddof=1) / math.sqrt(v.size)), payoffs.size
 
 
 def mc_call(config: SimConfig, k: float) -> McEstimate:
@@ -269,8 +257,8 @@ def mc_check_propositions(config: SimConfig, pgrid=None,
     if np.any(pgrid <= 0.0) or np.any(pgrid >= 1.0):
         raise DomainError("pgrid must lie strictly inside (0, 1)")
     sample = simulate_terminal(config)
+    exact = exact_boundary(config.model, config.t, pgrid)
     if config.t == 0.0:
-        exact = exact_boundary(config.model, 0.0, pgrid)
         zero = np.zeros(pgrid.size)
         mc_vals = (0.0 if config.model == "bachelier" else 1.0) * pgrid
         dev = np.max(np.abs(mc_vals - exact))
@@ -288,7 +276,6 @@ def mc_check_propositions(config: SimConfig, pgrid=None,
     # the transform's values, and its argmin strikes for the standard errors
     mc_vals, amin = legendre_min(kgrid, projected, pgrid)
     ses = _payoff_se_at(x_sorted, suffix1, _suffix_sums(x_sorted ** 2), kgrid[amin])
-    exact = exact_boundary(config.model, config.t, pgrid)
     dev_units = np.abs(mc_vals - exact) / np.maximum(ses, 1e-300)
     max_dev = float(np.max(dev_units))
     return McPropositionReport(config.model, config.t, config.n_paths, pgrid,

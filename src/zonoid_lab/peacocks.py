@@ -26,11 +26,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .densities import ConcavityReport, DensityModel
+from .densities import ConcavityReport, DensityModel, _concavity_report
 from .errors import DomainError, UnsupportedError, ValidationError
 from .numerics import (as_float_array, gauss_kronrod, increasing_grid, jsonable,
-                       legendre_min, like_input, probabilities, require_uniform,
-                       second_differences)
+                       legendre_min, like_input, probabilities, require_uniform)
 
 _FAMILIES = ("linear", "geometric")
 _AXIS_KINDS = ("call-space", "zonoid-space")
@@ -97,28 +96,29 @@ class TimeChange:
         return cls("table", 1.0, np.asarray(times, dtype=np.float64),
                    np.asarray(values, dtype=np.float64))
 
-    def value(self, t: float) -> float:
+    def _check(self, t: float) -> None:
+        """DomainError unless t is finite, non-negative and inside a table."""
         if not np.isfinite(t) or t < 0.0:
             raise DomainError(f"t must be non-negative, got {t!r}")
+        if self.kind == "table" and t > self.times[-1]:
+            raise DomainError(f"t={t!r} beyond the time change table")
+
+    def value(self, t: float) -> float:
+        self._check(t)
         if self.kind == "sqrt":
             return self.scale * math.sqrt(t)
         if self.kind == "linear":
             return self.scale * t
-        if t > self.times[-1]:
-            raise DomainError(f"t={t!r} beyond the time change table")
         return float(np.interp(t, self.times, self.table_values))
 
     def derivative(self, t: float) -> float:
-        if not np.isfinite(t) or t < 0.0:
-            raise DomainError(f"t must be non-negative, got {t!r}")
+        self._check(t)
         if self.kind == "sqrt":
             if t == 0.0:
                 raise DomainError("sqrt time change has no derivative at t = 0")
             return 0.5 * self.scale / math.sqrt(t)
         if self.kind == "linear":
             return self.scale
-        if t > self.times[-1]:
-            raise DomainError(f"t={t!r} beyond the time change table")
         return float(np.interp(t, self.times, self._secants))
 
 
@@ -180,27 +180,29 @@ def G_map(density: DensityModel, p):
     return like_input(np.where(interior, density.pdf(x), 0.0), p)
 
 
-def H_map(density: DensityModel, y: float, p):
-    """H_y(p) = F(F^{-1}(p) + y) for any real y; H_y(0) = 0 and H_y(1) = 1
-    by convention, and H_0 is the identity exactly."""
-    if not np.isfinite(y):
+def H_map(density: DensityModel, y, p):
+    """H_y(p) = F(F^{-1}(p) + y) for real levels y that broadcast with p;
+    H_y(0) = 0 and H_y(1) = 1 by convention, and H_0 is the identity
+    exactly.  A float only when p and y are both scalars."""
+    y = np.asarray(y, dtype=np.float64)
+    if not np.isfinite(y).all():
         raise DomainError("y must be finite")
     p = probabilities(p, "p")
-    if y == 0.0:
-        return like_input(p.copy(), p)
     interior = (p > 0.0) & (p < 1.0)  # the ends are evaluated at p = 1/2
     x = density.quantile(np.where(interior, p, 0.5))
-    return like_input(np.where(interior, density.cdf(x + y), p), p)
+    out = np.where(interior & (y != 0.0), density.cdf(x + y), p)
+    return like_input(out, out)
 
 
-def family_boundary(family: str, density: DensityModel, s: float, y: float, p):
-    """Upper boundary of the family marginal at level y: s p + y G(p) for the
-    linear family, s H_y(p) for the geometric one."""
+def family_boundary(family: str, density: DensityModel, s: float, y, p):
+    """Upper boundary of the family marginal at levels y, which broadcast
+    with p: s p + y G(p) for the linear family, s H_y(p) for the geometric
+    one.  A float only when p and y are both scalars."""
     if family == "linear":
         out = s * np.asarray(p, dtype=np.float64) + y * G_map(density, p)
     else:
         out = s * np.asarray(H_map(density, y, p))
-    return like_input(out, p)
+    return like_input(out, out)
 
 
 def surface_boundary(spec: PeacockSpec, t: float, p):
@@ -210,10 +212,13 @@ def surface_boundary(spec: PeacockSpec, t: float, p):
 
 
 def boundary_surface(spec: PeacockSpec, tgrid, pgrid) -> SurfaceGrid:
-    """Zonoid-space SurfaceGrid of the family over (tgrid, pgrid)."""
+    """Zonoid-space SurfaceGrid of the family over (tgrid, pgrid): one
+    ``family_boundary`` evaluation on the column of levels Y(t)."""
     tgrid = as_float_array(tgrid, "tgrid")
     pgrid = as_float_array(pgrid, "pgrid")
-    values = np.vstack([surface_boundary(spec, float(t), pgrid) for t in tgrid])
+    levels = np.array([spec.time_change.value(float(t)) for t in tgrid])
+    values = family_boundary(spec.family, spec.density, spec.s,
+                             levels.reshape((-1,) + (1,) * pgrid.ndim), pgrid)
     return SurfaceGrid(tgrid, pgrid, values, "zonoid-space", meta=_spec_meta(spec))
 
 
@@ -293,25 +298,17 @@ def certify_peacock(spec: PeacockSpec, tgrid, pgrid=None,
     if pgrid[0] != 0.0 or pgrid[-1] != 1.0:
         raise ValidationError("pgrid must span [0, 1] exactly")
 
-    rows = np.vstack([surface_boundary(spec, float(t), pgrid) for t in tgrid])
+    rows = boundary_surface(spec, tgrid, pgrid).values
 
-    # (a) concavity of each slice; the witness is the first worst in row-major order
-    d2 = second_differences(rows)
-    i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
-    worst_viol = float(d2[i, j])
-    worst_witness = (float(pgrid[j]), float(pgrid[j + 1]), float(pgrid[j + 2]))
-    rng = float(rows.max() - rows.min())
-    slack = 1e-9 * max(1.0, rng)
-    concave_ok = worst_viol <= slack
-    concavity = ConcavityReport(True, None, worst_viol) if concave_ok else \
-        ConcavityReport(False, worst_witness, worst_viol)
+    # (a) concavity of each slice, to a slack of 1e-9 times the value range
+    concavity = _concavity_report(pgrid, rows, 1e-9 * max(1.0, float(rows.max() - rows.min())))
 
     # (c) mean constancy, exact by the endpoint conventions
     mean_max_dev = float(np.max(np.abs(rows[:, -1] - spec.s)))
     mean_ok = mean_max_dev == 0.0
 
     # (b) Kellerer monotonicity in t of the transformed calls
-    if not concave_ok:
+    if not concavity.is_concave:
         kellerer = KellererReport(False, np.nan, None, skipped=True)
     else:
         dp = np.diff(pgrid)
@@ -332,7 +329,7 @@ def certify_peacock(spec: PeacockSpec, tgrid, pgrid=None,
                                         float(tgrid[ti + 1]))
         kellerer = KellererReport(mono_ok, max(0.0, -worst_gap), witness)
 
-    ok = bool(concave_ok and kellerer.ok and mean_ok)
+    ok = bool(concavity.is_concave and kellerer.ok and mean_ok)
     return PeacockCertificate(ok, concavity, kellerer, mean_ok, mean_max_dev)
 
 
@@ -366,13 +363,9 @@ def generator_limit_check(density: DensityModel, ygrid=None, pgrid=None) -> np.n
     if pgrid is None:
         pgrid = np.linspace(0.01, 0.99, 99)
     pgrid = as_float_array(pgrid, "pgrid")
-    g = G_map(density, pgrid)
-    rows = []
-    for y in ygrid:
-        hy = H_map(density, float(y), pgrid)
-        err = float(np.max(np.abs((hy - pgrid) / y - g)))
-        rows.append((float(y), err))
-    return np.array(rows)
+    y = ygrid[:, None]
+    err = np.max(np.abs((H_map(density, y, pgrid) - pgrid) / y - G_map(density, pgrid)), axis=1)
+    return np.column_stack((ygrid, err))
 
 
 def recover_F_from_G(gen: Callable, anchor: float, p0: float,
@@ -405,16 +398,16 @@ def recover_F_from_G(gen: Callable, anchor: float, p0: float,
     return ps, xs
 
 
-def recover_F_from_H(h_handle: Callable, anchor: float, p0: float, x: float) -> float:
+def recover_F_from_H(h_handle: Callable, anchor: float, p0: float, x):
     """Rebuild the distribution function from the flow handle:
     F(x) = H_{x - anchor}(p0), where anchor = F^{-1}(p0).
 
-    Only x >= anchor is supported (negative flow levels are not assumed
-    available from the handle)."""
+    x is a scalar or an array; the handle is called once, on the levels
+    x - anchor (an array for an array of x).  Only x >= anchor is supported
+    (negative flow levels are not assumed available from the handle)."""
     if not (0.0 < p0 < 1.0):
         raise DomainError("p0 must lie in (0, 1)")
-    if not np.isfinite(x):
-        raise DomainError("x must be finite")
-    if x < anchor:
+    x_arr = as_float_array(x, "x")
+    if (x_arr < anchor).any():
         raise UnsupportedError("recover_F_from_H needs x >= anchor")
-    return float(h_handle(x - anchor, p0))
+    return like_input(np.asarray(h_handle(x_arr - anchor, p0), dtype=np.float64), x)
