@@ -321,7 +321,7 @@ def build_parser() -> _Parser:
 
     def add(name, fn, help_text):
         sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=lambda args: fn(args, sp))  # its usage errors name the subcommand
         sp.add_argument("--out", default="-", help="output path (default stdout)")
         return sp
 
@@ -419,7 +419,7 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "fn", None) is None:
         parser.error("a subcommand is required")
-    return args.fn(args, parser)
+    return args.fn(args)
 
 
 def main(argv=None) -> int:

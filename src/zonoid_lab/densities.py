@@ -157,7 +157,8 @@ class DensityModel:
         x = as_float_array(x, "x")
         if self.family == "gaussian":
             z = self._z(x)
-            out = np.exp(-0.5 * z * z) / (self.scale * _SQRT2PI)
+            with np.errstate(over="ignore"):  # z * z = inf far out: the limit 0 is right
+                out = np.exp(-0.5 * z * z) / (self.scale * _SQRT2PI)
         elif self.family == "logistic":
             # expit(-z) in place of 1 - expit(z) keeps relative precision in
             # the right tail, where 1 - p has lost it
@@ -305,17 +306,16 @@ class DensityModel:
         """Open range (r_min, r_max) of x -> f(x+y)/f(x) for y > 0: floats for
         a scalar level, arrays of its shape for an array of levels."""
         y_arr = _levels(y)
-        exp = np.exp if y_arr.ndim else math.exp  # a scalar level keeps libm's rounding
         if self.family == "gaussian":
             lo, hi = np.zeros(y_arr.shape), np.full(y_arr.shape, np.inf)
         elif self.family == "logistic":
-            lo, hi = exp(-y_arr / self.scale), exp(y_arr / self.scale)
+            lo, hi = np.exp(-y_arr / self.scale), np.exp(y_arr / self.scale)
         elif self.family == "cauchy":
             raise UnsupportedError("cauchy ratio map is not monotone")
         else:
             x_lo, x_hi = self.quantile_bounds()
-            lo = exp(self.log_pdf(x_hi + y_arr) - self.log_pdf(x_hi))
-            hi = exp(self.log_pdf(x_lo + y_arr) - self.log_pdf(x_lo))
+            lo = np.exp(self.log_pdf(x_hi + y_arr) - self.log_pdf(x_hi))
+            hi = np.exp(self.log_pdf(x_lo + y_arr) - self.log_pdf(x_lo))
         return (lo, hi) if y_arr.ndim else (float(lo), float(hi))
 
 

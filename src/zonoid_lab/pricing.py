@@ -223,8 +223,10 @@ def geometric_family_curve(model: DensityModel, s: float, y: float):
 def _family_curve(kind: str, model: DensityModel, s: float, y: float):
     """The family's call curve on the strike image of the density's quantile
     bounds; (log f)' and the ratio decrease, so the right tail gives k_lo.
-    At y = 0 it is the point mass at s, (s - K)^+, with boundary s p.
-    Its ``conjugate`` is the exact boundary (log-concave models only, or y = 0)."""
+    Where that image holds no interval (y = 0, the point mass at s with
+    C = (s - K)^+, or a level so small that it rounds to one float), the
+    domain is one around s.  Its ``conjugate`` is the exact boundary
+    (log-concave models only, or y = 0)."""
     from .zonoid import CallCurve
 
     def conjugate(p):
@@ -238,11 +240,10 @@ def _family_curve(kind: str, model: DensityModel, s: float, y: float):
     else:
         edge = lambda q: s * math.exp(float(model.log_pdf(q + y)) - float(model.log_pdf(q)))
         price = family_call_geometric
-    if y == 0.0:  # the point mass at s: C = (s - K)^+ on any domain around s
+    q_lo, q_hi = model.quantile_bounds()
+    domain = (edge(q_hi), edge(q_lo))
+    if not domain[0] < domain[1]:
         domain = (0.5 * s, 2.0 * s) if kind == "geometric" else (s - 1.0, s + 1.0)
-    else:
-        q_lo, q_hi = model.quantile_bounds()
-        domain = (edge(q_hi), edge(q_lo))
     return replace(CallCurve.from_function(
         lambda k: price(model, s, y, k), mean=s, domain=domain,
         positive=kind == "geometric",

@@ -135,26 +135,30 @@ class CallCurve:
     def sample_grid(self) -> np.ndarray:
         if self.is_grid:
             return self.strikes
-        return np.linspace(self.k_lo, self.k_hi, _SAMPLE_N)
+        # unique: on a domain a few ulps wide linspace repeats floats
+        return np.unique(np.linspace(self.k_lo, self.k_hi, _SAMPLE_N))
 
     def validate(self) -> None:
         """Raise ValidationError unless the curve is a plausible call curve:
         non-increasing, convex (to slack), and near its asymptotes at the
-        domain endpoints."""
+        domain endpoints.  Both shape slacks add the rounding of prices that
+        are differences of terms the size of the mean and the strikes (it
+        dominates the slopes on the narrow domain of a small level y)."""
         ks = self.sample_grid()
         vals = self.__call__(ks)
         if not np.all(np.isfinite(vals)):
             raise ValidationError("call curve values must be finite")
-        vrange = float(vals.max() - vals.min())
-        slack = _SHAPE_SLACK * max(vrange, 1e-300)
+        noise = 8.0 * math.ulp(1.0) * max(abs(self.mean), abs(float(ks[0])), abs(float(ks[-1])))
+        slack = _SHAPE_SLACK * max(float(vals.max() - vals.min()), 1e-300) + noise
         if np.any(np.diff(vals) > slack):
             raise ValidationError("call curve must be non-increasing")
         if vals.size >= 3:
             # Slope monotonicity, not second differences: the grid may be
             # non-uniform (e.g. geometric).  Call-curve slopes lie in [-1, 0],
             # so an absolute slack on slope increments is scale-correct.
-            slopes = np.diff(vals) / np.diff(ks)
-            if float(np.min(np.diff(slopes))) < -_SHAPE_SLACK:
+            steps = np.diff(ks)
+            slopes = np.diff(vals) / steps
+            if float(np.min(np.diff(slopes))) < -(_SHAPE_SLACK + 4.0 * noise / float(steps.min())):
                 raise ValidationError("call curve must be convex")
         tail_tol = _TAIL_TOL * _value_scale(self.mean)
         if abs(float(vals[-1])) > tail_tol:

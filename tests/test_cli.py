@@ -9,6 +9,7 @@ failure.
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from zonoid_lab import curve_io
 from zonoid_lab.cli import main
 from zonoid_lab.densities import DensityModel
 from zonoid_lab.mc import SimConfig, mc_check_propositions, simulate_terminal
-from zonoid_lab.peacocks import G_map, H_map, PeacockSpec, TimeChange, boundary_surface
+from zonoid_lab.peacocks import (G_map, H_map, PeacockSpec, TimeChange, boundary_surface,
+                                 call_surface)
 from zonoid_lab.pricing import (ModelParams, bachelier_call, bachelier_curve,
                                 black_scholes_call, family_call_linear,
                                 family_prices, survival)
@@ -566,3 +568,62 @@ def test_boundary_at_zero_maturity_is_the_point_mass(capsys, route):
     header, data = read_csv_text(capsys.readouterr().out)
     assert header == ("p", "Chat")
     assert np.array_equal(data[:, 1], 1.5 * data[:, 0])
+
+
+@pytest.mark.parametrize("argv", [
+    ("price", "--model", "bachelier"),
+    ("price", "--k", "1"),
+    ("surface", "--family", "linear", "--space", "call", "--t-grid", "0:1:3"),
+    ("localvol", "--from", "boundary", "--family", "linear", "--t", "1"),
+])
+def test_handler_usage_errors_name_their_subcommand(capsys, argv):
+    # errors found inside a handler print its subparser's prog and usage,
+    # as argparse's own errors do
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"zonoid-lab {argv[0]}: error:")
+    assert f"usage: zonoid-lab {argv[0]} [-h]" in err
+
+
+def test_surface_call_space_and_linear_time_change(capsys):
+    assert run_cli("surface", "--family", "linear", "--density", "logistic", "--s", "0.5",
+                   "--y-kind", "linear", "--y-scale", "0.7", "--space", "call",
+                   "--t-grid", "0:1:3", "--k-grid=-1:2:7") == 0
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+    spec = PeacockSpec("linear", DensityModel.logistic(), 0.5, TimeChange.linear(0.7))
+    want = call_surface(spec, np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 2.0, 7))
+    assert [float(v) for v in rows[0][1:]] == want.axis.tolist()
+    assert [float(r[0]) for r in rows[1:]] == want.times.tolist()
+    assert np.array_equal(np.array([[float(v) for v in r[1:]] for r in rows[1:]]), want.values)
+    # the first row is Y(0) = 0: the intrinsic values of the point mass at s
+    assert np.array_equal(want.values[0], np.maximum(0.5 - want.axis, 0.0))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "black_scholes", "--sigma", "0.01", "--t", "1e-6"),
+    ("--model", "black_scholes", "--sigma", "1e-5"),
+    ("--model", "black_scholes", "--sigma", "1e-17"),
+    ("--family", "linear", "--density", "logistic", "--s0", "100", "--sigma", "1e-15"),
+])
+def test_boundary_at_small_levels(capsys, argv):
+    # these used to exit 2: "call curve must be convex" (rounding), or
+    # "domain must be a finite interval" (a collapsed strike image)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("boundary", *argv, "--p-grid", "0:1:11") == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    header, data = read_csv_text(out.out)
+    s = 100.0 if "100" in argv else 1.0
+    assert np.max(np.abs(data[:, 1] - s * data[:, 0])) <= 1e-5 * s
+
+
+def test_price_at_a_vanishing_level_is_quiet(capsys):
+    # the gaussian pdf overflows to its limit 0 far out; no warning reaches stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("price", "--family", "linear", "--density", "gaussian", "--s0", "1",
+                       "--sigma", "1e-300", "--k", "0.5") == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert read_csv_text(out.out)[1].tolist() == [[0.5, 0.49999999999999994, 1.0]]

@@ -6,6 +6,7 @@ central finite differences for derivative cross-checks.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -122,6 +123,31 @@ def test_scalar_in_scalar_out():
     assert isinstance(GAUSS.pdf(np.array([0.0, 1.0])), np.ndarray)
 
 
+def _twin(model: DensityModel) -> DensityModel:
+    return DensityModel.custom(model.pdf, model.pdf_prime, model.cdf, model.quantile)
+
+
+@pytest.mark.parametrize("model", [GAUSS, LOGISTIC, DensityModel.logistic(0.4, 2.5)],
+                         ids=["gaussian", "logistic", "logistic-2.5"])
+def test_custom_evaluators_match_their_built_in(model):
+    twin, xs = _twin(model), np.linspace(-8.0, 8.0, 161) * model.scale + model.location
+    # pdf_prime hands the user's callable through unchanged
+    assert np.array_equal(twin.pdf_prime(xs), model.pdf_prime(xs))
+    assert type(twin.pdf_prime(0.3)) is float and twin.pdf_prime(0.3) == model.pdf_prime(0.3)
+    # log_curvature of a custom model is the central difference of (log f)' at
+    # h = 1e-5 scale: truncation h^2 max|(log f)^(4)| / 6 plus rounding about
+    # eps max|(log f)'| / h, both below 1e-9 / scale^2 over 8 scales for these laws
+    err = np.abs(twin.log_curvature(xs) - model.log_curvature(xs))
+    assert np.max(err) <= 1e-9 / model.scale ** 2
+
+
+def test_gaussian_pdf_far_tail_is_zero_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert GAUSS.pdf(1e200) == 0.0 and GAUSS.pdf(-5e299) == 0.0
+        assert np.array_equal(GAUSS.pdf(np.array([-1e300, 40.0, 1e300])), [0.0, 0.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # Structure and spec parsing
 # ---------------------------------------------------------------------------
@@ -175,6 +201,21 @@ def test_ratio_range():
         GAUSS.ratio_range(0.0)
     with pytest.raises(UnsupportedError):
         CAUCHY.ratio_range(1.0)
+
+
+@pytest.mark.parametrize("model", [DensityModel.logistic(0.2, 0.7),
+                                   _twin(DensityModel.logistic(0.2, 0.7))],
+                         ids=["logistic", "custom-logistic"])
+def test_ratio_range_scalar_equals_array(model):
+    # one rule for scalars and arrays: a scalar level and the same level as a
+    # 1-element array give the same ends, and an array gives them elementwise
+    ys = np.random.default_rng(15).uniform(0.01, 20.0, 400)
+    lo, hi = model.ratio_range(ys)
+    for i, y in enumerate(ys):
+        ends = model.ratio_range(float(y))
+        assert type(ends[0]) is float and type(ends[1]) is float
+        one = model.ratio_range(np.array([y]))
+        assert ends == (float(one[0][0]), float(one[1][0])) == (float(lo[i]), float(hi[i]))
 
 
 # ---------------------------------------------------------------------------

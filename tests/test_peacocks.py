@@ -443,6 +443,101 @@ def test_recover_calls_the_generator_on_arrays():
 
 
 # ---------------------------------------------------------------------------
+# One evaluation per slice matrix: arrays of levels and of x
+# ---------------------------------------------------------------------------
+
+def _twin(model: DensityModel) -> DensityModel:
+    return DensityModel.custom(model.pdf, model.pdf_prime, model.cdf, model.quantile)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("density", [GAUSS, LOGISTIC, CAUCHY, _twin(LOGISTIC)],
+                         ids=["gaussian", "logistic", "cauchy", "custom-logistic"])
+def test_h_map_levels_broadcast_with_p(density):
+    levels = np.array([0.0, -0.0, 1e-300, 0.5, -1.0, 3.0])
+    ps = np.concatenate(([0.0], np.linspace(0.01, 0.99, 23), [1.0]))
+    rows = np.vstack([H_map(density, float(y), ps) for y in levels])
+    assert _same_bits(H_map(density, levels[:, None], ps), rows)
+    # a column of levels against one p is one column of the same matrix
+    assert _same_bits(H_map(density, levels, 0.3),
+                      np.array([H_map(density, y, 0.3) for y in levels]))
+    assert type(H_map(density, np.array(0.5), 0.3)) is float
+    assert H_map(density, np.array([0.5]), 0.3).shape == (1,)
+    with pytest.raises(DomainError):
+        H_map(density, np.array([0.5, np.nan]), ps)
+
+
+@pytest.mark.parametrize("family", ["linear", "geometric"])
+@pytest.mark.parametrize("tc,tgrid", [(TimeChange.sqrt(0.8), np.linspace(0.25, 4.0, 16)),
+                                      (log1p_table(), np.linspace(0.0, 4.0, 9)),
+                                      (TimeChange.from_table([0.0, 1.0, 2.0], [2.0, 1.0, 0.5]),
+                                       np.linspace(0.0, 2.0, 5))],
+                         ids=["sqrt", "table", "decreasing-table"])
+def test_boundary_surface_rows_are_the_slices(family, tc, tgrid):
+    for density in (GAUSS, LOGISTIC, CAUCHY):
+        spec = PeacockSpec(family, density, 1.3, tc)
+        pgrid = np.linspace(0.0, 1.0, 101)
+        want = np.vstack([surface_boundary(spec, float(t), pgrid) for t in tgrid])
+        assert _same_bits(boundary_surface(spec, tgrid, pgrid).values, want)
+
+
+def test_generator_limit_check_equals_the_level_loop():
+    ygrid, pgrid = np.array([0.5, 1e-2, 1e-5, 1e-9]), np.linspace(0.02, 0.98, 49)
+    for density in (GAUSS, LOGISTIC, _twin(GAUSS)):
+        g = G_map(density, pgrid)
+        want = np.array([(y, np.max(np.abs((H_map(density, float(y), pgrid) - pgrid) / y - g)))
+                         for y in ygrid])
+        assert _same_bits(generator_limit_check(density, ygrid, pgrid), want)
+
+
+def test_recover_f_from_h_takes_arrays_in_one_call():
+    seen = []
+
+    def handle(y, p):
+        seen.append(np.shape(y))
+        return H_map(LOGISTIC, y, p)
+
+    anchor = float(LOGISTIC.quantile(0.3))
+    xs = anchor + np.array([0.0, 0.5, 2.0, 7.0])
+    got = recover_F_from_H(handle, anchor, 0.3, xs)
+    assert seen == [(4,)]
+    assert _same_bits(got, np.array([recover_F_from_H(handle, anchor, 0.3, float(x)) for x in xs]))
+    assert np.max(np.abs(got - LOGISTIC.cdf(xs))) <= 1e-12
+    assert type(recover_F_from_H(handle, anchor, 0.3, xs[1])) is float
+    with pytest.raises(UnsupportedError):  # one x below the anchor rejects the batch
+        recover_F_from_H(handle, anchor, 0.3, np.append(xs, anchor - 1e-9))
+    with pytest.raises(DomainError):
+        recover_F_from_H(handle, anchor, 0.3, np.append(xs, np.inf))
+
+
+def test_time_change_derivative_checks_t_like_the_value():
+    tab = TimeChange.from_table([0.0, 1.0, 3.0], [0.0, 2.0, 4.0])
+    for tc in (TimeChange.sqrt(), TimeChange.linear(2.0), tab):
+        for t in (-1.0, -1e-300, np.nan, np.inf):
+            for method in (tc.value, tc.derivative):
+                with pytest.raises(DomainError, match="non-negative"):
+                    method(t)
+    for method in (tab.value, tab.derivative):
+        with pytest.raises(DomainError, match="beyond the time change table"):
+            method(3.0 + 1e-12)
+    assert tab.derivative(3.0) == 1.0  # the last node is still inside
+
+
+def test_surface_of_a_custom_model_tags_its_density_custom():
+    tgrid, pgrid = np.linspace(0.5, 2.0, 4), np.linspace(0.0, 1.0, 11)
+    for family in ("linear", "geometric"):
+        twin, built_in = (boundary_surface(PeacockSpec(family, model, 1.0, TimeChange.sqrt()),
+                                           tgrid, pgrid) for model in (_twin(GAUSS), GAUSS))
+        assert twin.meta == dict(built_in.meta, density={"family": "custom"})
+        # the twin evaluates the built-in's own functions, so the values agree exactly
+        assert _same_bits(twin.values, built_in.values)
+
+
+# ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------
 

@@ -8,6 +8,7 @@ and uniform two-atom laws) pin exact values.
 
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from scipy.stats import norm
 
 from zonoid_lab.densities import DensityModel
 from zonoid_lab.errors import DomainError, UnsupportedError, ValidationError
-from zonoid_lab import numerics, pricing, zonoid
+from zonoid_lab import numerics, peacocks, pricing, zonoid
 from zonoid_lab.numerics import legendre_min, monotone_root
 from zonoid_lab.pricing import (ModelParams, bachelier_curve, black_scholes_curve,
                                 geometric_family_curve, linear_family_curve)
@@ -882,3 +883,71 @@ def test_call_curve_fn_sees_only_strikes_in_its_domain():
     ks = np.linspace(base.k_lo - 5.0, base.k_hi + 5.0, 101)
     assert np.array_equal(curve(ks), base(ks))
     assert np.array_equal(curve(ks.reshape(1, 101)), base(ks).reshape(1, 101))
+
+
+# ---------------------------------------------------------------------------
+# Small levels, the rounding slack of validate, and the closed-form defaults
+# ---------------------------------------------------------------------------
+
+_SMALL_LEVELS = 10.0 ** np.arange(-16.0, -2.9, 0.5)
+
+
+@pytest.mark.parametrize("build", [linear_family_curve, geometric_family_curve],
+                         ids=["linear", "geometric"])
+@pytest.mark.parametrize("model", [DensityModel.gaussian(), DensityModel.logistic()],
+                         ids=["gaussian", "logistic"])
+def test_family_curves_at_small_levels_are_valid(build, model):
+    # a price s F(V + y) - K F(V) rounds at eps times the mean and strike, and
+    # the domain is about 16 y wide: validate must allow for that rounding, and
+    # a domain image that collapses to one float falls back to one around s
+    pgrid = np.linspace(0.0, 1.0, 11)
+    means = (1.0, 100.0) if build is geometric_family_curve else (0.0, 1.0, 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in means:
+            for y in _SMALL_LEVELS:
+                got = upper_boundary_from_calls(build(model, s, y), pgrid)
+                # s H_y(p) - s p ~ s y G(p), y G(p) in the linear family, G <= 0.4
+                scale = max(1.0, s)
+                assert np.max(np.abs(got.values - s * pgrid)) <= scale * (0.41 * y + 1e-15), (s, y)
+
+
+def test_validate_rejects_a_kink_far_above_the_rounding_term():
+    # domain 1e-6 wide at K ~ 1: the rounding slack on slope increments is
+    # about 4 * 8 eps / (1e-6 / 512) = 3.6e-6, far below a kink of 0.4
+    k0, k1 = 1.0, 1.0 + 1e-6
+    km = 0.5 * (k0 + k1)
+    concave = lambda k: np.where(k < km, 0.5 * (k1 - k), 0.5 * (k1 - km) + 0.9 * (km - k))
+    with pytest.raises(ValidationError, match="convex"):
+        CallCurve.from_function(concave, mean=1.0, domain=(k0, k1)).validate()
+    # the point mass at the same place is a call curve and passes
+    CallCurve.from_function(lambda k: np.maximum(km - k, 0.0), mean=km, domain=(k0, k1)).validate()
+
+
+def test_calls_from_a_closed_form_boundary_infer_their_strike_grid():
+    # without a strike grid the strikes span the boundary's end slopes,
+    # measured at p = 1e-6 and 1 - 1e-6, on 2001 points
+    model = DensityModel.gaussian()
+    cases = [("linear", 0.0, 1.0,
+              lambda ks: pricing.bachelier_call(ModelParams(0.0, 1.0, 1.0), ks)),
+             ("geometric", 2.0, 0.5,
+              lambda ks: pricing.family_prices("geometric", model, 2.0, 0.5, ks)[0])]
+    for kind, s, y, calls in cases:
+        fn = lambda p: peacocks.family_boundary(kind, model, s, y, p)
+        boundary = ZonoidBoundary.from_function(fn, mean=s)
+        got = calls_from_upper_boundary(boundary)
+        k_hi, k_lo = fn(1e-6) / 1e-6, (s - fn(1.0 - 1e-6)) / 1e-6
+        assert got.strikes.size == 2001
+        assert got.strikes[0] == k_lo and got.strikes[-1] == k_hi
+        assert np.max(np.abs(got.values - calls(got.strikes))) <= 1e-12
+
+
+def test_discrete_boundary_curve_adds_the_requested_grid():
+    dist = DiscreteDistribution([0.5, 2.0, 3.5], [0.3, 0.4, 0.3])
+    pgrid = np.linspace(0.0, 1.0, 8)
+    got = dist.boundary_curve(pgrid)
+    kinks = dist.boundary_curve().probs
+    assert np.array_equal(got.probs, np.unique(np.concatenate((kinks, pgrid))))
+    assert got.mean == dist.mean
+    # the independent route: the integral of the upper quantile
+    assert np.max(np.abs(got.values - boundary_from_quantile_integral(dist, got.probs))) <= 1e-14
