@@ -156,9 +156,9 @@ class DensityModel:
     def pdf(self, x):
         x = as_float_array(x, "x")
         if self.family == "gaussian":
-            z = self._z(x)
-            with np.errstate(over="ignore"):  # z * z = inf far out: the limit 0 is right
-                out = np.exp(-0.5 * z * z) / (self.scale * _SQRT2PI)
+            # exp(-800) is 0 already: the cap keeps z * z from overflowing far out
+            z = np.minimum(np.abs(self._z(x)), 40.0)
+            out = np.exp(-0.5 * z * z) / (self.scale * _SQRT2PI)
         elif self.family == "logistic":
             # expit(-z) in place of 1 - expit(z) keeps relative precision in
             # the right tail, where 1 - p has lost it

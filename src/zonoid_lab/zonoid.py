@@ -141,9 +141,9 @@ class CallCurve:
     def validate(self) -> None:
         """Raise ValidationError unless the curve is a plausible call curve:
         non-increasing, convex (to slack), and near its asymptotes at the
-        domain endpoints.  Both shape slacks add the rounding of prices that
-        are differences of terms the size of the mean and the strikes (it
-        dominates the slopes on the narrow domain of a small level y)."""
+        domain endpoints.  The shape slacks allow for prices that round at
+        noise = 8 eps max(|mean|, max |K|), as differences of terms that size
+        do: noise per value, 2 noise (1/h + 1/h') per slope increment."""
         ks = self.sample_grid()
         vals = self.__call__(ks)
         if not np.all(np.isfinite(vals)):
@@ -158,7 +158,8 @@ class CallCurve:
             # so an absolute slack on slope increments is scale-correct.
             steps = np.diff(ks)
             slopes = np.diff(vals) / steps
-            if float(np.min(np.diff(slopes))) < -(_SHAPE_SLACK + 4.0 * noise / float(steps.min())):
+            slack = _SHAPE_SLACK + 2.0 * noise * (1.0 / steps[:-1] + 1.0 / steps[1:])
+            if np.any(np.diff(slopes) < -slack):
                 raise ValidationError("call curve must be convex")
         tail_tol = _TAIL_TOL * _value_scale(self.mean)
         if abs(float(vals[-1])) > tail_tol:

@@ -922,6 +922,13 @@ def test_validate_rejects_a_kink_far_above_the_rounding_term():
         CallCurve.from_function(concave, mean=1.0, domain=(k0, k1)).validate()
     # the point mass at the same place is a call curve and passes
     CallCurve.from_function(lambda k: np.maximum(km - k, 0.0), mean=km, domain=(k0, k1)).validate()
+    # the slack is per node: two strikes 1e-13 apart near K = 1.5 do not hide a
+    # concave kink of 0.05 at K = 0.5 (a slack of 4 noise / smallest step would)
+    ks = np.sort(np.append(np.linspace(0.0, 2.0, 101), 1.5 + 1e-13))
+    kinked = np.maximum(1.0 - ks, 0.0) + 0.05 * np.minimum(ks - 0.5, 0.0)
+    with pytest.raises(ValidationError, match="convex"):
+        CallCurve.from_grid(ks, kinked, mean=1.0).validate()
+    CallCurve.from_grid(ks, np.maximum(1.0 - ks, 0.0), mean=1.0).validate()
 
 
 def test_calls_from_a_closed_form_boundary_infer_their_strike_grid():
