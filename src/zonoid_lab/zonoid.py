@@ -157,9 +157,9 @@ class CallCurve:
             # non-uniform (e.g. geometric).  Call-curve slopes lie in [-1, 0],
             # so an absolute slack on slope increments is scale-correct.
             steps = np.diff(ks)
-            slopes = np.diff(vals) / steps
-            slack = _SHAPE_SLACK + 2.0 * noise * (1.0 / steps[:-1] + 1.0 / steps[1:])
-            if np.any(np.diff(slopes) < -slack):
+            kinks = np.diff(np.diff(vals) / steps)  # slope increments; each slack is >= 1e-9
+            if float(kinks.min()) < -_SHAPE_SLACK and np.any(
+                    kinks < -_SHAPE_SLACK - 2.0 * noise * (1.0 / steps[:-1] + 1.0 / steps[1:])):
                 raise ValidationError("call curve must be convex")
         tail_tol = _TAIL_TOL * _value_scale(self.mean)
         if abs(float(vals[-1])) > tail_tol:
