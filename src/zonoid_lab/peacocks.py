@@ -6,9 +6,11 @@ Two families of boundary surfaces over (t, p):
 * geometric: boundary(t, p) = s H_{Y(t)}(p),     H_y = F(F^{-1}(.) + y)
 
 Both define families of marginals with constant mean s that increase in the
-convex order (a peacock) exactly when f is log-concave; ``certify_peacock``
-checks the three defining properties on grids: concavity of each time slice,
-call prices non-decreasing in t at fixed strike, and mean constancy.
+convex order (a peacock) exactly when f is log-concave.  ``certify_peacock``
+checks the three defining properties on one boundary matrix, in zonoid
+space: concavity of each time slice, slices non-decreasing in t at every p
+(with equal means the convex order is the inclusion of lift zonoids), and
+mean constancy.
 
 The maps H_y form a composition group (H_{y1} o H_{y2} = H_{y1+y2}) whose
 generator is G; ``group_property_check`` and ``generator_limit_check``
@@ -29,7 +31,7 @@ import numpy as np
 from .densities import ConcavityReport, DensityModel, _concavity_report
 from .errors import DomainError, UnsupportedError, ValidationError
 from .numerics import (as_float_array, gauss_kronrod, increasing_grid, jsonable,
-                       legendre_min, like_input, probabilities, require_uniform)
+                       like_input, probabilities, require_uniform)
 
 _FAMILIES = ("linear", "geometric")
 _AXIS_KINDS = ("call-space", "zonoid-space")
@@ -251,11 +253,12 @@ def _spec_meta(spec: PeacockSpec) -> dict:
 
 @dataclass(frozen=True)
 class KellererReport:
-    """Non-decrease of calls in t at every strike of the derived grid."""
+    """Order of the boundary rows in t: b(t_lo, p) <= b(t_hi, p) at every grid
+    p, that is nested lift zonoids, which for equal means is the convex order."""
 
     ok: bool
     max_violation: float
-    witness: Optional[Tuple[float, float, float]] = None  # (K, t_lo, t_hi)
+    witness: Optional[Tuple[float, float, float]] = None  # (p, t_lo, t_hi)
     skipped: bool = False
 
 
@@ -273,17 +276,17 @@ class PeacockCertificate:
         return jsonable(self)
 
 
-def certify_peacock(spec: PeacockSpec, tgrid, pgrid=None,
-                    n_strikes: int = 2001) -> PeacockCertificate:
-    """Check the three peacock properties of the family on sample grids.
+def certify_peacock(spec: PeacockSpec, tgrid, pgrid=None) -> PeacockCertificate:
+    """Check the three peacock properties of the family on sample grids, all
+    three on the one ``boundary_surface`` matrix of rows t, columns p:
 
-    (a) each time slice p -> boundary(t, p) is concave (second differences
-        on the uniform pgrid within slack),
-    (b) after transforming every slice to call space on a common strike
-        grid, t -> C(t, K) is non-decreasing at each strike (skipped when
-        (a) already failed: the transform of a non-concave slice is not a
-        faithful representation of it), and
-    (c) the mean boundary(t, 1) is exactly constant equal to s.
+    (a) each row p -> boundary(t, p) is concave (second differences on the
+        uniform pgrid within slack),
+    (b) the rows increase in t at every p: with equal means X_s <=cx X_t
+        iff Z(X_s) is inside Z(X_t) (Koshevoy and Mosler, Bernoulli 4, 1998),
+        iff b_s <= b_t; skipped when (a) already failed, since a non-concave
+        row is no zonoid boundary, and
+    (c) the column p = 1, the mean, is exactly s.
 
     pgrid must be uniform, span [0, 1] and have at least 3 points (one
     second difference); defaults to 2001 points.
@@ -300,32 +303,22 @@ def certify_peacock(spec: PeacockSpec, tgrid, pgrid=None,
 
     rows = boundary_surface(spec, tgrid, pgrid).values
 
-    # (a) concavity of each slice, to a slack of 1e-9 times the value range
+    # (a) concavity of each row, to a slack of 1e-9 times the value range
     concavity = _concavity_report(pgrid, rows, 1e-9 * max(1.0, float(rows.max() - rows.min())))
 
     # (c) mean constancy, exact by the endpoint conventions
     mean_max_dev = float(np.max(np.abs(rows[:, -1] - spec.s)))
     mean_ok = mean_max_dev == 0.0
 
-    # (b) Kellerer monotonicity in t of the transformed calls
+    # (b) order of the rows in t, the worst gap first in row-major order
     if not concavity.is_concave:
         kellerer = KellererReport(False, np.nan, None, skipped=True)
     else:
-        dp = np.diff(pgrid)
-        slopes = np.diff(rows, axis=1) / dp
-        k_lo, k_hi = float(slopes.min()), float(slopes.max())
-        if not k_lo < k_hi:
-            k_lo, k_hi = k_lo - max(1.0, abs(spec.s)), k_hi + max(1.0, abs(spec.s))
-        kgrid = np.linspace(k_lo, k_hi, n_strikes)
-        # C(t, K) = max_p [row(p) - K p] = -min_p [-row(p) + K p]
-        calls = -np.vstack([legendre_min(pgrid, -row, kgrid)[0] for row in rows])
-        gaps = np.diff(calls, axis=0)
-        i_flat = int(np.argmin(gaps))
-        worst_gap = float(gaps.flat[i_flat])
-        k_slack = 1e-9 * max(1.0, abs(spec.s))
-        mono_ok = worst_gap >= -k_slack
-        ti, kj = np.unravel_index(i_flat, gaps.shape)
-        witness = None if mono_ok else (float(kgrid[kj]), float(tgrid[ti]),
+        gaps = np.diff(rows, axis=0)
+        ti, pj = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+        worst_gap = float(gaps[ti, pj])
+        mono_ok = worst_gap >= -1e-9 * max(1.0, abs(spec.s))
+        witness = None if mono_ok else (float(pgrid[pj]), float(tgrid[ti]),
                                         float(tgrid[ti + 1]))
         kellerer = KellererReport(mono_ok, max(0.0, -worst_gap), witness)
 

@@ -365,3 +365,42 @@ def test_only_numerics_scatters_through_masks():
                 for path in modules if path.name != "numerics.py"}
     assert {name: lines for name, lines in breaches.items() if lines} == {}
     assert _scatter_targets((SRC / "numerics.py").read_text())  # the guard sees the kernels
+
+
+# ---------------------------------------------------------------------------
+# The peacock certificate reads its one boundary matrix in zonoid space:
+# certify_peacock calls no conjugate transform back to call space
+# ---------------------------------------------------------------------------
+
+_CONJUGATES = {"legendre_min", "calls_from_upper_boundary", "call_surface"}
+
+
+def _conjugate_calls(source: str, function: str = "certify_peacock"):
+    """Line numbers of the calls, by bare name or as an attribute, of a
+    conjugate transform inside ``function``'s body in a module's source."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call):
+                    func = sub.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in _CONJUGATES:
+                        lines.add(sub.lineno)
+    return sorted(lines)
+
+
+def test_conjugate_guard_sees_every_form():
+    assert _conjugate_calls("def certify_peacock(s):\n    legendre_min(p, -r, k)") == [2]
+    assert _conjugate_calls("def certify_peacock(s):\n    numerics.legendre_min(p, r, k)") == [2]
+    assert _conjugate_calls("def certify_peacock(s):\n    zonoid.calls_from_upper_boundary(b)") == [2]
+    assert _conjugate_calls("def certify_peacock(s):\n    def rows():\n"
+                            "        return call_surface(s, t, k)\n") == [3]
+    assert _conjugate_calls("def boundary_surface(s):\n    legendre_min(p, r, k)") == []
+    assert _conjugate_calls("def certify_peacock(s):\n    boundary_surface(s, t, p)") == []
+
+
+def test_certify_peacock_calls_no_conjugate_transform():
+    source = (SRC / "peacocks.py").read_text()
+    assert "def certify_peacock(" in source
+    assert _conjugate_calls(source) == []

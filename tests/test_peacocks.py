@@ -231,7 +231,7 @@ PGRID = np.linspace(0.0, 1.0, 401)
                                 log1p_table()], ids=["sqrt", "linear", "log1p"])
 def test_certify_passes_for_log_concave_families(density, family, s, tc):
     spec = PeacockSpec(family, density, s, tc)
-    cert = certify_peacock(spec, TGRID, PGRID, n_strikes=401)
+    cert = certify_peacock(spec, TGRID, PGRID)
     assert cert.ok
     assert cert.concavity.is_concave
     assert cert.kellerer.ok and not cert.kellerer.skipped
@@ -240,7 +240,7 @@ def test_certify_passes_for_log_concave_families(density, family, s, tc):
 
 def test_certify_fails_for_cauchy_with_witness():
     spec = PeacockSpec("linear", CAUCHY, 0.0, TimeChange.sqrt())
-    cert = certify_peacock(spec, TGRID, PGRID, n_strikes=401)
+    cert = certify_peacock(spec, TGRID, PGRID)
     assert not cert.ok
     assert not cert.concavity.is_concave
     assert cert.concavity.max_violation > 1e-6
@@ -255,7 +255,7 @@ def test_certify_concavity_equals_the_slice_by_slice_scan(family, density, s):
     # one array second difference over all slices; the witness is the first
     # worst triple in row-major order, which a strict > over slices keeps
     spec = PeacockSpec(family, density, s, TimeChange.sqrt())
-    cert = certify_peacock(spec, TGRID, PGRID, n_strikes=401)
+    cert = certify_peacock(spec, TGRID, PGRID)
     worst, witness = -np.inf, None
     for t in TGRID:
         row = np.asarray(surface_boundary(spec, float(t), PGRID))
@@ -271,13 +271,15 @@ def test_certify_fails_kellerer_for_decreasing_table():
     tc = TimeChange.from_table([0.0, 1.0, 2.0, 3.0, 4.0],
                                [1.0, 0.8, 0.55, 0.35, 0.2])
     spec = PeacockSpec("geometric", GAUSS, 1.0, tc)
-    cert = certify_peacock(spec, TGRID, PGRID, n_strikes=401)
+    cert = certify_peacock(spec, TGRID, PGRID)
     assert not cert.ok
     assert cert.concavity.is_concave  # slices are still concave
     assert not cert.kellerer.ok and not cert.kellerer.skipped
     assert cert.kellerer.max_violation > 0.0
-    k, t_lo, t_hi = cert.kellerer.witness
-    assert t_lo < t_hi
+    p, t_lo, t_hi = cert.kellerer.witness
+    assert p in PGRID and 0.0 < p < 1.0
+    assert t_lo < t_hi and t_lo in TGRID and t_hi in TGRID
+    assert_kellerer_matches_the_oracle(cert.kellerer, spec, TGRID, PGRID)
 
 
 def test_certify_grid_validation():
@@ -297,7 +299,7 @@ def test_certify_grid_validation():
 
 def test_certificate_dict_is_json_ready():
     spec = PeacockSpec("linear", CAUCHY, 0.0, TimeChange.sqrt())
-    cert = certify_peacock(spec, TGRID, PGRID, n_strikes=401)
+    cert = certify_peacock(spec, TGRID, PGRID)
     d = cert.to_dict()
     assert list(d) == ["ok", "concavity", "kellerer", "mean_ok", "mean_max_dev"]
     assert d["concavity"] == {"is_concave": False, "witness": list(cert.concavity.witness),
@@ -558,20 +560,24 @@ def test_h_map_is_increasing_in_p_property(y, p1, p2, family):
     assert H_map(density, y, lo) <= H_map(density, y, hi) + 1e-12
 
 
-def kellerer_oracle(spec, tgrid, pgrid, n_strikes):
-    """The Kellerer step of certify_peacock with the brute-force max over
-    every (K, p) pair, as it was before the Legendre kernel."""
+def kellerer_oracle(spec, tgrid, pgrid):
+    """The Kellerer step in call space, by brute force: each row's calls
+    C_t(K) = max_p [b_t(p) - K p] at every chord slope K of every row, and
+    the worst fall of C in t.  C_s - C_t is piecewise linear in K with its
+    kinks at those slopes and tends to 0 at both ends, so the slopes give
+    its supremum over all K.  Returns (ok, max_violation)."""
     rows = np.vstack([surface_boundary(spec, float(t), pgrid) for t in tgrid])
-    slopes = np.diff(rows, axis=1) / np.diff(pgrid)
-    kgrid = np.linspace(float(slopes.min()), float(slopes.max()), n_strikes)
-    calls = np.max(rows[:, None, :] - kgrid[None, :, None] * pgrid[None, None, :], axis=2)
-    gaps = np.diff(calls, axis=0)
-    i_flat = int(np.argmin(gaps))
-    worst_gap = float(gaps.flat[i_flat])
-    ok = worst_gap >= -1e-9 * max(1.0, abs(spec.s))
-    ti, kj = np.unravel_index(i_flat, gaps.shape)
-    witness = None if ok else (float(kgrid[kj]), float(tgrid[ti]), float(tgrid[ti + 1]))
-    return ok, max(0.0, -worst_gap), witness
+    kgrid = np.unique(np.diff(rows, axis=1) / np.diff(pgrid))
+    calls = np.vstack([np.max(row[None, :] - kgrid[:, None] * pgrid[None, :], axis=1)
+                       for row in rows])
+    worst_gap = float(np.diff(calls, axis=0).min())
+    return worst_gap >= -1e-9 * max(1.0, abs(spec.s)), max(0.0, -worst_gap)
+
+
+def assert_kellerer_matches_the_oracle(kell, spec, tgrid, pgrid):
+    ok, max_violation = kellerer_oracle(spec, tgrid, pgrid)
+    assert kell.ok == ok and not kell.skipped
+    assert abs(kell.max_violation - max_violation) <= 1e-12 * max(1.0, abs(spec.s))
 
 
 @settings(max_examples=20, deadline=None)
@@ -581,15 +587,16 @@ def test_kellerer_step_equals_brute_force_linear_property(scale, s, t_lo, n_t):
     spec = PeacockSpec("linear", GAUSS, s, TimeChange.sqrt(scale))
     tgrid = np.linspace(t_lo, 4.0, n_t)
     pgrid = np.linspace(0.0, 1.0, 301)
-    kell = certify_peacock(spec, tgrid, pgrid, n_strikes=301).kellerer
-    assert (kell.ok, kell.max_violation, kell.witness) == kellerer_oracle(spec, tgrid, pgrid, 301)
+    kell = certify_peacock(spec, tgrid, pgrid).kellerer
+    assert_kellerer_matches_the_oracle(kell, spec, tgrid, pgrid)
+    assert kell.ok and kell.witness is None
 
 
 @settings(max_examples=20, deadline=None)
 @given(steps=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6),
        decreasing=st.booleans(), s=st.floats(0.5, 3.0))
 def test_kellerer_step_equals_brute_force_geometric_table_property(steps, decreasing, s):
-    # decreasing tables make the step fail, so the witness is compared too
+    # decreasing tables make the step fail, so both outcomes are compared
     levels = np.concatenate(([0.0], np.cumsum(steps)))
     if decreasing:
         levels = levels[::-1]
@@ -597,7 +604,7 @@ def test_kellerer_step_equals_brute_force_geometric_table_property(steps, decrea
     spec = PeacockSpec("geometric", LOGISTIC, s, tc)
     tgrid = np.linspace(0.0, levels.size - 1.0, 7)
     pgrid = np.linspace(0.0, 1.0, 301)
-    kell = certify_peacock(spec, tgrid, pgrid, n_strikes=301).kellerer
-    assert not kell.skipped
-    assert (kell.ok, kell.max_violation, kell.witness) == kellerer_oracle(spec, tgrid, pgrid, 301)
+    kell = certify_peacock(spec, tgrid, pgrid).kellerer
+    assert_kellerer_matches_the_oracle(kell, spec, tgrid, pgrid)
     assert kell.ok != decreasing
+    assert (kell.witness is None) == kell.ok
