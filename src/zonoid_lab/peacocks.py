@@ -8,9 +8,10 @@ Two families of boundary surfaces over (t, p):
 Both define families of marginals with constant mean s that increase in the
 convex order (a peacock) exactly when f is log-concave.  ``certify_peacock``
 checks the three defining properties on one boundary matrix, in zonoid
-space: concavity of each time slice, slices non-decreasing in t at every p
-(with equal means the convex order is the inclusion of lift zonoids), and
-mean constancy.
+space: concavity of each time slice (and, for the geometric family, of
+the generator row s G, the slices' limit at small levels), slices
+non-decreasing in t at every p (with equal means the convex order is the
+inclusion of lift zonoids), and mean constancy.
 
 The maps H_y form a composition group (H_{y1} o H_{y2} = H_{y1+y2}) whose
 generator is G; ``group_property_check`` and ``generator_limit_check``
@@ -281,7 +282,8 @@ def certify_peacock(spec: PeacockSpec, tgrid, pgrid=None) -> PeacockCertificate:
     three on the one ``boundary_surface`` matrix of rows t, columns p:
 
     (a) each row p -> boundary(t, p) is concave (second differences on the
-        uniform pgrid within slack),
+        uniform pgrid within slack); a geometric certificate also checks
+        the generator row s G(p), the limit of its slices as Y -> 0,
     (b) the rows increase in t at every p: with equal means X_s <=cx X_t
         iff Z(X_s) is inside Z(X_t) (Koshevoy and Mosler, Bernoulli 4, 1998),
         iff b_s <= b_t; skipped when (a) already failed, since a non-concave
@@ -303,8 +305,12 @@ def certify_peacock(spec: PeacockSpec, tgrid, pgrid=None) -> PeacockCertificate:
 
     rows = boundary_surface(spec, tgrid, pgrid).values
 
-    # (a) concavity of each row, to a slack of 1e-9 times the value range
-    concavity = _concavity_report(pgrid, rows, 1e-9 * max(1.0, float(rows.max() - rows.min())))
+    # (a) concavity of each row, to a slack of 1e-9 times the value range;
+    # geometric rows also add s G, the y -> 0 limit of (s H_y - s p)/y, which
+    # is concave iff f is log-concave (small levels the tgrid misses)
+    slices = rows if spec.family == "linear" else np.vstack(
+        (rows, spec.s * G_map(spec.density, pgrid)))
+    concavity = _concavity_report(pgrid, slices, 1e-9 * max(1.0, float(rows.max() - rows.min())))
 
     # (c) mean constancy, exact by the endpoint conventions
     mean_max_dev = float(np.max(np.abs(rows[:, -1] - spec.s)))

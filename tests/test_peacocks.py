@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
-from zonoid_lab.densities import DensityModel
+from zonoid_lab.densities import DensityModel, check_log_concavity
 from zonoid_lab.errors import DomainError, UnsupportedError, ValidationError
+from zonoid_lab.numerics import monotone_root
 from zonoid_lab.peacocks import (G_map, H_map, PeacockSpec, TimeChange,
                                  boundary_surface, call_surface,
                                  certify_peacock, generator_limit_check,
@@ -280,6 +282,37 @@ def test_certify_fails_kellerer_for_decreasing_table():
     assert p in PGRID and 0.0 < p < 1.0
     assert t_lo < t_hi and t_lo in TGRID and t_hi in TGRID
     assert_kellerer_matches_the_oracle(cert.kellerer, spec, TGRID, PGRID)
+
+
+def gaussian_mixture(a: float) -> DensityModel:
+    """The custom model f = N(-a, 1)/2 + N(a, 1)/2, log-concave iff a <= 1;
+    its quantile is one vectorised root solve of the cdf, bracketed by
+    Phi^-1(p) -/+ a since Phi(x - a) <= F(x) <= Phi(x + a)."""
+    phi = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    cdf = lambda x: 0.5 * (ndtr(x - a) + ndtr(x + a))
+
+    def quantile(p):
+        z = ndtri(p)
+        return monotone_root(cdf, p, z - a, z + a)
+
+    return DensityModel.custom(lambda x: 0.5 * (phi(x - a) + phi(x + a)),
+                               lambda x: -0.5 * ((x - a) * phi(x - a) + (x + a) * phi(x + a)),
+                               cdf, quantile)
+
+
+@pytest.mark.parametrize("a", [0.8, 1.005, 1.2])
+@pytest.mark.parametrize("family,s", [("linear", 0.0), ("geometric", 1.0)])
+@pytest.mark.parametrize("tgrid", [np.linspace(0.25, 4.0, 16), np.geomspace(0.01, 4.0, 16)],
+                         ids=["linspace", "geomspace"])
+def test_certificates_follow_the_theorem_on_gaussian_mixtures(a, family, s, tgrid):
+    # f is log-concave iff either family is a peacock; at a = 1.005 the
+    # geometric slices are concave for Y >= 0.5 and only the generator row
+    # s G (second difference 1.04e-8 at p = 1/2) shows the defect
+    model = gaussian_mixture(a)
+    assert check_log_concavity(model).is_concave == (a <= 1.0)
+    cert = certify_peacock(PeacockSpec(family, model, s, TimeChange.sqrt()), tgrid)
+    assert cert.ok == cert.concavity.is_concave == (a <= 1.0)
+    assert cert.kellerer.skipped == (a > 1.0)
 
 
 def test_certify_grid_validation():
