@@ -217,11 +217,10 @@ def surface_boundary(spec: PeacockSpec, t: float, p):
 def boundary_surface(spec: PeacockSpec, tgrid, pgrid) -> SurfaceGrid:
     """Zonoid-space SurfaceGrid of the family over (tgrid, pgrid): one
     ``family_boundary`` evaluation on the column of levels Y(t)."""
-    tgrid = as_float_array(tgrid, "tgrid")
-    pgrid = as_float_array(pgrid, "pgrid")
-    levels = np.array([spec.time_change.value(float(t)) for t in tgrid])
-    values = family_boundary(spec.family, spec.density, spec.s,
-                             levels.reshape((-1,) + (1,) * pgrid.ndim), pgrid)
+    tgrid = increasing_grid(tgrid, "tgrid", min_size=1)
+    pgrid = increasing_grid(pgrid, "pgrid", min_size=1)
+    levels = np.array([spec.time_change.value(t) for t in tgrid.tolist()])
+    values = family_boundary(spec.family, spec.density, spec.s, levels[:, None], pgrid)
     return SurfaceGrid(tgrid, pgrid, values, "zonoid-space", meta=_spec_meta(spec))
 
 
@@ -230,11 +229,11 @@ def call_surface(spec: PeacockSpec, tgrid, kgrid) -> SurfaceGrid:
     closed-form family prices (intrinsic values where Y(t) = 0)."""
     from .pricing import family_call_geometric, family_call_linear
 
-    tgrid = as_float_array(tgrid, "tgrid")
-    kgrid = as_float_array(kgrid, "kgrid")
+    tgrid = increasing_grid(tgrid, "tgrid", min_size=1)
+    kgrid = increasing_grid(kgrid, "kgrid", min_size=1)
     price = family_call_linear if spec.family == "linear" else family_call_geometric
-    rows = [price(spec.density, spec.s, spec.time_change.value(float(t)), kgrid)
-            for t in tgrid]
+    rows = [price(spec.density, spec.s, spec.time_change.value(t), kgrid)
+            for t in tgrid.tolist()]
     return SurfaceGrid(tgrid, kgrid, np.vstack(rows), "call-space", meta=_spec_meta(spec))
 
 
@@ -362,6 +361,8 @@ def generator_limit_check(density: DensityModel, ygrid=None, pgrid=None) -> np.n
     if pgrid is None:
         pgrid = np.linspace(0.01, 0.99, 99)
     pgrid = as_float_array(pgrid, "pgrid")
+    if ygrid.ndim != 1 or pgrid.ndim != 1 or pgrid.size == 0:
+        raise ValidationError("ygrid and pgrid must be 1-d, pgrid not empty")
     y = ygrid[:, None]
     err = np.max(np.abs((H_map(density, y, pgrid) - pgrid) / y - G_map(density, pgrid)), axis=1)
     return np.column_stack((ygrid, err))

@@ -101,9 +101,14 @@ def black_scholes_call(params: ModelParams, k):
 # ---------------------------------------------------------------------------
 
 def check_level(y) -> None:
-    """DomainError unless the family level y is non-negative and finite."""
-    if not (y >= 0.0 and np.isfinite(y)):
-        raise DomainError("y must be non-negative and finite")
+    """DomainError unless the family level y is a non-negative, finite real
+    scalar (an array of any size, a list or a complex level is rejected)."""
+    try:
+        if not getattr(y, "ndim", 0) and y >= 0.0 and math.isfinite(y):
+            return
+    except TypeError:  # no order with 0.0, or no float value
+        pass
+    raise DomainError("y must be non-negative and finite, and a scalar")
 
 
 def family_prices(kind: str, model: DensityModel, s: float, y: float, k):

@@ -14,7 +14,9 @@ from zonoid_lab.densities import DensityModel
 from zonoid_lab.errors import DomainError, ValidationError
 from zonoid_lab.numerics import central_diff, probabilities, require_uniform
 from zonoid_lab.peacocks import (G_map, H_map, PeacockSpec, SurfaceGrid, TimeChange,
-                                 certify_peacock)
+                                 boundary_surface, call_surface, certify_peacock,
+                                 generator_limit_check)
+from zonoid_lab.pricing import family_prices
 from zonoid_lab.zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
                                boundary_from_quantile_integral,
                                calls_from_upper_boundary, discrete_upper_boundary,
@@ -48,6 +50,10 @@ GRID_ENTRY_POINTS = {
     "SurfaceGrid.axis": (
         lambda g: SurfaceGrid([0.0, 1.0], g, np.zeros((2, np.size(g))), "zonoid-space"), 1),
     "certify_peacock": (lambda g: certify_peacock(SPEC, g), 2),
+    "boundary_surface.tgrid": (lambda g: boundary_surface(SPEC, g, [0.0, 1.0]), 1),
+    "boundary_surface.pgrid": (lambda g: boundary_surface(SPEC, [1.0], g), 1),
+    "call_surface.tgrid": (lambda g: call_surface(SPEC, g, [0.0, 1.0]), 1),
+    "call_surface.kgrid": (lambda g: call_surface(SPEC, [1.0], g), 1),
     "require_uniform": (lambda g: require_uniform(g), 2),
 }
 
@@ -65,6 +71,41 @@ def test_grid_entry_points_share_one_rule(entry):
             fn(grid)
     with pytest.raises(DomainError):
         fn(np.array([0.0, np.nan, 1.0]))
+
+
+# calls that once raised TypeError, IndexError or numpy's ValueError, and
+# the typed error each raises now
+SHAPE_ERRORS = {
+    "boundary_surface 0-d tgrid": (lambda: boundary_surface(SPEC, 1.0, [0.0, 1.0]),
+                                   ValidationError),
+    "call_surface 0-d tgrid": (lambda: call_surface(SPEC, 1.0, [0.0, 1.0]), ValidationError),
+    "generator_limit_check 0-d ygrid": (lambda: generator_limit_check(GAUSS, 0.5),
+                                        ValidationError),
+    "generator_limit_check 2-d pgrid": (
+        lambda: generator_limit_check(GAUSS, pgrid=np.full((2, 3), 0.5)), ValidationError),
+    "generator_limit_check empty pgrid": (
+        lambda: generator_limit_check(GAUSS, pgrid=np.empty(0)), ValidationError),
+    "family_prices array level": (
+        lambda: family_prices("linear", GAUSS, 0.0, np.array([0.5, 1.0]), 0.1), DomainError),
+    "family_prices 1-element level": (
+        lambda: family_prices("geometric", GAUSS, 1.0, np.array([0.5]), 0.1), DomainError),
+    "family_prices list level": (
+        lambda: family_prices("linear", GAUSS, 0.0, [0.5], 0.1), DomainError),
+    "family_prices complex level": (
+        lambda: family_prices("linear", GAUSS, 0.0, 0.5 + 1j, 0.1), DomainError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_ERRORS))
+def test_non_1d_grids_and_array_levels_raise_typed_errors(case):
+    fn, error = SHAPE_ERRORS[case]
+    with pytest.raises(error):
+        fn()
+
+
+def test_a_0d_level_is_a_scalar_level():
+    assert family_prices("linear", GAUSS, 0.0, np.array(0.5), 0.1) == \
+        family_prices("linear", GAUSS, 0.0, 0.5, 0.1)
 
 
 # (entry point, its values on [0, 0.5, 1])
