@@ -135,8 +135,7 @@ class CallCurve:
     def sample_grid(self) -> np.ndarray:
         if self.is_grid:
             return self.strikes
-        # unique: on a domain a few ulps wide linspace repeats floats
-        return np.unique(np.linspace(self.k_lo, self.k_hi, _SAMPLE_N))
+        return np.linspace(self.k_lo, self.k_hi, _SAMPLE_N)
 
     def validate(self) -> None:
         """Raise ValidationError unless the curve is a plausible call curve:
@@ -145,6 +144,10 @@ class CallCurve:
         noise = 8 eps max(|mean|, max |K|), as differences of terms that size
         do: noise per value, 2 noise (1/h + 1/h') per slope increment."""
         ks = self.sample_grid()
+        steps = np.diff(ks)
+        if not steps.all():  # on a domain a few ulps wide linspace repeats floats
+            ks = np.unique(ks)
+            steps = np.diff(ks)
         vals = self.__call__(ks)
         if not np.all(np.isfinite(vals)):
             raise ValidationError("call curve values must be finite")
@@ -156,7 +159,6 @@ class CallCurve:
             # Slope monotonicity, not second differences: the grid may be
             # non-uniform (e.g. geometric).  Call-curve slopes lie in [-1, 0],
             # so an absolute slack on slope increments is scale-correct.
-            steps = np.diff(ks)
             kinks = np.diff(np.diff(vals) / steps)  # slope increments; each slack is >= 1e-9
             if float(kinks.min()) < -_SHAPE_SLACK and np.any(
                     kinks < -_SHAPE_SLACK - 2.0 * noise * (1.0 / steps[:-1] + 1.0 / steps[1:])):

@@ -958,3 +958,19 @@ def test_discrete_boundary_curve_adds_the_requested_grid():
     assert got.mean == dist.mean
     # the independent route: the integral of the upper quantile
     assert np.max(np.abs(got.values - boundary_from_quantile_integral(dist, got.probs))) <= 1e-14
+
+
+def test_validate_deduplicates_only_a_sample_with_repeated_strikes():
+    # a domain four ulps wide: the 513-point linspace repeats floats, which
+    # validate drops before it divides by the steps; a wide domain has none
+    k0 = 1.0
+    k1 = k0 + 4.0 * math.ulp(1.0)
+    narrow = CallCurve.from_function(lambda k: np.maximum(k0 - k, 0.0), mean=k0, domain=(k0, k1))
+    ks = narrow.sample_grid()
+    assert ks.size == 513 and np.unique(ks).size == 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by a zero step
+        narrow.validate()
+    wide = linear_family_curve(DensityModel.gaussian(), 0.0, 1.0)
+    assert np.diff(wide.sample_grid()).all()
+    wide.validate()
