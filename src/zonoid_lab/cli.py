@@ -23,7 +23,7 @@ from .errors import ValidationError, ZonoidLabError
 from .implied import ImpliedQuery, implied_y
 from .localvol import (dupire_from_boundary, dupire_from_calls,
                        localvol_geometric_closed, localvol_linear_closed)
-from .mc import SimConfig, _estimate, mc_check_propositions, simulate_terminal
+from .mc import SimConfig, _call_estimates, mc_check_propositions
 from .numerics import parse_grid
 from .peacocks import (G_map, H_map, PeacockSpec, TimeChange, boundary_surface,
                        call_surface, certify_peacock, recover_F_from_G,
@@ -278,9 +278,7 @@ def _cmd_simulate(args, parser) -> int:
         return 0 if report.ok else 2
     if args.k_grid is None:
         parser.error("--k-grid is required unless --report is given")
-    sample = simulate_terminal(config)
-    values, errors, _ = zip(*[_estimate(np.maximum(sample - k, 0.0), config.antithetic)
-                              for k in args.k_grid])
+    values, errors = _call_estimates(config, args.k_grid)
     curve_io.write_table(_sink(args.out), ("K", "mc_value", "std_error"),
                          args.k_grid, values, errors)
     return 0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .densities import DensityModel, inverse_ratio
 from .errors import DomainError, RangeError
-from .numerics import gauss_kronrod, golden_section_min, monotone_root, stand_in
+from .numerics import gauss_kronrod, golden_section_min, monotone_root, real_scalar, stand_in
 from .pricing import check_level, family_call_geometric
 
 _DEGENERATE_TOL = 1e-14
@@ -35,7 +35,7 @@ _P_EPS = 1e-9
 
 
 def _check_strike(k) -> None:
-    if not (np.isfinite(k) and k > 0.0):
+    if not real_scalar(k, "strike") > 0.0:
         raise DomainError(f"strike must be positive and finite, got {k!r}")
 
 
@@ -49,8 +49,7 @@ class ImpliedQuery:
 
     def __post_init__(self):
         _check_strike(self.k)
-        if not np.isfinite(self.c):
-            raise DomainError("price must be finite")
+        real_scalar(self.c, "price")
         if self.c < self.intrinsic or self.c >= 1.0:
             raise DomainError(
                 f"price {self.c!r} outside [(1-K)^+, 1) = [{self.intrinsic!r}, 1)")

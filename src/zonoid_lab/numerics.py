@@ -6,10 +6,11 @@ arrays of problems and call their map once per step on every unfinished one.
 
 These helpers are deliberately dumb about what they optimise; all of the
 domain knowledge (call curves, boundaries, densities) lives in the modules
-that call them.  The two input rules every module shares are written here
+that call them.  The three input rules every module shares are written here
 and nowhere else: ``increasing_grid`` (a finite, 1-d, strictly increasing
-grid) and ``probabilities`` (every entry in [0, 1]); so are the two output
-conventions, ``like_input`` (scalar or array) and ``jsonable`` (JSON).
+grid), ``probabilities`` (every entry in [0, 1]) and ``real_scalar`` (one
+finite real level, strike or price); so are the two output conventions,
+``like_input`` (scalar or array) and ``jsonable`` (JSON).
 """
 
 from __future__ import annotations
@@ -77,6 +78,19 @@ def probabilities(p, name: str) -> np.ndarray:
     if not ((arr >= 0.0) & (arr <= 1.0)).all():  # nan fails both comparisons
         raise DomainError(f"{name} must lie in [0, 1]")
     return arr
+
+
+def real_scalar(x, name: str) -> float:
+    """``x`` as a float; DomainError unless it is one finite real number: a
+    Python or numpy float or int, or a 0-d array of one.  Arrays of any
+    other shape, lists, bools, complex numbers and strings are rejected."""
+    v = x
+    if not isinstance(v, float):  # a float, numpy's included, costs one type test
+        a = np.asarray(v)
+        v = float(a) if a.shape == () and a.dtype.kind in "iuf" else math.nan
+    if not math.isfinite(v):
+        raise DomainError(f"{name} must be a finite real scalar, got {x!r}")
+    return v
 
 
 def like_input(out, x):

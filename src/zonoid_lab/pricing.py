@@ -33,7 +33,7 @@ from scipy import special
 
 from .densities import DensityModel, inverse_log_slope, inverse_ratio, require_log_concave
 from .errors import DomainError, RangeError, ValidationError
-from .numerics import as_float_array, like_input, stand_in
+from .numerics import as_float_array, like_input, real_scalar, stand_in
 from .peacocks import family_boundary
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -101,12 +101,13 @@ def black_scholes_call(params: ModelParams, k):
 # ---------------------------------------------------------------------------
 
 def check_level(y) -> None:
-    """DomainError unless the family level y is a non-negative, finite real
-    scalar (an array of any size, a list or a complex level is rejected)."""
+    """DomainError unless the family level y is a non-negative real scalar
+    by ``numerics.real_scalar`` (an array of any size, a list or a complex
+    level is rejected)."""
     try:
-        if not getattr(y, "ndim", 0) and y >= 0.0 and math.isfinite(y):
+        if real_scalar(y, "y") >= 0.0:
             return
-    except TypeError:  # no order with 0.0, or no float value
+    except DomainError:
         pass
     raise DomainError("y must be non-negative and finite, and a scalar")
 

@@ -1,8 +1,10 @@
-"""The two shared input rules and the central-difference stencil.
+"""The three shared input rules and the central-difference stencil.
 
-``numerics.increasing_grid`` is the one grid rule and ``numerics.probabilities``
-the one [0, 1] rule; every entry point that takes a grid or a probability
-goes through them, so each is exercised here through every entry point.
+``numerics.increasing_grid`` is the one grid rule, ``numerics.probabilities``
+the one [0, 1] rule and ``numerics.real_scalar`` the one rule for a scalar
+level, strike or price; every entry point that takes a grid, a probability
+or such a scalar goes through them, so each is exercised here through every
+entry point.
 ``numerics.central_diff`` is checked against the two stencils it replaced,
 kept below as the oracle.
 """
@@ -12,7 +14,9 @@ import pytest
 
 from zonoid_lab.densities import DensityModel
 from zonoid_lab.errors import DomainError, ValidationError
-from zonoid_lab.numerics import central_diff, probabilities, require_uniform
+from zonoid_lab.implied import ImpliedQuery, normalized_call, vega_integral
+from zonoid_lab.mc import SimConfig, mc_call, mc_check_propositions
+from zonoid_lab.numerics import central_diff, probabilities, real_scalar, require_uniform
 from zonoid_lab.peacocks import (G_map, H_map, PeacockSpec, SurfaceGrid, TimeChange,
                                  boundary_surface, call_surface, certify_peacock,
                                  generator_limit_check)
@@ -28,6 +32,7 @@ CURVE = CallCurve.from_grid([-1.0, 0.0, 1.0], [1.0, 0.0, 0.0])
 BOUNDARY = ZonoidBoundary.from_grid([0.0, 0.25, 1.0], [0.0, 0.5, 1.0])
 DIST = DiscreteDistribution([-1.0, 2.0], [0.25, 0.75])
 SPEC = PeacockSpec("linear", GAUSS, 0.0, TimeChange.sqrt())
+SIM = SimConfig("bachelier", 1.0, 1000, 1)
 
 
 def _ramp(grid):
@@ -93,6 +98,32 @@ SHAPE_ERRORS = {
         lambda: family_prices("linear", GAUSS, 0.0, [0.5], 0.1), DomainError),
     "family_prices complex level": (
         lambda: family_prices("linear", GAUSS, 0.0, 0.5 + 1j, 0.1), DomainError),
+    # a numpy complex level used to price a complex call with a ComplexWarning
+    "family_prices numpy complex level": (
+        lambda: family_prices("linear", GAUSS, 0.0, np.complex128(0.5 + 1j), 0.1), DomainError),
+    "mc_check_propositions 0-d pgrid": (lambda: mc_check_propositions(SIM, pgrid=0.5),
+                                        ValidationError),
+    "mc_check_propositions empty pgrid": (lambda: mc_check_propositions(SIM, pgrid=np.empty(0)),
+                                          ValidationError),
+    "mc_check_propositions 2-d pgrid": (
+        lambda: mc_check_propositions(SIM, pgrid=np.full((2, 3), 0.5)), ValidationError),
+    "mc_check_propositions decreasing pgrid": (
+        lambda: mc_check_propositions(SIM, pgrid=[0.6, 0.4]), ValidationError),
+    "SimConfig fractional n_paths": (lambda: SimConfig("bachelier", 1.0, 1000.5, 1),
+                                     ValidationError),
+    "SimConfig float n_paths": (lambda: SimConfig("bachelier", 1.0, 1000.0, 1), ValidationError),
+    "SimConfig float seed": (lambda: SimConfig("bachelier", 1.0, 1000, 1.0), ValidationError),
+    "mc_call array strike": (lambda: mc_call(SIM, np.array([0.0, 0.1])), DomainError),
+    # a complex strike used to price its real part with a ComplexWarning
+    "mc_call complex strike": (lambda: mc_call(SIM, 0.1 + 1j), DomainError),
+    "normalized_call array strike": (lambda: normalized_call(GAUSS, 0.5, np.array([1.0, 1.1])),
+                                     DomainError),
+    "vega_integral array strike": (lambda: vega_integral(GAUSS, 0.5, np.array([1.0, 1.1])),
+                                   DomainError),
+    "ImpliedQuery array price": (lambda: ImpliedQuery(GAUSS, np.array([0.2, 0.3]), 1.0),
+                                 DomainError),
+    "ImpliedQuery array strike": (lambda: ImpliedQuery(GAUSS, 0.2, np.array([1.0, 1.1])),
+                                  DomainError),
 }
 
 
@@ -106,6 +137,40 @@ def test_non_1d_grids_and_array_levels_raise_typed_errors(case):
 def test_a_0d_level_is_a_scalar_level():
     assert family_prices("linear", GAUSS, 0.0, np.array(0.5), 0.1) == \
         family_prices("linear", GAUSS, 0.0, 0.5, 0.1)
+
+
+# a scalar level, strike or price: (entry point taking x, a value it accepts)
+SCALAR_ENTRY_POINTS = {
+    "family_prices level": (lambda y: family_prices("linear", GAUSS, 0.0, y, 0.1), 0.5),
+    "normalized_call strike": (lambda k: normalized_call(GAUSS, 0.5, k), 1.1),
+    "vega_integral strike": (lambda k: vega_integral(GAUSS, 0.5, k), 1.1),
+    "ImpliedQuery price": (lambda c: ImpliedQuery(GAUSS, c, 1.1), 0.2),
+    "ImpliedQuery strike": (lambda k: ImpliedQuery(GAUSS, 0.2, k), 1.1),
+    "mc_call strike": (lambda k: mc_call(SIM, k), 0.1),
+}
+NOT_REAL_SCALARS = [np.nan, np.inf, -np.inf, np.array([0.5]), np.array([[0.5]]), [0.5], (0.5,),
+                    0.5 + 0j, np.complex128(0.5), True, np.bool_(True), "0.5", None]
+
+
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+def test_scalar_entry_points_share_one_rule(entry):
+    fn, x = SCALAR_ENTRY_POINTS[entry]
+    fn(x)
+    fn(np.float64(x))
+    fn(np.array(x))  # a 0-d array is a scalar
+    for bad in NOT_REAL_SCALARS:
+        with pytest.raises(DomainError):
+            fn(bad)
+
+
+def test_real_scalar_rule():
+    for x in (0.5, -2.0, np.float64(0.5), np.float32(0.5), 3, np.int64(-3), np.uint8(3),
+              np.array(0.5), np.array(7)):
+        got = real_scalar(x, "x")
+        assert isinstance(got, float) and got == x
+    for bad in NOT_REAL_SCALARS + [10 ** 400]:
+        with pytest.raises(DomainError, match=r"^k must be a finite real scalar, got "):
+            real_scalar(bad, "k")
 
 
 # (entry point, its values on [0, 0.5, 1])

@@ -404,3 +404,53 @@ def test_certify_peacock_calls_no_conjugate_transform():
     source = (SRC / "peacocks.py").read_text()
     assert "def certify_peacock(" in source
     assert _conjugate_calls(source) == []
+
+
+# ---------------------------------------------------------------------------
+# The Monte Carlo blocks run in the package's own thread pool: mc calls no
+# BLAS-backed routine, whose own threads would oversubscribe the pool
+# ---------------------------------------------------------------------------
+
+_BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
+
+
+def _blas_calls(source: str):
+    """Line numbers of the BLAS-backed calls in a module's source: np.dot,
+    np.matmul, np.inner, np.vdot, np.tensordot, np.einsum, their array-method
+    forms (x.dot(y)), anything under np.linalg, and the ``@`` operator."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            chain = _chain(node)
+            if node.attr in _BLAS or (chain and "linalg" in chain[1:]):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = {a.name for a in node.names} if node.module == "numpy" else set()
+            if node.module.startswith("numpy.linalg") or names & (_BLAS | {"linalg"}):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_blas_guard_sees_every_form():
+    assert _blas_calls("m2 = np.dot(d, d)") == [1]
+    assert _blas_calls("m2 = d.dot(d)") == [1]
+    assert _blas_calls("y = numpy.matmul(a, b)") == [1]
+    assert _blas_calls("y = a @ b") == [1]
+    assert _blas_calls("a @= b") == [1]
+    assert _blas_calls("s = np.inner(a, b) + np.vdot(a, b)") == [1]
+    assert _blas_calls("s = np.tensordot(a, b, 1)") == [1]
+    assert _blas_calls("s = np.einsum('i,i', a, a)") == [1]
+    assert _blas_calls("r = np.linalg.norm(d)") == [1]
+    assert _blas_calls("def f(d):\n    return np.linalg.lstsq(a, b)[0]\n") == [2]
+    assert _blas_calls("from numpy.linalg import norm") == [1]
+    assert _blas_calls("from numpy import dot") == [1]
+    assert _blas_calls("m2 = np.sum(d * d)\ns = np.cumsum(v)\nr = np.add.reduceat(v, i)") == []
+    assert _blas_calls("dots = 3\nx = 'np.dot(d, d)'\nfrom numpy import sort") == []
+
+
+def test_mc_calls_no_blas():
+    source = (SRC / "mc.py").read_text()
+    assert "_block_map" in source
+    assert _blas_calls(source) == []

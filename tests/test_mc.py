@@ -1,16 +1,21 @@
 """Monte Carlo oracle tests: determinism, antithetic variance reduction,
-agreement with closed forms, and the end-to-end pipeline check.
+agreement with closed forms, and the end-to-end pipeline check.  Paths are
+reduced in fixed blocks of ``mc._BLOCK``; the block-pipeline tests run on at
+least three blocks, where the merge of per-block results is exercised.
 
 Frozen references: bachelier C(0; t=1) = phi(0) = 0.3989422804014327 and
 black-scholes C(1; sigma=t=1) = 0.38292492254802624 (scipy.stats.norm).
 """
 
+import hashlib
 import math
 import os
 
 import numpy as np
 import pytest
 
+from zonoid_lab import mc
+from zonoid_lab.cli import main
 from zonoid_lab.errors import DomainError, ValidationError
 from zonoid_lab.mc import (McEstimate, SimConfig, empirical_call_curve,
                            exact_boundary, mc_call, mc_check_propositions,
@@ -52,6 +57,26 @@ def test_deterministic_across_worker_counts(thread_env):
         samples.append(simulate_terminal(cfg))
     assert np.array_equal(samples[0], samples[1])
     assert np.array_equal(samples[0], samples[2])
+
+
+# sha256 of the float64 bytes of two samples, first and last value, frozen
+# from the simulation that wrote each slice at once per worker (before paths
+# were cut into fixed blocks)
+FROZEN_SAMPLES = [
+    (SimConfig("black_scholes", 0.9, 300_000, 2 ** 62 + 5, antithetic=True),
+     "a94916b85bbf7ab0403875d5883a80e1df32d76352400f8b61326ce3dcad5087",
+     0.2728011430167772, 0.7047367439983329),
+    (SimConfig("bachelier", 1.7, 300_001, -3),
+     "f3a0adbe03b6116c1c37efb84852cf6cbbe7099aba636a2d28cb213a181b476a",
+     2.3846097967127777, 0.5049168632002077),
+]
+
+
+@pytest.mark.parametrize("cfg, digest, first, last", FROZEN_SAMPLES)
+def test_samples_match_frozen_digests(cfg, digest, first, last):
+    x = simulate_terminal(cfg)
+    assert (x[0], x[-1]) == (first, last)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == digest
 
 
 def test_deterministic_in_seed():
@@ -181,3 +206,96 @@ def test_proposition_pgrid_validation():
         mc_check_propositions(cfg, pgrid=np.array([0.0, 0.5]))
     with pytest.raises(DomainError):
         mc_check_propositions(cfg, pgrid=np.array([0.5, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# The block pipeline: fixed blocks of paths, merged in block order
+# ---------------------------------------------------------------------------
+
+N_BLOCKS3 = 3 * mc._BLOCK + 2_000  # three full blocks and a short fourth
+
+
+def _cli_prices(capsys, *flags):
+    assert main(["simulate", "--model", "black_scholes", "--t", "0.8", "--n", str(N_BLOCKS3),
+                 "--seed", "4", "--k-grid=0.5:1.5:5", *flags]) == 0
+    return capsys.readouterr().out
+
+
+def test_reports_are_identical_for_any_worker_count(monkeypatch, capsys):
+    check = SimConfig("bachelier", 1.3, N_BLOCKS3, seed=8, antithetic=True)
+    plain = SimConfig("black_scholes", 0.6, N_BLOCKS3, seed=9)
+    anti = SimConfig("black_scholes", 0.6, N_BLOCKS3, seed=9, antithetic=True)
+    runs = []
+    for workers in ("1", "2", "8"):
+        monkeypatch.setenv("ZONOID_LAB_THREADS", workers)
+        assert mc._worker_count(N_BLOCKS3) == min(int(workers), 4)
+        runs.append((mc_check_propositions(check).to_dict(), mc_call(plain, 1.1),
+                     mc_call(anti, 0.9), _cli_prices(capsys), _cli_prices(capsys, "--antithetic")))
+    # McEstimate and the report dicts hold floats and lists: == is bit-identity
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_worker_count_is_capped_by_the_blocks(monkeypatch):
+    monkeypatch.setenv("ZONOID_LAB_THREADS", "8")
+    sizes = (2, mc._BLOCK, mc._BLOCK + 1, 20 * mc._BLOCK)
+    assert [mc._worker_count(n) for n in sizes] == [1, 1, 2, 8]
+    monkeypatch.setenv("ZONOID_LAB_THREADS", "0")
+    assert mc._worker_count(20 * mc._BLOCK) == 1
+
+
+@pytest.mark.parametrize("model", ["bachelier", "black_scholes"])
+def test_blockwise_curve_against_brute_force(model):
+    sample = simulate_terminal(SimConfig(model, 1.0, N_BLOCKS3, seed=13))
+    kgrid = np.linspace(sample.min() - 0.1, sample.max() + 0.1, 41)
+    curve = empirical_call_curve(sample, kgrid)
+    direct = np.array([np.mean(np.maximum(sample - k, 0.0)) for k in kgrid])
+    assert np.array_equal(curve.values == 0.0, direct == 0.0)
+    assert np.allclose(curve.values, direct, rtol=1e-12, atol=0.0)
+    assert curve.mean == pytest.approx(float(np.mean(sample)), rel=1e-12)
+    # the same sample in another order has the same curve, up to rounding
+    shuffled = empirical_call_curve(sample[::-1], kgrid)
+    assert np.allclose(shuffled.values, curve.values, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("n", [N_BLOCKS3, 4_000])
+def test_mc_call_against_brute_force(antithetic, n):
+    cfg = SimConfig("black_scholes", 1.2, n, seed=6, antithetic=antithetic)
+    payoffs = np.maximum(simulate_terminal(cfg) - 1.05, 0.0)
+    v = 0.5 * (payoffs[0::2] + payoffs[1::2]) if antithetic else payoffs
+    est = mc_call(cfg, 1.05)
+    value, se = np.mean(v), np.std(v, ddof=1) / math.sqrt(v.size)
+    assert est.n == n
+    if n <= mc._BLOCK:  # one block reduces by the plain formulas, bit for bit
+        assert (est.value, est.std_error) == (value, se)
+    assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+
+
+def test_sim_config_needs_integer_paths_and_seed():
+    for n_paths, seed in ((1000.5, 1), (1000.0, 1), (1000, 1.5), (1000, 2.0), (True, 1),
+                          (1000, "7"), (1000, None)):
+        with pytest.raises(ValidationError):
+            SimConfig("bachelier", 1.0, n_paths, seed)
+    a = simulate_terminal(SimConfig("bachelier", 1.0, np.int64(1000), np.int64(2 ** 62)))
+    assert np.array_equal(a, simulate_terminal(SimConfig("bachelier", 1.0, 1000, 2 ** 62)))
+
+
+def test_mc_call_strike_is_a_real_scalar():
+    cfg = SimConfig("bachelier", 1.0, 1000, 1)
+    for k in (np.array([0.0, 0.1]), np.array([0.1]), [0.1], 0.1 + 1j, np.complex128(0.1),
+              float("nan"), True, "0.1"):
+        with pytest.raises(DomainError):
+            mc_call(cfg, k)
+    assert mc_call(cfg, np.array(0.1)) == mc_call(cfg, 0.1) == mc_call(cfg, np.float64(0.1))
+    assert mc_call(cfg, np.int64(0)) == mc_call(cfg, 0.0)
+
+
+def test_proposition_pgrid_shape_and_order():
+    cfg = SimConfig("bachelier", 1.0, 1000, seed=1)
+    for pgrid in (np.array(0.5), np.empty(0), np.full((2, 3), 0.5), np.array([0.6, 0.4]),
+                  np.array([0.5, 0.5])):
+        with pytest.raises(ValidationError):
+            mc_check_propositions(cfg, pgrid=pgrid)
+    one = mc_check_propositions(cfg, pgrid=[0.5])
+    assert one.probs.shape == (1,) and one.mc_boundary.shape == (1,)
