@@ -42,7 +42,7 @@ from .peacocks import PeacockSpec, TimeChange, surface_boundary
 from .pricing import MODEL_FAMILIES
 from .zonoid import CallCurve, project_convex_decreasing
 
-T = TypeVar("T")
+_T = TypeVar("_T")
 _MODELS = tuple(MODEL_FAMILIES)
 _U64 = np.uint64
 _GAMMA = _U64(0x9E3779B97F4A7C15)
@@ -53,7 +53,8 @@ _BLOCK = 1 << 17  # paths per block; even, so antithetic pairs never straddle tw
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Terminal-sample request: which model, maturity, paths, seed."""
+    """Terminal-sample request: which model, maturity, paths, seed.
+    ``n_paths`` and ``seed`` must be integers (Python or numpy, not bool)."""
 
     model: str
     t: float
@@ -136,7 +137,7 @@ def _worker_count(n: int) -> int:
     return max(1, min(cap, -(-n // _BLOCK)))
 
 
-def _block_map(fn: Callable[[int, int], T], n: int) -> List[T]:
+def _block_map(fn: Callable[[int, int], _T], n: int) -> List[_T]:
     """fn(lo, hi) on each fixed block [lo, hi) of the index range [0, n),
     run in the worker pool; the results come back in block order."""
     los = range(0, n, _BLOCK)
@@ -244,8 +245,9 @@ def _blockwise_curve(blocks: List[np.ndarray], kgrid: np.ndarray):
 
 
 def empirical_call_curve(sample: np.ndarray, kgrid) -> CallCurve:
-    """Exact empirical call values (1/n) sum (x_i - K)^+ at each grid strike,
-    summed over fixed blocks of the sample, each sorted on its own."""
+    """Exact empirical call values (1/n) sum (x_i - K)^+ at each strike of
+    the increasing ``kgrid``, summed over fixed blocks of the sample, each
+    sorted on its own."""
     sample = as_float_array(sample, "sample")
     kgrid = increasing_grid(kgrid, "kgrid")
     if sample.ndim != 1 or sample.size < 2:
