@@ -13,8 +13,8 @@ from .densities import (ConcavityReport, DensityModel, check_log_concavity,
                         inverse_log_slope, inverse_ratio)
 from .errors import (DomainError, RangeError, SingularCurvatureError,
                      UnsupportedError, ValidationError, ZonoidLabError)
-from .implied import (ImpliedQuery, implied_y, implied_y_minimization,
-                      implied_y_root, normalized_call, vega_integral)
+from .implied import (ImpliedQuery, implied_y_minimization, implied_y_root,
+                      normalized_call, vega_integral)
 from .localvol import (LocalVolResult, dupire_from_boundary, dupire_from_calls,
                        localvol_geometric_closed, localvol_linear_closed)
 from .mc import (McEstimate, McPropositionReport, SimConfig,
@@ -25,8 +25,7 @@ from .peacocks import (G_map, H_map, KellererReport, PeacockCertificate,
                        call_surface, certify_peacock, generator_limit_check,
                        group_property_check, recover_F_from_G, recover_F_from_H,
                        surface_boundary)
-from .pricing import (ModelParams, bachelier_call, bachelier_curve,
-                      black_scholes_call, black_scholes_curve,
+from .pricing import (ModelParams, bachelier_call, black_scholes_call,
                       family_call_geometric, family_call_geometric_with_flag,
                       family_call_linear, family_call_linear_with_flag,
                       family_prices, geometric_family_curve,
@@ -48,18 +47,18 @@ __all__ = [
     "PeacockCertificate", "PeacockSpec", "RangeError", "SimConfig",
     "SingularCurvatureError", "SurfaceGrid", "TimeChange", "UnsupportedError",
     "ValidationError", "ZonoidBoundary", "ZonoidLabError", "bachelier_call",
-    "bachelier_curve", "black_scholes_call", "black_scholes_curve",
-    "boundary_from_quantile_integral", "boundary_surface", "call_surface",
-    "calls_from_upper_boundary", "certify_peacock", "check_arithmetic_symmetry",
-    "check_convex_order", "check_geometric_symmetry", "check_log_concavity",
+    "black_scholes_call", "boundary_from_quantile_integral", "boundary_surface",
+    "call_surface", "calls_from_upper_boundary", "certify_peacock",
+    "check_arithmetic_symmetry", "check_convex_order", "check_geometric_symmetry",
+    "check_log_concavity",
     "discrete_upper_boundary", "dupire_from_boundary", "dupire_from_calls",
     "empirical_call_curve", "exact_boundary", "family_call_geometric",
     "family_call_geometric_with_flag", "family_call_linear",
     "family_call_linear_with_flag", "family_prices",
     "generator_limit_check", "geometric_family_curve", "group_property_check",
-    "implied_y", "implied_y_minimization", "implied_y_root",
-    "inverse_boundary_positive", "inverse_log_slope", "inverse_ratio",
-    "linear_family_curve", "localvol_geometric_closed", "localvol_linear_closed",
+    "implied_y_minimization", "implied_y_root", "inverse_boundary_positive",
+    "inverse_log_slope", "inverse_ratio", "linear_family_curve",
+    "localvol_geometric_closed", "localvol_linear_closed",
     "mc_call", "mc_check_propositions", "normalized_call",
     "project_convex_decreasing", "recover_F_from_G", "recover_F_from_H",
     "simulate_terminal", "surface_boundary", "survival", "survival_geometric",

@@ -20,7 +20,7 @@ import numpy as np
 from . import curve_io
 from .densities import DensityModel, check_log_concavity
 from .errors import ValidationError, ZonoidLabError
-from .implied import ImpliedQuery, implied_y
+from .implied import ImpliedQuery, implied_y_minimization, implied_y_root
 from .localvol import (dupire_from_boundary, dupire_from_calls,
                        localvol_geometric_closed, localvol_linear_closed)
 from .mc import SimConfig, _call_estimates, mc_check_propositions
@@ -46,36 +46,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-def _density_type(text: str) -> DensityModel:
-    try:
-        return DensityModel.from_spec(text)
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad density spec {text!r}: {exc}")
+def _arg(parse, noun: str):
+    """An argparse type that applies ``parse``; a ValueError or TypeError it
+    raises is reported as bad <noun> '<text>': <reason>."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, TypeError) as exc:
+            raise argparse.ArgumentTypeError(f"bad {noun} {text!r}: {exc}")
+    return convert
 
 
-def _grid_type(text: str) -> np.ndarray:
-    try:
-        return parse_grid(text)
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}")
-
-
-def _table_type(text: str):
+def _table(text: str):
     """``t:v,t:v,...`` pairs for tabulated time changes."""
-    try:
-        pairs = [tuple(float(v) for v in chunk.split(":")) for chunk in text.split(",")]
-        if any(len(p) != 2 for p in pairs):
-            raise ValueError("each entry must be t:value")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad table {text!r}: {exc}")
+    pairs = [tuple(float(v) for v in chunk.split(":")) for chunk in text.split(",")]
+    if any(len(p) != 2 for p in pairs):
+        raise ValueError("each entry must be t:value")
     return pairs
 
 
-def _floats_type(text: str) -> np.ndarray:
-    try:
-        return np.array([float(v) for v in text.split(",")], dtype=np.float64)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}: {exc}")
+_DENSITY = _arg(DensityModel.from_spec, "density spec")
+_GRID = _arg(parse_grid, "grid")
+_TABLE = _arg(_table, "table")
+_FLOATS = _arg(lambda text: np.array([float(v) for v in text.split(",")], dtype=np.float64),
+               "float list")
 
 
 def _sink(path: str):
@@ -101,7 +95,7 @@ def _time_change(args) -> TimeChange:
 
 
 def _add_density_flag(sp) -> None:
-    sp.add_argument("--density", type=_density_type, default=DensityModel.gaussian())
+    sp.add_argument("--density", type=_DENSITY, default=DensityModel.gaussian())
 
 
 def _add_marginal_flags(sp) -> None:
@@ -127,16 +121,16 @@ def _add_time_change_flags(sp) -> None:
                     help="time change family (default sqrt)")
     sp.add_argument("--y-scale", type=float, default=1.0,
                     help="scale of the sqrt/linear time change")
-    sp.add_argument("--y-table", type=_table_type, default=None,
+    sp.add_argument("--y-table", type=_TABLE, default=None,
                     help="tabulated time change as t:v,t:v,...")
 
 
-def _collect_strikes(args, parser, flag="strike") -> np.ndarray:
+def _collect_strikes(args, parser) -> np.ndarray:
     vals = list(args.k or [])
     if getattr(args, "k_grid", None) is not None:
         vals.extend(args.k_grid.tolist())
     if not vals:
-        parser.error(f"at least one {flag} is required (--k or --k-grid)")
+        parser.error("at least one strike is required (--k or --k-grid)")
     return np.array(vals, dtype=np.float64)
 
 
@@ -225,8 +219,11 @@ def _cmd_certify(args, parser) -> int:
 
 
 def _cmd_implied(args, parser) -> int:
-    found = implied_y(ImpliedQuery(args.density, args.c, args.k), args.method)
-    y_star, p_hat = found if args.method == "min" else (found, None)
+    query = ImpliedQuery(args.density, args.c, args.k)
+    if args.method == "min":
+        y_star, p_hat = implied_y_minimization(query)
+    else:
+        y_star, p_hat = implied_y_root(query), None
     curve_io.write_json(_sink(args.out),
                         {"y_star": y_star, "p_hat": p_hat, "method": args.method})
     return 0
@@ -327,7 +324,7 @@ def build_parser() -> _Parser:
     _add_marginal_flags(sp)
     sp.add_argument("--k", type=float, action="append",
                     help="strike; repeatable")
-    sp.add_argument("--k-grid", type=_grid_type, default=None,
+    sp.add_argument("--k-grid", type=_GRID, default=None,
                     help="strike grid lo:hi:steps")
 
     sp = add("boundary", _cmd_boundary, "zonoid upper boundary from calls/model/atoms")
@@ -336,28 +333,28 @@ def build_parser() -> _Parser:
     sp.add_argument("--positive", action="store_true",
                     help="mark the loaded curve as positive-support")
     _add_marginal_flags(sp)
-    sp.add_argument("--atoms", type=_floats_type, default=None)
-    sp.add_argument("--weights", type=_floats_type, default=None)
-    sp.add_argument("--p-grid", type=_grid_type, default=parse_grid("0:1:2001"))
+    sp.add_argument("--atoms", type=_FLOATS, default=None)
+    sp.add_argument("--weights", type=_FLOATS, default=None)
+    sp.add_argument("--p-grid", type=_GRID, default=None)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     sp = add("calls", _cmd_calls, "call curve recovered from a boundary CSV")
     sp.add_argument("--boundary", required=True, help="CSV with header p,Chat")
     sp.add_argument("--mean", type=float, default=None)
-    sp.add_argument("--k-grid", type=_grid_type, required=True)
+    sp.add_argument("--k-grid", type=_GRID, required=True)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     sp = add("surface", _cmd_surface, "boundary or call surface over (t, axis)")
     _add_spec_flags(sp)
-    sp.add_argument("--t-grid", type=_grid_type, required=True)
+    sp.add_argument("--t-grid", type=_GRID, required=True)
     sp.add_argument("--space", choices=["zonoid", "call"], default="zonoid")
-    sp.add_argument("--p-grid", type=_grid_type, default=parse_grid("0:1:201"))
-    sp.add_argument("--k-grid", type=_grid_type, default=None)
+    sp.add_argument("--p-grid", type=_GRID, default=parse_grid("0:1:201"))
+    sp.add_argument("--k-grid", type=_GRID, default=None)
 
     sp = add("certify", _cmd_certify, "peacock certificate for a surface spec")
     _add_spec_flags(sp)
-    sp.add_argument("--t-grid", type=_grid_type, default=parse_grid("0.25:4:16"))
-    sp.add_argument("--p-grid", type=_grid_type, default=None)
+    sp.add_argument("--t-grid", type=_GRID, default=parse_grid("0.25:4:16"))
+    sp.add_argument("--p-grid", type=_GRID, default=None)
 
     sp = add("implied", _cmd_implied, "generalized implied volatility")
     _add_density_flag(sp)
@@ -377,7 +374,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--t", type=float, action="append", required=True,
                     help="evaluation time; repeatable")
     sp.add_argument("--k", type=float, action="append")
-    sp.add_argument("--k-grid", type=_grid_type, default=None)
+    sp.add_argument("--k-grid", type=_GRID, default=None)
     sp.add_argument("--p", type=float, action="append",
                     help="probability level for --from boundary; repeatable")
     sp.add_argument("--h-t", type=float, default=1e-3)
@@ -391,10 +388,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--antithetic", action="store_true")
-    sp.add_argument("--k-grid", type=_grid_type, default=None)
+    sp.add_argument("--k-grid", type=_GRID, default=None)
     sp.add_argument("--report", action="store_true",
                     help="emit the JSON proposition-check report instead of prices")
-    sp.add_argument("--p-grid", type=_grid_type, default=None)
+    sp.add_argument("--p-grid", type=_GRID, default=None)
 
     sp = add("recover", _cmd_recover, "reconstruct F from its generator or group")
     sp.add_argument("--mode", choices=["g", "h"], default="g")
@@ -402,12 +399,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--p0", type=float, default=0.5)
     sp.add_argument("--anchor", type=float, default=None,
                     help="x with F(x)=p0 (default: quantile(p0))")
-    sp.add_argument("--p-grid", type=_grid_type, default=None)
+    sp.add_argument("--p-grid", type=_GRID, default=None)
     sp.add_argument("--x", type=float, action="append",
                     help="evaluation point for --mode h; repeatable")
 
     sp = add("density-check", _cmd_density_check, "log-concavity certificate")
-    sp.add_argument("--density", type=_density_type, required=True)
+    sp.add_argument("--density", type=_DENSITY, required=True)
 
     return parser
 

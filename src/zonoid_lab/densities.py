@@ -25,7 +25,7 @@ from scipy import special
 
 from .errors import DomainError, RangeError, UnsupportedError, ValidationError
 from .numerics import (as_float_array, like_input, monotone_root, probabilities,
-                       require_uniform, second_differences)
+                       real_scalar, require_uniform)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _FAMILIES = ("gaussian", "logistic", "cauchy", "custom")
@@ -56,7 +56,8 @@ class ConcavityReport:
 def _concavity_report(grid: np.ndarray, values: np.ndarray, slack: float) -> ConcavityReport:
     """The second-difference rule on the rows of ``values`` over ``grid``: the
     worst is the first largest in row-major order, a violation above slack."""
-    d2 = second_differences(values)
+    v = np.asarray(values, dtype=np.float64)
+    d2 = v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]
     i = np.unravel_index(int(np.argmax(d2)), d2.shape)
     worst, j = float(d2[i]), i[-1]
     if worst <= slack:
@@ -88,9 +89,8 @@ class DensityModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValidationError(f"unknown density family {self.family!r}")
-        if not (np.isfinite(self.location) and np.isfinite(self.scale)):
-            raise ValidationError("location and scale must be finite")
-        if self.scale <= 0.0:
+        real_scalar(self.location, "location", ValidationError)
+        if real_scalar(self.scale, "scale", ValidationError) <= 0.0:
             raise ValidationError("scale must be positive")
         if self.family == "custom":
             missing = [name for name, fn in (

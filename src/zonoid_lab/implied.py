@@ -133,11 +133,3 @@ def implied_y_minimization(query: ImpliedQuery) -> Tuple[float, float]:
     p_hat, y_star = golden_section_min(objective, lo, hi, logit=True)
     return max(y_star, 0.0), p_hat
 
-
-def implied_y(query: ImpliedQuery, method: str = "root"):
-    """Dispatch: "root" -> y*, "min" -> (y*, p_hat)."""
-    if method == "root":
-        return implied_y_root(query)
-    if method == "min":
-        return implied_y_minimization(query)
-    raise DomainError(f"unknown implied method {method!r}")

@@ -65,7 +65,7 @@ class SimConfig:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise ValidationError(f"model must be one of {_MODELS}, got {self.model!r}")
-        if not (np.isfinite(self.t) and self.t >= 0.0):
+        if real_scalar(self.t, "t", ValidationError) < 0.0:
             raise ValidationError("t must be non-negative")
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
                    for v in (self.n_paths, self.seed)):

@@ -9,8 +9,9 @@ domain knowledge (call curves, boundaries, densities) lives in the modules
 that call them.  The three input rules every module shares are written here
 and nowhere else: ``increasing_grid`` (a finite, 1-d, strictly increasing
 grid), ``probabilities`` (every entry in [0, 1]) and ``real_scalar`` (one
-finite real level, strike or price); so are the two output conventions,
-``like_input`` (scalar or array) and ``jsonable`` (JSON).
+finite real level, strike, price, time or constructor field); so are the
+two output conventions, ``like_input`` (scalar or array) and ``jsonable``
+(JSON).
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ def probabilities(p, name: str) -> np.ndarray:
     return arr
 
 
-def real_scalar(x, name: str) -> float:
-    """``x`` as a float; DomainError unless it is one finite real number: a
+def real_scalar(x, name: str, error: type = DomainError) -> float:
+    """``x`` as a float; ``error`` (DomainError, or ValidationError for the
+    fields of a config object) unless it is one finite real number: a
     Python or numpy float or int, or a 0-d array of one.  Arrays of any
     other shape, lists, bools, complex numbers and strings are rejected."""
     v = x
@@ -89,7 +91,7 @@ def real_scalar(x, name: str) -> float:
         a = np.asarray(v)
         v = float(a) if a.shape == () and a.dtype.kind in "iuf" else math.nan
     if not math.isfinite(v):
-        raise DomainError(f"{name} must be a finite real scalar, got {x!r}")
+        raise error(f"{name} must be a finite real scalar, got {x!r}")
     return v
 
 
@@ -456,12 +458,6 @@ def legendre_min(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> Tuple[np.ndarra
     best = np.argmin(vals, axis=0)
     cols = np.arange(p.size)
     return vals[best, cols], hull[cand[best, cols]]
-
-
-def second_differences(values: np.ndarray) -> np.ndarray:
-    """Plain second differences v[i-1] - 2 v[i] + v[i+1] along the last axis."""
-    v = np.asarray(values, dtype=np.float64)
-    return v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]
 
 
 def require_uniform(grid: np.ndarray, name: str = "grid") -> float:

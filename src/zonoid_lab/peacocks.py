@@ -32,7 +32,7 @@ import numpy as np
 from .densities import ConcavityReport, DensityModel, _concavity_report
 from .errors import DomainError, UnsupportedError, ValidationError
 from .numerics import (as_float_array, gauss_kronrod, increasing_grid, jsonable,
-                       like_input, probabilities, require_uniform)
+                       like_input, probabilities, real_scalar, require_uniform)
 
 _FAMILIES = ("linear", "geometric")
 _AXIS_KINDS = ("call-space", "zonoid-space")
@@ -83,7 +83,7 @@ class TimeChange:
         else:
             if self.times is not None or self.table_values is not None:
                 raise ValidationError(f"{self.kind} time change takes no table")
-            if not (np.isfinite(self.scale) and self.scale > 0.0):
+            if real_scalar(self.scale, "time change scale", ValidationError) <= 0.0:
                 raise ValidationError("time change scale must be positive")
 
     @classmethod
@@ -99,15 +99,21 @@ class TimeChange:
         return cls("table", 1.0, np.asarray(times, dtype=np.float64),
                    np.asarray(values, dtype=np.float64))
 
-    def _check(self, t: float) -> None:
-        """DomainError unless t is finite, non-negative and inside a table."""
-        if not np.isfinite(t) or t < 0.0:
-            raise DomainError(f"t must be non-negative, got {t!r}")
-        if self.kind == "table" and t > self.times[-1]:
+    def _check(self, t) -> float:
+        """t as a float; DomainError unless it is a real scalar (by
+        ``numerics.real_scalar``), non-negative and inside a table."""
+        try:
+            v = real_scalar(t, "t")
+        except DomainError:
+            v = math.nan
+        if not v >= 0.0:
+            raise DomainError(f"t must be a non-negative real scalar, got {t!r}")
+        if self.kind == "table" and v > self.times[-1]:
             raise DomainError(f"t={t!r} beyond the time change table")
+        return v
 
     def value(self, t: float) -> float:
-        self._check(t)
+        t = self._check(t)
         if self.kind == "sqrt":
             return self.scale * math.sqrt(t)
         if self.kind == "linear":
@@ -115,7 +121,7 @@ class TimeChange:
         return float(np.interp(t, self.times, self.table_values))
 
     def derivative(self, t: float) -> float:
-        self._check(t)
+        t = self._check(t)
         if self.kind == "sqrt":
             if t == 0.0:
                 raise DomainError("sqrt time change has no derivative at t = 0")
@@ -141,9 +147,7 @@ class PeacockSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValidationError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if not np.isfinite(self.s):
-            raise ValidationError("s must be finite")
-        if self.family == "geometric" and self.s <= 0.0:
+        if real_scalar(self.s, "s", ValidationError) <= 0.0 and self.family == "geometric":
             raise ValidationError("geometric family requires s > 0")
 
 

@@ -18,9 +18,9 @@ Every function here returns Python scalars for a scalar strike and arrays
 for an array of strikes.
 
 The Bachelier and Black-Scholes models are the gaussian members of the two
-families at y = sigma sqrt(t) (``MODEL_FAMILIES``): their curves are family
-curves, on the strike image of the density's quantile bounds like every
-other, and ``bachelier_call`` / ``black_scholes_call`` keep the closed forms.
+families at y = sigma sqrt(t) (``MODEL_FAMILIES``): their curves are
+``linear_family_curve`` / ``geometric_family_curve`` of the gaussian, and
+``bachelier_call`` / ``black_scholes_call`` keep the closed forms.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .densities import DensityModel, inverse_log_slope, inverse_ratio, require_l
 from .errors import DomainError, RangeError, ValidationError
 from .numerics import as_float_array, like_input, real_scalar, stand_in
 from .peacocks import family_boundary
+from .zonoid import CallCurve
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -56,9 +57,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("s0", "sigma", "t"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValidationError(f"{name} must be finite")
+            real_scalar(getattr(self, name), name, ValidationError)
         if self.sigma <= 0.0:
             raise ValidationError("sigma must be positive")
         if self.t < 0.0:
@@ -120,9 +119,9 @@ def family_prices(kind: str, model: DensityModel, s: float, y: float, k):
     Strikes outside the reachable range are clamped (flag True): C = s - K
     and P = 1 below it, C = 0 and P = 0 above it.  Both families start at
     level 0 from the point mass at s, so y = 0 clamps every strike:
-    C = (s - K)^+ and P = 1{K < s}.  Raises DomainError unless s is finite
-    (and positive, with non-negative strikes, for the geometric family) and
-    y is non-negative and finite.  Raises RangeError, naming the level, when
+    C = (s - K)^+ and P = 1{K < s}.  Raises DomainError unless s is a finite
+    real scalar (``numerics.real_scalar``; positive, with non-negative
+    strikes, for the geometric family) and y is non-negative and finite.  Raises RangeError, naming the level, when
     the geometric ratio range holds floats but not 1: the tail cut of a
     ``custom`` model has then lost the law's mass (the gaussian twin from
     y = 14.07 on).  A range with no float inside clamps every strike.
@@ -130,8 +129,9 @@ def family_prices(kind: str, model: DensityModel, s: float, y: float, k):
     if kind not in ("linear", "geometric"):
         raise ValidationError(f"unknown family kind {kind!r}")
     check_level(y)
-    if not np.isfinite(s) or (kind == "geometric" and s <= 0.0):
-        raise DomainError("s must be finite, and positive for the geometric family")
+    s = real_scalar(s, "s")
+    if kind == "geometric" and s <= 0.0:
+        raise DomainError("s must be positive for the geometric family")
     k = as_float_array(k, "strike")
     if kind == "geometric" and (k < 0.0).any():
         raise DomainError("geometric family strikes must be non-negative")
@@ -203,18 +203,6 @@ def survival(kind: str, model: DensityModel, s: float, yval: float, k):
 # Curve constructors
 # ---------------------------------------------------------------------------
 
-def bachelier_curve(params: ModelParams):
-    """Call curve of the arithmetic model: linear gaussian, y = sigma sqrt(t)."""
-    return linear_family_curve(DensityModel.gaussian(), params.s0,
-                               params.sigma * math.sqrt(params.t))
-
-
-def black_scholes_curve(params: ModelParams):
-    """Call curve of the geometric model: geometric gaussian, y = sigma sqrt(t)."""
-    return geometric_family_curve(DensityModel.gaussian(), params.s0,
-                                  params.sigma * math.sqrt(params.t))
-
-
 def linear_family_curve(model: DensityModel, s: float, yval: float):
     """Call curve of the linear-family marginal at level yval."""
     return _family_curve("linear", model, s, yval)
@@ -233,8 +221,6 @@ def _family_curve(kind: str, model: DensityModel, s: float, y: float):
     C = (s - K)^+, or a level so small that it rounds to one float), the
     domain is one around s.  Its ``conjugate`` is the exact boundary
     (log-concave models only, or y = 0)."""
-    from .zonoid import CallCurve
-
     def conjugate(p):
         if y != 0.0:
             require_log_concave(model, f"the {kind} family boundary")

@@ -46,6 +46,7 @@ from .numerics import (as_float_array, gauss_kronrod, golden_section_min, increa
 _P_EPS = 1e-9          # probability clipping for continuous searches
 _Q_EPS = 1e-12         # quantile clipping for quadrature supports
 _DEFAULT_GRID_N = 2001
+_LOGIT_HALF_WIDTH = 14.0  # default p grid: interior nodes even in logit p on [-14, 14]
 _SAMPLE_N, _SHAPE_SLACK = 513, 1e-9        # validate: closed-form sample, shape slack
 _TAIL_TOL = 1e-3       # CallCurve.validate asymptote gap, times max(1, |mean|)
 _MEAN_TOL, _ORDER_SLACK = 1e-10, 1e-12     # check_convex_order (slack times max(1, |mean|))
@@ -338,9 +339,17 @@ def upper_boundary_from_calls(curve: CallCurve, pgrid=None, *,
     curve, minimised over its nodes by the linear-time discrete Legendre
     transform; "golden" for any other closed-form curve, the minimiser route
     (``numerics.golden_section_min`` over the strike domain).
+
+    The default p grid has 2001 nodes: 0, 1999 nodes evenly spaced in
+    logit p on [-14, 14] (p from 8.3e-7 to 1 - 8.3e-7), and 1.  The
+    boundary's slope at p is the strike that X exceeds with probability p,
+    so the tail strikes sit near p = 0 and p = 1, where an even grid in p
+    has few nodes.
     """
-    pgrid = _probability_grid(np.linspace(0.0, 1.0, _DEFAULT_GRID_N)
-                              if pgrid is None else pgrid, "pgrid")
+    if pgrid is None:
+        logits = np.linspace(-_LOGIT_HALF_WIDTH, _LOGIT_HALF_WIDTH, _DEFAULT_GRID_N - 2)
+        pgrid = np.concatenate(([0.0], 1.0 / (1.0 + np.exp(-logits)), [1.0]))
+    pgrid = _probability_grid(pgrid, "pgrid")
     if validate:
         curve.validate()
     if curve.conjugate is not None:

@@ -21,9 +21,7 @@ from zonoid_lab.peacocks import (G_map, PeacockSpec, TimeChange,
                                  boundary_surface, call_surface,
                                  certify_peacock, generator_limit_check,
                                  group_property_check, recover_F_from_G)
-from zonoid_lab.pricing import (ModelParams, bachelier_curve,
-                                black_scholes_curve, geometric_family_curve,
-                                linear_family_curve)
+from zonoid_lab.pricing import geometric_family_curve, linear_family_curve
 from zonoid_lab.zonoid import (DiscreteDistribution, calls_from_upper_boundary,
                                discrete_upper_boundary,
                                inverse_boundary_positive,
@@ -73,7 +71,7 @@ class _Criterion:
 def test_criterion_1_bachelier_boundary(capsys):
     with _Criterion(1, 5.0, capsys):
         for t in TS:
-            curve = bachelier_curve(ModelParams(0.0, 1.0, t))
+            curve = linear_family_curve(GAUSS, 0.0, math.sqrt(t))
             got = upper_boundary_from_calls(curve, PS).values
             want = math.sqrt(t) * norm.pdf(norm.ppf(PS))
             assert np.max(np.abs(got - want)) <= 1e-6
@@ -82,7 +80,7 @@ def test_criterion_1_bachelier_boundary(capsys):
 def test_criterion_2_black_scholes_boundary(capsys):
     with _Criterion(2, 5.0, capsys):
         for t in TS:
-            curve = black_scholes_curve(ModelParams(1.0, 1.0, t))
+            curve = geometric_family_curve(GAUSS, 1.0, math.sqrt(t))
             got = upper_boundary_from_calls(curve, PS).values
             want = norm.cdf(norm.ppf(PS) + math.sqrt(t))
             assert np.max(np.abs(got - want)) <= 1e-6
@@ -219,7 +217,7 @@ def test_criterion_9_group_identities(capsys):
                                   pgrid=np.linspace(0.01, 0.99, 99))
         assert np.max(np.abs(xs - norm.ppf(ps))) <= 1e-6
         # geometric symmetry of the lognormal: inverse boundary vs reflection
-        curve = black_scholes_curve(ModelParams(1.0, 1.0, 0.64))
+        curve = geometric_family_curve(GAUSS, 1.0, math.sqrt(0.64))
         qs = np.linspace(0.01, 0.99, 49)
         lhs = np.array([inverse_boundary_positive(curve, q) for q in qs])
         rhs = 1.0 - upper_boundary_from_calls(curve, 1.0 - qs[::-1]).values[::-1]

@@ -9,6 +9,8 @@ entry point.
 kept below as the oracle.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,8 @@ from zonoid_lab.mc import SimConfig, mc_call, mc_check_propositions
 from zonoid_lab.numerics import central_diff, probabilities, real_scalar, require_uniform
 from zonoid_lab.peacocks import (G_map, H_map, PeacockSpec, SurfaceGrid, TimeChange,
                                  boundary_surface, call_surface, certify_peacock,
-                                 generator_limit_check)
-from zonoid_lab.pricing import family_prices
+                                 generator_limit_check, surface_boundary)
+from zonoid_lab.pricing import ModelParams, family_prices
 from zonoid_lab.zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
                                boundary_from_quantile_integral,
                                calls_from_upper_boundary, discrete_upper_boundary,
@@ -125,6 +127,28 @@ SHAPE_ERRORS = {
     "ImpliedQuery array strike": (lambda: ImpliedQuery(GAUSS, 0.2, np.array([1.0, 1.1])),
                                   DomainError),
 }
+
+# scalar fields and arguments that once let a complex value through, or
+# raised TypeError or numpy's ValueError for an array or a string; inf keeps
+# the class it always had
+SCALAR_ENTRY_POINTS = {
+    "SimConfig t": (lambda v: SimConfig("bachelier", v, 1000, 1), ValidationError),
+    "DensityModel location": (lambda v: DensityModel("gaussian", v, 1.0), ValidationError),
+    "DensityModel scale": (lambda v: DensityModel("gaussian", 0.0, v), ValidationError),
+    "PeacockSpec s": (lambda v: PeacockSpec("linear", GAUSS, v, TimeChange.sqrt()),
+                      ValidationError),
+    "ModelParams s0": (lambda v: ModelParams(v, 1.0, 1.0), ValidationError),
+    "TimeChange.sqrt scale": (lambda v: TimeChange.sqrt(v), ValidationError),
+    "TimeChange.value t": (lambda v: TimeChange.sqrt().value(v), DomainError),
+    "TimeChange.derivative t": (lambda v: TimeChange.linear().derivative(v), DomainError),
+    "surface_boundary t": (lambda v: surface_boundary(SPEC, v, 0.5), DomainError),
+    "family_prices s": (lambda v: family_prices("linear", GAUSS, v, 0.5, 0.1), DomainError),
+}
+BAD_SCALARS = {"complex": 1.0 + 1.0j, "array": np.array([0.5, 1.0]), "string": "0.5",
+               "inf": math.inf}
+SHAPE_ERRORS.update({f"{entry} {kind}": (lambda fn=fn, v=v: fn(v), error)
+                     for entry, (fn, error) in SCALAR_ENTRY_POINTS.items()
+                     for kind, v in BAD_SCALARS.items()})
 
 
 @pytest.mark.parametrize("case", sorted(SHAPE_ERRORS))

@@ -20,11 +20,13 @@ from zonoid_lab.densities import DensityModel
 from zonoid_lab.mc import SimConfig, mc_check_propositions, simulate_terminal
 from zonoid_lab.peacocks import (G_map, H_map, PeacockSpec, TimeChange, boundary_surface,
                                  call_surface)
-from zonoid_lab.pricing import (ModelParams, bachelier_call, bachelier_curve,
-                                black_scholes_call, family_call_linear,
-                                family_prices, survival)
+from zonoid_lab.pricing import (ModelParams, bachelier_call, black_scholes_call,
+                                family_call_linear, family_prices, geometric_family_curve,
+                                linear_family_curve, survival)
 from zonoid_lab.zonoid import (calls_from_upper_boundary,
                                upper_boundary_from_calls)
+
+GAUSS = DensityModel.gaussian()
 
 
 def run_cli(*argv):
@@ -268,12 +270,20 @@ def test_price_to_file_17_digit_round_trip(tmp_path, capsys):
 # boundary / calls round trip through files
 # ---------------------------------------------------------------------------
 
+def test_boundary_default_p_grid_is_the_library_default(capsys):
+    assert run_cli("boundary", "--model", "black_scholes", "--sigma", "0.7") == 0
+    header, data = read_csv_text(capsys.readouterr().out)
+    direct = upper_boundary_from_calls(geometric_family_curve(GAUSS, 1.0, 0.7))
+    assert np.array_equal(data[:, 0], direct.probs)
+    assert np.array_equal(data[:, 1], direct.values)
+
+
 def test_boundary_and_calls_round_trip(tmp_path, capsys):
     bfile = tmp_path / "boundary.csv"
     assert run_cli("boundary", "--model", "bachelier", "--s0", "0",
                    "--p-grid", "0:1:201", "--out", str(bfile)) == 0
     loaded = curve_io.read_curve_csv(str(bfile))
-    direct = upper_boundary_from_calls(bachelier_curve(ModelParams(0.0, 1.0, 1.0)),
+    direct = upper_boundary_from_calls(linear_family_curve(GAUSS, 0.0, 1.0),
                                        np.linspace(0.0, 1.0, 201))
     assert np.array_equal(loaded.values, direct.values)  # %.17g bit-exact
 
@@ -290,7 +300,7 @@ def test_boundary_from_calls_needs_mean_off_the_asymptote(tmp_path, capsys):
     ks = np.linspace(-0.5, 5.0, 501)
     cfile = tmp_path / "calls.csv"
     curve_io.write_table(str(cfile), ("K", "C"), ks,
-                         bachelier_curve(ModelParams(0.0, 1.0, 1.0))(ks))
+                         linear_family_curve(GAUSS, 0.0, 1.0)(ks))
     # the grid stops short of the intrinsic asymptote: the mean cannot be
     # inferred, and a stated mean fails the left-asymptote check
     assert run_cli("boundary", "--calls", str(cfile), "--p-grid", "0:1:11") == 2
@@ -300,7 +310,7 @@ def test_boundary_from_calls_needs_mean_off_the_asymptote(tmp_path, capsys):
     capsys.readouterr()
     ks = np.linspace(-6.0, 6.0, 1201)
     curve_io.write_table(str(cfile), ("K", "C"), ks,
-                         bachelier_curve(ModelParams(0.0, 1.0, 1.0))(ks))
+                         linear_family_curve(GAUSS, 0.0, 1.0)(ks))
     assert run_cli("boundary", "--calls", str(cfile), "--p-grid", "0:1:11") == 0
     header, data = read_csv_text(capsys.readouterr().out)
     assert abs(data[-1, 1]) <= 1e-8

@@ -11,7 +11,7 @@ from zonoid_lab import curve_io
 from zonoid_lab.densities import DensityModel
 from zonoid_lab.errors import UnsupportedError, ValidationError
 from zonoid_lab.peacocks import PeacockSpec, SurfaceGrid, TimeChange, boundary_surface
-from zonoid_lab.pricing import ModelParams, black_scholes_curve
+from zonoid_lab.pricing import geometric_family_curve
 from zonoid_lab.zonoid import CallCurve, ZonoidBoundary, upper_boundary_from_calls
 
 
@@ -87,7 +87,7 @@ def test_json_envelope_round_trip():
 
 
 def test_envelope_rejects_fn_backed_and_unknown():
-    fn_curve = black_scholes_curve(ModelParams(1.0, 1.0, 1.0))
+    fn_curve = geometric_family_curve(DensityModel.gaussian(), 1.0, 1.0)
     with pytest.raises(UnsupportedError):
         curve_io.curve_to_envelope(fn_curve)
     with pytest.raises(UnsupportedError):

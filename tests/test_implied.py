@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from zonoid_lab.densities import DensityModel
 from zonoid_lab.errors import DomainError
-from zonoid_lab.implied import (ImpliedQuery, implied_y, implied_y_minimization,
+from zonoid_lab.implied import (ImpliedQuery, implied_y_minimization,
                                 implied_y_root, normalized_call, vega_integral)
 from zonoid_lab.pricing import survival_geometric
 
@@ -135,16 +135,6 @@ def test_min_agrees_with_root(density):
                 # the minimiser is the exercise probability F(V_{y*}(K))
                 want = survival_geometric(density, 1.0, y_root, k)
                 assert p_hat == pytest.approx(want, abs=1e-4)
-
-
-def test_dispatcher():
-    q = ImpliedQuery(GAUSS, 0.38292492254802624, 1.0)
-    assert implied_y(q, "root") == pytest.approx(1.0, abs=1e-10)
-    y_star, p_hat = implied_y(q, "min")
-    assert y_star == pytest.approx(1.0, abs=1e-5)
-    assert 0.0 < p_hat < 1.0
-    with pytest.raises(DomainError):
-        implied_y(q, "newton")
 
 
 @settings(max_examples=30, deadline=None)

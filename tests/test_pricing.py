@@ -20,8 +20,7 @@ from scipy.stats import norm
 from zonoid_lab.densities import DensityModel, inverse_log_slope, inverse_ratio
 from zonoid_lab.errors import DomainError, RangeError, ValidationError
 from zonoid_lab.implied import vega_integral
-from zonoid_lab.pricing import (ModelParams, bachelier_call, bachelier_curve,
-                                black_scholes_call, black_scholes_curve,
+from zonoid_lab.pricing import (ModelParams, bachelier_call, black_scholes_call,
                                 family_call_geometric,
                                 family_call_geometric_with_flag,
                                 family_call_linear, family_call_linear_with_flag,
@@ -244,9 +243,9 @@ def test_breeden_litzenberger_density_recovery():
 
 
 def test_curve_constructors_have_consistent_domains():
-    c1 = bachelier_curve(ModelParams(0.0, 1.0, 1.0))
+    c1 = linear_family_curve(GAUSS, 0.0, 1.0)
     c1.validate()
-    c2 = black_scholes_curve(ModelParams(1.0, 1.0, 1.0))
+    c2 = geometric_family_curve(GAUSS, 1.0, 1.0)
     c2.validate()
     assert c2.positive and not c1.positive
     c3 = linear_family_curve(LOGISTIC, 0.0, 1.0)
@@ -262,9 +261,9 @@ def test_curve_constructors_have_consistent_domains():
 
 def test_curves_match_underlying_formulas():
     params = ModelParams(0.3, 0.7, 2.0)
-    curve = bachelier_curve(params)
-    ks = np.linspace(curve.k_lo, curve.k_hi, 33)
     yval = 0.7 * math.sqrt(2.0)
+    curve = linear_family_curve(GAUSS, 0.3, yval)
+    ks = np.linspace(curve.k_lo, curve.k_hi, 33)
     assert np.max(np.abs(curve(ks) - family_call_linear(GAUSS, 0.3, yval, ks))) == 0.0
     want = np.array([bachelier_call(params, k) for k in ks])
     assert np.max(np.abs(curve(ks) - want)) <= 1e-14
@@ -603,17 +602,13 @@ def test_linear_family_curve_sampled_past_six_sigma_is_a_call_curve():
 
 @pytest.mark.parametrize("s0,sigma,t", [(0.0, 1.0, 1.0), (1.0, 0.4, 2.5), (-3.0, 2.0, 0.3),
                                         (2.5, 1.5, 4.0)])
-def test_model_curves_are_the_gaussian_family_curves(s0, sigma, t):
+def test_gaussian_family_curves_are_the_model_closed_forms(s0, sigma, t):
     params, y = ModelParams(s0, sigma, t), sigma * math.sqrt(t)
-    pairs = [(bachelier_curve(params), linear_family_curve(GAUSS, s0, y), bachelier_call)]
+    pairs = [(linear_family_curve(GAUSS, s0, y), bachelier_call)]
     if s0 > 0.0:
-        pairs.append((black_scholes_curve(params), geometric_family_curve(GAUSS, s0, y),
-                      black_scholes_call))
-    for curve, family, formula in pairs:
-        assert (curve.k_lo, curve.k_hi, curve.mean) == (family.k_lo, family.k_hi, family.mean)
-        assert curve.provenance == family.provenance
+        pairs.append((geometric_family_curve(GAUSS, s0, y), black_scholes_call))
+    for curve, formula in pairs:
         ks = np.linspace(curve.k_lo, curve.k_hi, 257)
-        assert np.array_equal(curve(ks), family(ks))
         assert np.max(np.abs(curve(ks) - formula(params, ks))) <= 1e-14 * max(1.0, abs(s0))
 
 

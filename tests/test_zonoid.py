@@ -21,8 +21,7 @@ from zonoid_lab.densities import DensityModel
 from zonoid_lab.errors import DomainError, UnsupportedError, ValidationError
 from zonoid_lab import numerics, peacocks, pricing, zonoid
 from zonoid_lab.numerics import legendre_min, monotone_root
-from zonoid_lab.pricing import (ModelParams, bachelier_curve, black_scholes_curve,
-                                geometric_family_curve, linear_family_curve)
+from zonoid_lab.pricing import ModelParams, geometric_family_curve, linear_family_curve
 from zonoid_lab.zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
                                boundary_from_quantile_integral,
                                calls_from_upper_boundary,
@@ -32,6 +31,8 @@ from zonoid_lab.zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
                                inverse_boundary_positive,
                                project_convex_decreasing,
                                upper_boundary_from_calls)
+
+GAUSS_MODEL, LOGISTIC = DensityModel.gaussian(), DensityModel.logistic()
 
 COIN = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
 TWO_ATOM = DiscreteDistribution([1.0, 3.0], [0.5, 0.5])
@@ -102,7 +103,7 @@ def test_call_curve_refuses_to_infer_mean_off_the_asymptote():
     # a Bachelier(0, 1, 1) curve cut at K = -0.5 has leftmost slope -0.69,
     # so C(-0.5) - 0.5 = 0.198 is not its mean (0) and must not be taken as one
     ks = np.linspace(-0.5, 5.0, 501)
-    vals = bachelier_curve(ModelParams(0.0, 1.0, 1.0))(ks)
+    vals = linear_family_curve(GAUSS_MODEL, 0.0, 1.0)(ks)
     with pytest.raises(ValidationError, match="pass the mean"):
         CallCurve.from_grid(ks, vals)
     curve = CallCurve.from_grid(ks, vals, mean=0.0)
@@ -111,7 +112,7 @@ def test_call_curve_refuses_to_infer_mean_off_the_asymptote():
 
 
 def test_call_curve_asymptotes_outside_domain():
-    curve = bachelier_curve(ModelParams(0.0, 1.0, 1.0))
+    curve = linear_family_curve(GAUSS_MODEL, 0.0, 1.0)
     grid = upper_boundary_from_calls(curve)  # smoke: default grid works
     assert grid.mean == 0.0
     assert curve(curve.k_lo - 5.0) == pytest.approx(0.0 - (curve.k_lo - 5.0), abs=1e-9)
@@ -277,7 +278,7 @@ def test_quantile_integral_matches_the_quad_loop(target):
 def test_three_routes_agree_for_bachelier():
     # conjugate of the closed-form curve vs quantile integral vs exact formula
     t = 0.25
-    curve = bachelier_curve(ModelParams(0.0, 1.0, t))
+    curve = linear_family_curve(GAUSS_MODEL, 0.0, math.sqrt(t))
     ps = np.linspace(0.1, 0.9, 9)
     via_transform = upper_boundary_from_calls(curve, ps).values
     scaled = DensityModel.gaussian(scale=math.sqrt(t))
@@ -288,7 +289,7 @@ def test_three_routes_agree_for_bachelier():
 
 
 def test_conjugate_pins_endpoints_exactly():
-    curve = black_scholes_curve(ModelParams(1.0, 1.0, 1.0))
+    curve = geometric_family_curve(GAUSS_MODEL, 1.0, 1.0)
     b = upper_boundary_from_calls(curve, np.array([0.0, 0.5, 1.0]))
     assert b.values[0] == 0.0
     assert b.values[-1] == 1.0
@@ -304,7 +305,7 @@ def test_calls_from_boundary_recovers_pl_curve_exactly():
 
 
 def test_round_trip_calls_to_boundary_to_calls():
-    curve = bachelier_curve(ModelParams(0.2, 0.8, 1.5))
+    curve = linear_family_curve(GAUSS_MODEL, 0.2, 0.8 * math.sqrt(1.5))
     pgrid = np.linspace(0.0, 1.0, 2001)
     boundary = upper_boundary_from_calls(curve, pgrid)
     kgrid = np.linspace(curve.k_lo, curve.k_hi, 2001)
@@ -338,7 +339,7 @@ def test_mean_is_preserved_by_both_transforms():
 
 def test_inverse_boundary_matches_lognormal_closed_form():
     t = 1.0
-    curve = black_scholes_curve(ModelParams(1.0, 1.0, t))
+    curve = geometric_family_curve(GAUSS_MODEL, 1.0, math.sqrt(t))
     for q in (0.05, 0.3, 0.6, 0.95):
         got = inverse_boundary_positive(curve, q)
         want = norm.cdf(norm.ppf(q) - math.sqrt(t))
@@ -354,11 +355,11 @@ def test_inverse_boundary_grid_route():
 
 
 def test_inverse_boundary_domain_errors():
-    curve = black_scholes_curve(ModelParams(1.0, 1.0, 1.0))
+    curve = geometric_family_curve(GAUSS_MODEL, 1.0, 1.0)
     for q in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(DomainError):
             inverse_boundary_positive(curve, q)
-    signed = bachelier_curve(ModelParams(0.0, 1.0, 1.0))
+    signed = linear_family_curve(GAUSS_MODEL, 0.0, 1.0)
     with pytest.raises(UnsupportedError):
         inverse_boundary_positive(signed, 0.5)
 
@@ -368,41 +369,58 @@ def test_inverse_boundary_domain_errors():
 # ---------------------------------------------------------------------------
 
 def test_convex_order_in_time():
-    lo = bachelier_curve(ModelParams(0.0, 1.0, 0.5))
-    hi = bachelier_curve(ModelParams(0.0, 1.0, 2.0))
+    lo = linear_family_curve(GAUSS_MODEL, 0.0, math.sqrt(0.5))
+    hi = linear_family_curve(GAUSS_MODEL, 0.0, math.sqrt(2.0))
     assert check_convex_order(lo, hi)
     assert not check_convex_order(hi, lo)
-    shifted = bachelier_curve(ModelParams(1.0, 1.0, 2.0))
+    shifted = linear_family_curve(GAUSS_MODEL, 1.0, math.sqrt(2.0))
     with pytest.raises(DomainError):
         check_convex_order(lo, shifted)
 
 
 def test_arithmetic_symmetry():
-    assert check_arithmetic_symmetry(bachelier_curve(ModelParams(0.0, 1.0, 1.0)))
+    assert check_arithmetic_symmetry(linear_family_curve(GAUSS_MODEL, 0.0, 1.0))
     dist = DiscreteDistribution([-1.0, 2.0], [2.0 / 3.0, 1.0 / 3.0])  # mean 0, skewed
     kgrid = np.linspace(-2.0, 2.0, 81)
     assert not check_arithmetic_symmetry(dist.call_curve(), kgrid)
 
 
 def test_geometric_symmetry():
-    assert check_geometric_symmetry(black_scholes_curve(ModelParams(1.0, 0.7, 1.0)))
+    assert check_geometric_symmetry(geometric_family_curve(GAUSS_MODEL, 1.0, 0.7))
     skewed = DiscreteDistribution([0.5, 1.5], [0.5, 0.5]).call_curve()
     kgrid = np.geomspace(0.25, 4.0, 41)
     assert not check_geometric_symmetry(skewed, kgrid)
     with pytest.raises(DomainError):
-        check_geometric_symmetry(black_scholes_curve(ModelParams(2.0, 1.0, 1.0)))
+        check_geometric_symmetry(geometric_family_curve(GAUSS_MODEL, 2.0, 1.0))
 
 
 def test_geometric_symmetry_identity_via_inverse_boundary():
     # for the lognormal family the inverse boundary satisfies
     # Chat^{-1}(q) = 1 - Chat(1 - q)
     t = 0.64
-    curve = black_scholes_curve(ModelParams(1.0, 1.0, t))
+    curve = geometric_family_curve(GAUSS_MODEL, 1.0, math.sqrt(t))
     boundary = upper_boundary_from_calls(curve, np.linspace(0.0, 1.0, 2001))
     for q in (0.2, 0.5, 0.8):
         lhs = inverse_boundary_positive(curve, q)
         rhs = 1.0 - float(boundary(1.0 - q))
         assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+def test_default_p_grid_round_trip_reaches_the_tail_strikes():
+    # a Black-Scholes law whose strikes at s0 e^(+-3v) lie past the second
+    # node of an even 2001-node p grid: that grid missed the closed form by
+    # 1.8e-4; the default grid, even in logit p, keeps the round trip tight
+    s0 = 1.7867055112579502
+    v = math.log(20.841896055034912 / s0) / 3.0
+    boundary = upper_boundary_from_calls(geometric_family_curve(GAUSS_MODEL, s0, v))
+    probs = boundary.probs
+    assert probs.size == 2001 and (probs[0], probs[-1]) == (0.0, 1.0)
+    logits = np.log(probs[1:-1] / (1.0 - probs[1:-1]))
+    assert np.allclose(logits, np.linspace(-14.0, 14.0, 1999), rtol=0.0, atol=1e-6)
+    ks = np.linspace(s0 * math.exp(-3.0 * v), s0 * math.exp(3.0 * v), 501)
+    back = calls_from_upper_boundary(boundary, ks).values
+    want = pricing.black_scholes_call(ModelParams(s0, v, 1.0), ks)
+    assert np.max(np.abs(back - want)) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +429,7 @@ def test_geometric_symmetry_identity_via_inverse_boundary():
 
 def test_projection_is_identity_on_cone_members():
     ks = np.linspace(-3.0, 3.0, 301)
-    vals = bachelier_curve(ModelParams(0.0, 1.0, 1.0))(ks)
+    vals = linear_family_curve(GAUSS_MODEL, 0.0, 1.0)(ks)
     out, dist = project_convex_decreasing(ks, vals)
     assert dist == 0.0
     assert np.array_equal(out, vals)
@@ -420,7 +438,7 @@ def test_projection_is_identity_on_cone_members():
 def test_projection_repairs_noise():
     rng = np.random.default_rng(0)
     ks = np.linspace(-3.0, 3.0, 201)
-    clean = bachelier_curve(ModelParams(0.0, 1.0, 1.0))(ks)
+    clean = linear_family_curve(GAUSS_MODEL, 0.0, 1.0)(ks)
     noisy = clean + rng.normal(0.0, 5e-3, ks.size)
     out, dist = project_convex_decreasing(ks, noisy)
     slopes = np.diff(out) / np.diff(ks)
@@ -729,8 +747,6 @@ def test_projection_returns_cone_member_unchanged_at_scale():
 # Family curves carry their exact conjugate: the "exact" route
 # ---------------------------------------------------------------------------
 
-GAUSS_MODEL, LOGISTIC = DensityModel.gaussian(), DensityModel.logistic()
-
 
 def _custom_twin(model):
     return DensityModel.custom(model.pdf, model.pdf_prime, model.cdf, model.quantile)
@@ -746,9 +762,9 @@ def _bimodal(a=1.5):
 
 
 def _family_curves():
-    params = ModelParams(1.2, 0.4, 2.0)
-    return {"bachelier_curve": bachelier_curve(params),
-            "black_scholes_curve": black_scholes_curve(params),
+    y = 0.4 * math.sqrt(2.0)
+    return {"bachelier": linear_family_curve(GAUSS_MODEL, 1.2, y),
+            "black_scholes": geometric_family_curve(GAUSS_MODEL, 1.2, y),
             "linear_family_curve": linear_family_curve(LOGISTIC, -0.3, 0.9),
             "geometric_family_curve": geometric_family_curve(LOGISTIC, 1.5, 0.7)}
 
@@ -771,7 +787,7 @@ def _counting(fn, counter):
 @pytest.mark.parametrize("validate", [True, False])
 def test_pgrid_is_checked_before_any_curve_evaluation(monkeypatch, pgrid, validate):
     calls = []
-    user = CallCurve.from_function(_counting(bachelier_curve(ModelParams(0.0, 1.0, 1.0)).fn, calls),
+    user = CallCurve.from_function(_counting(linear_family_curve(GAUSS_MODEL, 0.0, 1.0).fn, calls),
                                    0.0, (-9.0, 9.0))
     monkeypatch.setattr(pricing, "family_prices", _counting(pricing.family_prices, calls))
     for curve in [user] + list(_family_curves().values()):
@@ -812,7 +828,7 @@ def test_golden_section_runs_only_for_user_closed_form_curves(monkeypatch):
         assert (b.provenance["route"], len(calls)) == ("exact", 0), name
         assert b.provenance == dict(curve.provenance, route="exact")
         assert b.values[0] == 0.0 and b.values[-1] == curve.mean
-    b = upper_boundary_from_calls(_golden_twin(_family_curves()["bachelier_curve"]), p)
+    b = upper_boundary_from_calls(_golden_twin(_family_curves()["bachelier"]), p)
     assert b.provenance["route"] == "golden" and len(calls) >= 1
     calls.clear()
     b = upper_boundary_from_calls(COIN.call_curve(), p)
@@ -865,7 +881,7 @@ def test_exact_route_equals_golden_section_custom_property(name, kind, data):
 def test_call_curve_fn_sees_only_strikes_in_its_domain():
     # strikes beyond either end reach the fn clipped to [k_lo, k_hi] and take
     # the asymptotes; a scalar strike reaches it as a 0-d array
-    base = bachelier_curve(ModelParams(0.0, 1.0, 1.0))
+    base = linear_family_curve(GAUSS_MODEL, 0.0, 1.0)
     ndims = []
 
     def fn(k):
