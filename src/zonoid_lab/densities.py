@@ -89,8 +89,10 @@ class DensityModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValidationError(f"unknown density family {self.family!r}")
-        real_scalar(self.location, "location", ValidationError)
-        if real_scalar(self.scale, "scale", ValidationError) <= 0.0:
+        object.__setattr__(self, "location", real_scalar(self.location, "location",
+                                                         ValidationError))
+        object.__setattr__(self, "scale", real_scalar(self.scale, "scale", ValidationError))
+        if self.scale <= 0.0:
             raise ValidationError("scale must be positive")
         if self.family == "custom":
             missing = [name for name, fn in (

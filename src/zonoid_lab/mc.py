@@ -65,7 +65,8 @@ class SimConfig:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise ValidationError(f"model must be one of {_MODELS}, got {self.model!r}")
-        if real_scalar(self.t, "t", ValidationError) < 0.0:
+        object.__setattr__(self, "t", real_scalar(self.t, "t", ValidationError))
+        if self.t < 0.0:
             raise ValidationError("t must be non-negative")
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
                    for v in (self.n_paths, self.seed)):

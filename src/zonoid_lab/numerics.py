@@ -428,36 +428,42 @@ def legendre_min(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> Tuple[np.ndarra
     for p is the lower-hull node whose incoming and outgoing slopes bracket
     -p, found by binary search on the hull slopes.  Any convex chain through
     the hull vertices serves, so the hull is peeled in vectorised passes
-    that drop every node whose float turn is < 0 (above the chord of its
-    neighbours); collinear nodes stay.  Convex nodes take one pass, noisy
-    ones about ten; after _PEEL_PASSES the exact ``lower_hull`` finishes the
-    job.  The peel stays in floats because the chain only has to reach the
-    minimiser: the value is the smallest of y_i + p x_i over the bracketing
-    node and its two chain neighbours, evaluated with the same operations as
-    the brute-force min over all nodes, so the two agree bit for bit unless
-    a node off the chain ties the minimum to within rounding.  (Deciding its
-    turns exactly would cost thousands of integer-arithmetic turns per call
-    on the near-collinear runs of a projected curve.)  Cost O(N + M log N)
-    for N nodes and M values of p.
+    that drop every node whose float turn is <= 0: a node stays only if it
+    lies strictly below the chord of its neighbours in floats.  Strictly
+    convex nodes take one pass, noisy ones and the float-collinear runs of
+    a projected curve about ten; the exact ``lower_hull`` finishes only
+    adversarial inputs still dropping nodes after _PEEL_PASSES.  The peel
+    stays in floats because the chain only has to reach the minimiser: the
+    value is the smallest of y_i + p x_i over the bracketing node and its
+    two chain neighbours (three 1-d passes, ties to the lowest node as in
+    argmin), evaluated with the same operations as the brute-force min over
+    all nodes, so the two agree bit for bit unless a node off the chain
+    ties the minimum to within rounding.  (Deciding its turns exactly would
+    cost thousands of integer-arithmetic turns per call on the
+    near-collinear runs of a projected curve.)  Cost O(N + M log N) for N
+    nodes and M values of p.
     """
     hull = np.arange(x.size)
     for _ in range(_PEEL_PASSES):
         a, b = _turn_terms(x[hull], y[hull])
-        above = np.flatnonzero(a < b)
-        if above.size == 0:
+        drop = np.flatnonzero(a <= b)
+        if drop.size == 0:
             break
-        hull = np.delete(hull, above + 1)
+        hull = np.delete(hull, drop + 1)
     else:  # still not convex: the monotone chain finishes
         hull = hull[lower_hull(x[hull], y[hull])]
     xh, yh = x[hull], y[hull]
     # rounding can reverse two nearly equal slopes; searchsorted needs order
     slopes = np.maximum.accumulate(np.diff(yh) / np.diff(xh))
     pos = np.searchsorted(slopes, -p)
-    cand = np.clip(pos[None, :] + np.arange(-1, 2)[:, None], 0, hull.size - 1)
-    vals = yh[cand] + p[None, :] * xh[cand]
-    best = np.argmin(vals, axis=0)
-    cols = np.arange(p.size)
-    return vals[best, cols], hull[cand[best, cols]]
+    # candidates pos - 1, pos, pos + 1; a later one wins only when strictly lower
+    best = np.maximum(pos - 1, 0)
+    vals = yh[best] + p * xh[best]
+    for cand in (pos, np.minimum(pos + 1, hull.size - 1)):
+        v = yh[cand] + p * xh[cand]
+        lower = v < vals
+        best, vals = np.where(lower, cand, best), np.where(lower, v, vals)
+    return vals, hull[best]
 
 
 def require_uniform(grid: np.ndarray, name: str = "grid") -> float:

@@ -83,7 +83,9 @@ class TimeChange:
         else:
             if self.times is not None or self.table_values is not None:
                 raise ValidationError(f"{self.kind} time change takes no table")
-            if real_scalar(self.scale, "time change scale", ValidationError) <= 0.0:
+            object.__setattr__(self, "scale", real_scalar(self.scale, "time change scale",
+                                                          ValidationError))
+            if self.scale <= 0.0:
                 raise ValidationError("time change scale must be positive")
 
     @classmethod
@@ -147,7 +149,8 @@ class PeacockSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValidationError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if real_scalar(self.s, "s", ValidationError) <= 0.0 and self.family == "geometric":
+        object.__setattr__(self, "s", real_scalar(self.s, "s", ValidationError))
+        if self.s <= 0.0 and self.family == "geometric":
             raise ValidationError("geometric family requires s > 0")
 
 

@@ -57,7 +57,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("s0", "sigma", "t"):
-            real_scalar(getattr(self, name), name, ValidationError)
+            object.__setattr__(self, name, real_scalar(getattr(self, name), name, ValidationError))
         if self.sigma <= 0.0:
             raise ValidationError("sigma must be positive")
         if self.t < 0.0:

@@ -17,8 +17,10 @@ with the exact endpoint values boundary(0) = 0 and boundary(1) = E(X).
 ``upper_boundary_from_calls`` and ``calls_from_upper_boundary`` implement the
 two directions.  On grids both run the discrete Legendre transform
 ``numerics.legendre_min``: O(N + M log N) for N nodes and M output points;
-nodes that are not convex add a few vectorised float hull passes, and the
-exact ``numerics.lower_hull`` only when those do not settle the hull.
+nodes that are not convex add a few vectorised float hull passes, each
+dropping every node not strictly below the chord of its neighbours in
+floats, and the exact ``numerics.lower_hull`` finishes only adversarial
+inputs that those do not settle.
 ``project_convex_decreasing`` starts from that exact strict lower hull:
 vectorised peel passes with an exact turn predicate, then the monotone
 chain with the same predicate when 32 passes do not settle it.  A family curve
@@ -141,15 +143,17 @@ class CallCurve:
     def validate(self) -> None:
         """Raise ValidationError unless the curve is a plausible call curve:
         non-increasing, convex (to slack), and near its asymptotes at the
-        domain endpoints.  The shape slacks allow for prices that round at
-        noise = 8 eps max(|mean|, max |K|), as differences of terms that size
-        do: noise per value, 2 noise (1/h + 1/h') per slope increment."""
+        domain endpoints.  A grid curve is checked on its stored values (the
+        curve at its own nodes), a closed-form one on _SAMPLE_N strikes.  The
+        shape slacks allow for prices that round at noise = 8 eps max(|mean|,
+        max |K|), as differences of terms that size do: noise per value,
+        2 noise (1/h + 1/h') per slope increment."""
         ks = self.sample_grid()
         steps = np.diff(ks)
         if not steps.all():  # on a domain a few ulps wide linspace repeats floats
             ks = np.unique(ks)
             steps = np.diff(ks)
-        vals = self.__call__(ks)
+        vals = self.values if self.is_grid else self.__call__(ks)
         if not np.all(np.isfinite(vals)):
             raise ValidationError("call curve values must be finite")
         noise = 8.0 * math.ulp(1.0) * max(abs(self.mean), abs(float(ks[0])), abs(float(ks[-1])))

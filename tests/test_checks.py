@@ -9,6 +9,7 @@ entry point.
 kept below as the oracle.
 """
 
+import json
 import math
 
 import numpy as np
@@ -195,6 +196,38 @@ def test_real_scalar_rule():
     for bad in NOT_REAL_SCALARS + [10 ** 400]:
         with pytest.raises(DomainError, match=r"^k must be a finite real scalar, got "):
             real_scalar(bad, "k")
+
+
+# a constructor field: (object built from v, the stored field, what goes to JSON)
+FLOAT_FIELDS = {
+    "DensityModel location": (lambda v: DensityModel.gaussian(v), lambda m: m.location,
+                              lambda m: m.to_spec()),
+    "DensityModel scale": (lambda v: DensityModel.gaussian(0.0, v), lambda m: m.scale,
+                           lambda m: m.to_spec()),
+    "PeacockSpec s": (lambda v: PeacockSpec("linear", GAUSS, v, TimeChange.sqrt()),
+                      lambda spec: spec.s,
+                      lambda spec: boundary_surface(spec, [1.0], [0.5]).meta),
+    "ModelParams s0": (lambda v: ModelParams(v, 1.0, 1.0), lambda m: m.s0,
+                       lambda m: {"s0": m.s0}),
+    "ModelParams sigma": (lambda v: ModelParams(0.0, v, 1.0), lambda m: m.sigma,
+                          lambda m: {"sigma": m.sigma}),
+    "ModelParams t": (lambda v: ModelParams(0.0, 1.0, v), lambda m: m.t,
+                      lambda m: {"t": m.t}),
+    "TimeChange scale": (lambda v: TimeChange.linear(v), lambda tc: tc.scale,
+                         lambda tc: {"scale": tc.scale}),
+    "SimConfig t": (lambda v: SimConfig("bachelier", v, 1000, 1), lambda c: c.t,
+                    lambda c: {"t": c.t}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_FIELDS))
+def test_constructors_store_the_float_of_a_scalar_field(entry):
+    build, stored, spec = FLOAT_FIELDS[entry]
+    for v in (2, np.int64(2), np.float32(2.0), np.array(2.0), np.array(2)):
+        obj = build(v)
+        assert type(stored(obj)) is float and stored(obj) == 2.0
+        hash(obj)
+        assert "2.0" in json.dumps(spec(obj))
 
 
 # (entry point, its values on [0, 0.5, 1])

@@ -541,11 +541,14 @@ def test_inverse_boundary_inverts_forward_map_property(dist, q):
 
 @st.composite
 def kernel_inputs(draw):
-    """Continuous random nodes (x strictly increasing) of one of three
-    shapes, and p values that include every chord slope between nodes."""
+    """Continuous random nodes (x strictly increasing) of one of four
+    shapes, the shape, and p values that include every chord slope between
+    nodes.  A projected curve (a noisy convex one interpolated on its exact
+    lower hull) has float-collinear runs, whose interior nodes the kernel's
+    peel drops."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 300))
-    shape = draw(st.sampled_from(["convex", "noisy", "arbitrary"]))
+    shape = draw(st.sampled_from(["convex", "noisy", "arbitrary", "projected"]))
     scale = 10.0 ** draw(st.integers(-3, 3))
     x = scale * (rng.normal() + np.cumsum(rng.uniform(0.01, 1.0, n)))
     if shape == "arbitrary":
@@ -553,26 +556,37 @@ def kernel_inputs(draw):
     else:
         slopes = np.sort(rng.normal(size=n - 1))
         y = scale * rng.normal() + np.concatenate(([0.0], np.cumsum(slopes * np.diff(x))))
-        if shape == "noisy":
+        if shape != "convex":
             y = y + rng.normal(0.0, 1e-6 * scale, n)
+        if shape == "projected":
+            hull = numerics.lower_hull(x, y)
+            y = np.interp(x, x[hull], y[hull])
     chords = np.diff(y) / np.diff(x)
     p = np.concatenate((3.0 * rng.normal(size=draw(st.integers(1, 100))), -chords))
-    return x, y, p
+    return x, y, p, shape
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=kernel_inputs())
 def test_legendre_min_equals_brute_force_property(data):
-    x, y, p = data
+    x, y, p, shape = data
     vals, idx = legendre_min(x, y, p)
-    assert np.array_equal(vals, legendre_min_oracle(y, x, p))
+    want = legendre_min_oracle(y, x, p)
+    if shape == "projected":
+        # at the slope of a collinear run its nodes tie in exact arithmetic;
+        # a dropped one may round an ulp lower (about 1 input in 2,000), so
+        # the bound is the lattice property's
+        scale = np.max(np.abs(y)) + np.max(np.abs(p)) * np.max(np.abs(x))
+        assert np.all(np.abs(vals - want) <= 8.0 * np.finfo(float).eps * scale)
+    else:
+        assert np.array_equal(vals, want)
     assert np.array_equal(y[idx] + p * x[idx], vals)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=kernel_inputs())
 def test_both_transform_directions_equal_brute_force_property(data):
-    x, y, _ = data
+    x, y, _, _ = data
     # calls -> boundary: any nodes, minimised over them
     pgrid = np.linspace(0.0, 1.0, 201)
     curve = CallCurve.from_grid(x, y, mean=1.0)
@@ -612,6 +626,42 @@ def test_legendre_min_handles_tiny_inputs():
     assert np.array_equal(vals, [1.0, 2.0, 5.0]) and np.array_equal(idx, [0, 0, 0])
     vals, idx = legendre_min(np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([-1.0, 1.0]))
     assert np.array_equal(vals, [-1.0, 0.0]) and np.array_equal(idx, [1, 0])
+
+
+def test_legendre_min_breaks_exact_ties_at_the_lowest_node_as_argmin_does():
+    # a strictly convex integer polygon: at each chord slope its two ends tie
+    x = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
+    y = np.array([4.0, 1.0, 0.0, 1.0, 5.0])
+    p = np.concatenate((-np.diff(y) / np.diff(x), [-10.0, 0.5, 10.0]))
+    vals, idx = legendre_min(x, y, p)
+    brute = y[None, :] + p[:, None] * x[None, :]
+    assert np.array_equal(idx[:4], [0, 1, 2, 3])
+    assert np.array_equal(idx, np.argmin(brute, axis=1))
+    assert np.array_equal(vals, brute.min(axis=1))
+
+
+def test_legendre_min_peel_settles_a_projected_curve(monkeypatch):
+    # the call curve of 99,999 equal atoms, noisy, then projected: its
+    # float-collinear runs kept 37 strict peel passes dropping nodes, past
+    # _PEEL_PASSES; dropping nodes on the chord too settles it in 8
+    n = 99_999
+    atoms = 2.0 * (np.arange(n) + 0.5) / n - 1.0
+    dist = DiscreteDistribution(atoms, np.full(n, 1.0 / n))
+    x = np.concatenate(([-2.0], atoms, [2.0]))
+    noisy = dist.call_value(x) + 1e-6 * np.random.default_rng(1).standard_normal(x.size)
+    y, _ = project_convex_decreasing(x, noisy)
+    logits = np.linspace(-14.0, 14.0, 1999)
+    p = np.concatenate(([0.0], 1.0 / (1.0 + np.exp(-logits)), [1.0]))
+    chains, lower_hull = [], numerics.lower_hull
+    monkeypatch.setattr(numerics, "lower_hull",
+                        lambda *a: chains.append(a[0].size) or lower_hull(*a))
+    vals, idx = legendre_min(x, y, p)
+    assert chains == []
+    sub = np.arange(0, p.size, 10)  # 201 p, brute-forced ten blocks at a time
+    want = np.concatenate([legendre_min_oracle(y, x, p[rows])
+                           for rows in np.array_split(sub, 10)])
+    assert np.array_equal(vals[sub], want)
+    assert np.array_equal(y[idx] + p * x[idx], vals)
 
 
 def test_legendre_min_monotone_chain_fallback(monkeypatch):
