@@ -169,8 +169,7 @@ def _build_call_curve(args, parser) -> CallCurve:
     if sum(sources) != 1:
         parser.error("exactly one of --calls, --model, --family, --atoms is required")
     if args.calls is not None:
-        curve = curve_io.read_curve_csv(args.calls, mean=args.mean,
-                                        positive=args.positive)
+        curve = curve_io.read_curve_csv(args.calls, mean=args.mean)
         if not isinstance(curve, CallCurve):
             raise ValidationError("--calls file must have header K,C")
         return curve
@@ -330,8 +329,6 @@ def build_parser() -> _Parser:
     sp = add("boundary", _cmd_boundary, "zonoid upper boundary from calls/model/atoms")
     sp.add_argument("--calls", help="CSV with header K,C")
     sp.add_argument("--mean", type=float, default=None)
-    sp.add_argument("--positive", action="store_true",
-                    help="mark the loaded curve as positive-support")
     _add_marginal_flags(sp)
     sp.add_argument("--atoms", type=_FLOATS, default=None)
     sp.add_argument("--weights", type=_FLOATS, default=None)

@@ -5,7 +5,8 @@ CSV numbers are written with 17 significant digits so doubles round-trip
 bit-exactly.  Call curves use the header ``K,C``; boundaries ``p,Chat``.
 Surfaces are matrices whose first row is the second-axis values and first
 column the times (top-left cell empty); written to a path, their metadata
-travels in a ``<name>.meta.json`` sidecar.  JSON follows ``numerics.jsonable``.
+travels in a ``<name>.meta.json`` sidecar.  JSON follows ``numerics.jsonable``;
+a call-curve envelope's ``positive`` is ``CallCurve.positive``, ignored on read.
 """
 
 from __future__ import annotations
@@ -115,9 +116,7 @@ def curve_to_envelope(obj: Union[CallCurve, ZonoidBoundary]) -> dict:
 def envelope_to_curve(env: dict) -> Union[CallCurve, ZonoidBoundary]:
     kind = env.get("kind")
     if kind == "call-curve":
-        return CallCurve.from_grid(env["strikes"], env["values"],
-                                   mean=env.get("mean"),
-                                   positive=bool(env.get("positive", False)),
+        return CallCurve.from_grid(env["strikes"], env["values"], mean=env.get("mean"),
                                    provenance=env.get("provenance"))
     if kind == "zonoid-boundary":
         return ZonoidBoundary.from_grid(env["probs"], env["values"],
@@ -141,13 +140,12 @@ def write_curve_csv(path_or_file, obj) -> None:
     write_table(path_or_file, header, getattr(obj, axis), obj.values)
 
 
-def read_curve_csv(path_or_file, mean: Optional[float] = None,
-                   positive: bool = False):
+def read_curve_csv(path_or_file, mean: Optional[float] = None):
     """Load a two-column CSV back into a CallCurve (header K,C) or
     ZonoidBoundary (header p,Chat)."""
     header, cols = read_table(path_or_file)
     if tuple(header) == CALL_HEADER:
-        return CallCurve.from_grid(cols[0], cols[1], mean=mean, positive=positive)
+        return CallCurve.from_grid(cols[0], cols[1], mean=mean)
     if tuple(header) == BOUNDARY_HEADER:
         return ZonoidBoundary.from_grid(cols[0], cols[1], mean=mean)
     raise ValidationError(f"unrecognized curve header {header!r}")

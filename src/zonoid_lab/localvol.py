@@ -43,15 +43,10 @@ class LocalVolResult:
     flagged: bool = False
 
 
-def _finish(t, strike, sigma_sq, method, *, bar_first=False) -> LocalVolResult:
-    flagged = sigma_sq < -_NEGATIVE_SLACK
-    if bar_first:
-        bar = sigma_sq
-        return LocalVolResult(t, strike, bar * strike * strike, method,
-                              sigma_bar_sq=bar, flagged=flagged)
+def _finish(t, strike, sigma_sq, method) -> LocalVolResult:
     bar = sigma_sq / (strike * strike) if strike > 0.0 else None
     return LocalVolResult(t, strike, sigma_sq, method, sigma_bar_sq=bar,
-                          flagged=flagged)
+                          flagged=sigma_sq < -_NEGATIVE_SLACK)
 
 
 def _node_index(grid: np.ndarray, x: float, h: float, name: str) -> int:
@@ -120,4 +115,6 @@ def localvol_geometric_closed(density: DensityModel, time_change: TimeChange,
         raise DomainError("time change must be positive at t")
     v = inverse_ratio(density, yval, k / s0)
     bar = 2.0 * ydot * (float(density.log_slope(v)) - float(density.log_slope(v + yval)))
-    return _finish(float(t), float(k), bar, "closed-form", bar_first=True)
+    k = float(k)
+    return LocalVolResult(float(t), k, bar * k * k, "closed-form", sigma_bar_sq=bar,
+                          flagged=bar < -_NEGATIVE_SLACK)

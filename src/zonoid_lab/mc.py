@@ -240,7 +240,6 @@ def _blockwise_curve(blocks: List[np.ndarray], kgrid: np.ndarray):
     cnt, s1, s2 = functools.reduce(lambda a, b: tuple(u + v for u, v in zip(a, b)), sums)
     curve = CallCurve.from_grid(kgrid, (s1 - cnt * kgrid) / n,
                                 mean=float(sum(np.sum(x) for x in blocks) / n),
-                                positive=bool(min(x[0] for x in blocks) > 0.0),
                                 provenance={"kind": "empirical", "n": int(n)})
     return curve, (cnt, s1, s2)
 

@@ -349,6 +349,7 @@ def group_property_check(density: DensityModel, y1: float, y2: float,
     Negative levels are allowed: H_{-y} is evaluated by the same formula
     F(F^{-1}(p) - y), which is the exact functional inverse of H_y.
     """
+    y1, y2 = real_scalar(y1, "y1"), real_scalar(y2, "y2")
     if pgrid is None:
         pgrid = np.linspace(0.01, 0.99, 99)
     pgrid = as_float_array(pgrid, "pgrid")
@@ -388,6 +389,7 @@ def recover_F_from_G(gen: Callable, anchor: float, p0: float,
     positive on the evaluation range.  Returns the (p, quantile) table sorted
     by p, with p0 included.
     """
+    anchor, p0 = real_scalar(anchor, "anchor"), real_scalar(p0, "p0")
     if not (0.0 < p0 < 1.0):
         raise DomainError("p0 must lie in (0, 1)")
     if pgrid is None:
@@ -412,6 +414,7 @@ def recover_F_from_H(h_handle: Callable, anchor: float, p0: float, x):
     x is a scalar or an array; the handle is called once, on the levels
     x - anchor (an array for an array of x).  Only x >= anchor is supported
     (negative flow levels are not assumed available from the handle)."""
+    anchor, p0 = real_scalar(anchor, "anchor"), real_scalar(p0, "p0")
     if not (0.0 < p0 < 1.0):
         raise DomainError("p0 must lie in (0, 1)")
     x_arr = as_float_array(x, "x")

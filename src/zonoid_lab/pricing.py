@@ -238,6 +238,5 @@ def _family_curve(kind: str, model: DensityModel, s: float, y: float):
         domain = (0.5 * s, 2.0 * s) if kind == "geometric" else (s - 1.0, s + 1.0)
     return replace(CallCurve.from_function(
         lambda k: price(model, s, y, k), mean=s, domain=domain,
-        positive=kind == "geometric",
         provenance={"family": kind, "density": model.family, "s": s, "y": y}),
         conjugate=conjugate)

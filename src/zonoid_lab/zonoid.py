@@ -4,7 +4,8 @@ The two central objects are
 
 * :class:`CallCurve`: K -> E(X - K)^+ for an integrable X, represented either
   by a closed-form callable on a stated strike domain or by values on a grid
-  (piecewise linear, extended by its asymptotes outside the grid), and
+  (piecewise linear, extended by its asymptotes outside the grid); whether
+  X >= 0 a.s. is read off the curve itself (``CallCurve.positive``), and
 * :class:`ZonoidBoundary`: the concave upper boundary p -> sup{ E[X g(X)] :
   0 <= g <= 1, E g(X) = p } of the lift zonoid of X.
 
@@ -43,14 +44,14 @@ import numpy as np
 from .densities import DensityModel
 from .errors import DomainError, UnsupportedError, ValidationError
 from .numerics import (as_float_array, gauss_kronrod, golden_section_min, increasing_grid,
-                       legendre_min, like_input, lower_hull, probabilities)
+                       legendre_min, like_input, lower_hull, probabilities, real_scalar)
 
 _P_EPS = 1e-9          # probability clipping for continuous searches
 _Q_EPS = 1e-12         # quantile clipping for quadrature supports
 _DEFAULT_GRID_N = 2001
 _LOGIT_HALF_WIDTH = 14.0  # default p grid: interior nodes even in logit p on [-14, 14]
 _SAMPLE_N, _SHAPE_SLACK = 513, 1e-9        # validate: closed-form sample, shape slack
-_TAIL_TOL = 1e-3       # CallCurve.validate asymptote gap, times max(1, |mean|)
+_TAIL_TOL, _POSITIVE_TOL = 1e-3, 1e-6  # CallCurve.validate / .positive gap, x max(1, |mean|)
 _MEAN_TOL, _ORDER_SLACK = 1e-10, 1e-12     # check_convex_order (slack times max(1, |mean|))
 _ARITH_SYM_TOL, _GEOM_SYM_TOL = 1e-8, 1e-6  # the two symmetry checks
 
@@ -78,8 +79,7 @@ class CallCurve:
 
     Exactly one of ``fn`` / (``strikes``, ``values``) is set.  Outside the
     grid a grid-backed curve follows its asymptotes: ``mean - K`` to the left
-    and ``0`` to the right.  ``positive`` certifies that the underlying
-    variable is almost surely positive (so C(K) = mean - K for K <= 0).
+    and ``0`` to the right.
     """
 
     mean: float
@@ -88,21 +88,19 @@ class CallCurve:
     fn: Optional[Callable] = None
     strikes: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
-    positive: bool = False
     provenance: dict = field(default_factory=dict)
     # the exact boundary p -> values; set only by the pricing family curves
     conjugate: Optional[Callable] = field(default=None, repr=False)
 
     @classmethod
-    def from_function(cls, fn, mean, domain, positive=False, provenance=None) -> "CallCurve":
+    def from_function(cls, fn, mean, domain, provenance=None) -> "CallCurve":
         k_lo, k_hi = float(domain[0]), float(domain[1])
         if not (np.isfinite(k_lo) and np.isfinite(k_hi) and k_lo < k_hi):
             raise ValidationError("call curve domain must be a finite interval")
-        return cls(float(mean), k_lo, k_hi, fn=fn, positive=bool(positive),
-                   provenance=dict(provenance or {}))
+        return cls(float(mean), k_lo, k_hi, fn=fn, provenance=dict(provenance or {}))
 
     @classmethod
-    def from_grid(cls, strikes, values, mean=None, positive=False, provenance=None) -> "CallCurve":
+    def from_grid(cls, strikes, values, mean=None, provenance=None) -> "CallCurve":
         values = as_float_array(values, "values")
         strikes = increasing_grid(strikes, "strikes")
         if strikes.shape != values.shape:
@@ -118,12 +116,19 @@ class CallCurve:
                     f"pass the mean")
             mean = float(values[0] + strikes[0])
         return cls(float(mean), float(strikes[0]), float(strikes[-1]),
-                   strikes=strikes, values=values, positive=bool(positive),
-                   provenance=dict(provenance or {}))
+                   strikes=strikes, values=values, provenance=dict(provenance or {}))
 
     @property
     def is_grid(self) -> bool:
         return self.fn is None
+
+    @property
+    def positive(self) -> bool:
+        """Whether X >= 0 a.s., read off the curve: C(K) + K = mean at
+        K = max(k_lo, 0), to 1e-6 max(1, |mean|).  At K = 0 that is E X^+ = E X;
+        at k_lo > 0 the curve sits on its asymptote mean - K for every K <= k_lo."""
+        k = max(self.k_lo, 0.0)
+        return abs(self.__call__(k) + k - self.mean) <= _POSITIVE_TOL * _value_scale(self.mean)
 
     def __call__(self, k):
         k = as_float_array(k, "strike")
@@ -238,7 +243,7 @@ class ZonoidBoundary:
 
     def validate(self) -> None:
         ps = self.sample_grid()
-        vals = self.__call__(ps)
+        vals = self.values if self.is_grid else self.__call__(ps)
         if not np.all(np.isfinite(vals)):
             raise ValidationError("boundary values must be finite")
         tol = 1e-12 * _value_scale(self.mean)
@@ -303,13 +308,9 @@ class DiscreteDistribution:
         by max(1, spread / 2) on each side."""
         atoms = self.atoms
         pad = max(1.0, 0.5 * float(atoms[-1] - atoms[0]))
-        positive = bool(atoms[0] > 0.0)
-        left = atoms[0] - pad
-        if positive:
-            left = max(0.0, left)
+        left = max(0.0, atoms[0] - pad) if atoms[0] > 0.0 else atoms[0] - pad
         strikes = np.concatenate(([left], atoms, [atoms[-1] + pad]))
-        values = self.call_value(strikes)
-        return CallCurve.from_grid(strikes, values, mean=self.mean, positive=positive,
+        return CallCurve.from_grid(strikes, self.call_value(strikes), mean=self.mean,
                                    provenance={"kind": "discrete", "n_atoms": int(atoms.size)})
 
     def boundary_curve(self, pgrid=None) -> ZonoidBoundary:
@@ -322,6 +323,8 @@ class DiscreteDistribution:
             probs = kinks
         else:
             pgrid = as_float_array(pgrid, "pgrid")
+            if pgrid.ndim != 1:
+                raise ValidationError("pgrid must be a 1-d array")
             probs = np.unique(np.concatenate((kinks, pgrid)))
         vals = discrete_upper_boundary(self, probs)
         return ZonoidBoundary.from_grid(probs, vals, mean=self.mean,
@@ -402,10 +405,7 @@ def calls_from_upper_boundary(boundary: ZonoidBoundary, kgrid=None, *,
                                     _P_EPS, 1.0 - _P_EPS, args=(kgrid,), logit=True)
     vals = np.maximum(0.0 - neg, 0.0)   # 0.0 - x keeps an exact zero at +0.0
     vals = np.maximum(vals, m - kgrid)
-    positive = bool(kgrid[0] >= 0.0 and m > 0.0
-                    and abs(float(vals[0]) + kgrid[0] - m) <= 1e-6 * _value_scale(m))
-    return CallCurve.from_grid(kgrid, vals, mean=m, positive=positive,
-                               provenance=dict(boundary.provenance))
+    return CallCurve.from_grid(kgrid, vals, mean=m, provenance=dict(boundary.provenance))
 
 
 def discrete_upper_boundary(dist: DiscreteDistribution, p):
@@ -458,20 +458,16 @@ def inverse_boundary_positive(curve: CallCurve, q: float) -> float:
     """Inverse boundary of a positive variable: the p with boundary(p) = q,
     computed by the direct formula p = max_{K > 0} (q - C(K)) / K.
 
-    Requires a positivity certificate on the curve (so C(K) = mean - K for
-    K <= 0) and 0 < q < mean; the endpoint limits are 0 and 1.
+    Requires a ``positive`` curve (so C(K) = mean - K for K <= 0) and a
+    real scalar 0 < q < mean; the endpoint limits are 0 and 1.
     """
+    q = real_scalar(q, "q")
     if not curve.positive:
         raise UnsupportedError("inverse_boundary_positive needs a positive-variable curve")
     m = curve.mean
-    if m <= 0.0:
-        raise DomainError("positive variable must have a positive mean")
-    if not np.isfinite(q) or q <= 0.0 or q >= m:
+    if q <= 0.0 or q >= m:  # no such q when m <= 0
         raise DomainError(f"q must lie strictly inside (0, mean), got {q!r}")
-    scale = _value_scale(m)
-    if abs(float(curve(0.0)) - m) > 1e-6 * scale:
-        raise ValidationError("curve is not consistent with a positive variable: C(0) != mean")
-    k_lo, k_hi = max(curve.k_lo, 1e-12 * scale), curve.k_hi
+    k_lo, k_hi = max(curve.k_lo, 1e-12 * _value_scale(m)), curve.k_hi
     if curve.is_grid:
         nodes = curve.strikes[curve.strikes > 0.0]
         ratios = (q - curve(nodes)) / nodes
@@ -501,23 +497,22 @@ def check_convex_order(curve_x: CallCurve, curve_y: CallCurve, kgrid=None) -> bo
 
 
 def check_arithmetic_symmetry(curve: CallCurve, kgrid=None) -> bool:
-    """True when C(K) = -K + C(-K) across the grid, i.e. X is symmetric
-    about 0 (equivalently the boundary satisfies b(p) = b(1-p))."""
+    """True when C(K) = -K + C(-K) at each strike of the grid, i.e. X is
+    symmetric about 0 (equivalently the boundary satisfies b(p) = b(1-p)).
+    The grid need not be symmetric; the default one is, on [-a, a]."""
     if kgrid is None:
         if not (curve.k_lo < 0.0 < curve.k_hi):
             raise DomainError("need a strike domain straddling 0")
         a = min(-curve.k_lo, curve.k_hi)
         kgrid = np.linspace(-a, a, 1001)
     kgrid = as_float_array(kgrid, "kgrid")
-    if np.max(np.abs(np.sort(kgrid) + np.sort(-kgrid)[::-1])) > 1e-12:
-        raise DomainError("strike grid must be symmetric about 0")
     gap = curve(kgrid) - (-kgrid + curve(-kgrid))
     return bool(np.max(np.abs(gap)) <= _ARITH_SYM_TOL)
 
 
 def check_geometric_symmetry(curve: CallCurve, kgrid=None) -> bool:
     """True when C(K) = 1 - K + K C(1/K) across the grid (put-call symmetry
-    of a positive variable with mean 1)."""
+    of a positive variable with mean 1; the curve must read ``positive``)."""
     if abs(curve.mean - 1.0) > 1e-10:
         raise DomainError("geometric symmetry requires mean exactly 1")
     if not curve.positive:

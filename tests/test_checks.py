@@ -6,7 +6,8 @@ level, strike or price; every entry point that takes a grid, a probability
 or such a scalar goes through them, so each is exercised here through every
 entry point.
 ``numerics.central_diff`` is checked against the two stencils it replaced,
-kept below as the oracle.
+kept below as the oracle.  ``TYPED_RAISES`` reaches each typed-error branch
+that no other test runs.
 """
 
 import json
@@ -16,24 +17,29 @@ import numpy as np
 import pytest
 
 from zonoid_lab.densities import DensityModel
-from zonoid_lab.errors import DomainError, ValidationError
-from zonoid_lab.implied import ImpliedQuery, normalized_call, vega_integral
+from zonoid_lab.errors import DomainError, UnsupportedError, ValidationError
+from zonoid_lab.implied import (ImpliedQuery, implied_y_minimization, normalized_call,
+                                vega_integral)
+from zonoid_lab.localvol import localvol_geometric_closed, localvol_linear_closed
 from zonoid_lab.mc import SimConfig, mc_call, mc_check_propositions
 from zonoid_lab.numerics import central_diff, probabilities, real_scalar, require_uniform
 from zonoid_lab.peacocks import (G_map, H_map, PeacockSpec, SurfaceGrid, TimeChange,
                                  boundary_surface, call_surface, certify_peacock,
-                                 generator_limit_check, surface_boundary)
+                                 generator_limit_check, group_property_check,
+                                 recover_F_from_G, recover_F_from_H, surface_boundary)
 from zonoid_lab.pricing import ModelParams, family_prices
 from zonoid_lab.zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
                                boundary_from_quantile_integral,
                                calls_from_upper_boundary, discrete_upper_boundary,
-                               project_convex_decreasing, upper_boundary_from_calls)
+                               inverse_boundary_positive, project_convex_decreasing,
+                               upper_boundary_from_calls)
 
 GAUSS = DensityModel.gaussian()
 LOGISTIC = DensityModel.logistic()
 CURVE = CallCurve.from_grid([-1.0, 0.0, 1.0], [1.0, 0.0, 0.0])
 BOUNDARY = ZonoidBoundary.from_grid([0.0, 0.25, 1.0], [0.0, 0.5, 1.0])
 DIST = DiscreteDistribution([-1.0, 2.0], [0.25, 0.75])
+POSITIVE_DIST = DiscreteDistribution([0.5, 1.5], [0.5, 0.5])
 SPEC = PeacockSpec("linear", GAUSS, 0.0, TimeChange.sqrt())
 SIM = SimConfig("bachelier", 1.0, 1000, 1)
 
@@ -127,6 +133,29 @@ SHAPE_ERRORS = {
                                  DomainError),
     "ImpliedQuery array strike": (lambda: ImpliedQuery(GAUSS, 0.2, np.array([1.0, 1.1])),
                                   DomainError),
+    "inverse_boundary_positive list q": (
+        lambda: inverse_boundary_positive(POSITIVE_DIST.call_curve(), [0.6]), DomainError),
+    "inverse_boundary_positive array q": (
+        lambda: inverse_boundary_positive(POSITIVE_DIST.call_curve(), np.array([0.6, 0.7])),
+        DomainError),
+    "recover_F_from_G array p0": (
+        lambda: recover_F_from_G(lambda p: G_map(GAUSS, p), 0.0, np.array([0.4, 0.6])),
+        DomainError),
+    "recover_F_from_G array anchor": (
+        lambda: recover_F_from_G(lambda p: G_map(GAUSS, p), np.array([0.0, 1.0]), 0.5),
+        DomainError),
+    "recover_F_from_H array p0": (
+        lambda: recover_F_from_H(lambda y, p: H_map(GAUSS, y, p), 0.0, np.array([0.4, 0.6]),
+                                 1.0), DomainError),
+    "recover_F_from_H array anchor": (
+        lambda: recover_F_from_H(lambda y, p: H_map(GAUSS, y, p), np.array([0.0, 1.0]), 0.5,
+                                 1.0), DomainError),
+    "group_property_check array y2": (
+        lambda: group_property_check(GAUSS, 0.1, np.array([0.1, 0.2])), DomainError),
+    "group_property_check complex y1": (lambda: group_property_check(GAUSS, 0.1 + 1j, 0.1),
+                                        DomainError),
+    "DiscreteDistribution.boundary_curve 2-d pgrid": (
+        lambda: POSITIVE_DIST.boundary_curve(np.full((2, 3), 0.5)), ValidationError),
 }
 
 # scalar fields and arguments that once let a complex value through, or
@@ -156,6 +185,64 @@ SHAPE_ERRORS.update({f"{entry} {kind}": (lambda fn=fn, v=v: fn(v), error)
 def test_non_1d_grids_and_array_levels_raise_typed_errors(case):
     fn, error = SHAPE_ERRORS[case]
     with pytest.raises(error):
+        fn()
+
+
+# typed-error branches no other test runs: (call, its error, the message's start)
+TYPED_RAISES = {
+    "CallCurve.validate right tail": (
+        lambda: CallCurve.from_grid([0.0, 1.0, 2.0], [1.5, 0.5, 0.2], mean=1.5).validate(),
+        ValidationError, "call curve does not decay at the right endpoint"),
+    "ZonoidBoundary mean required": (
+        lambda: ZonoidBoundary.from_grid([0.0, 0.5], [0.0, 0.4]),
+        ValidationError, "mean is required"),
+    "ZonoidBoundary start": (
+        lambda: ZonoidBoundary.from_grid([0.0, 0.5, 1.0], [0.1, 0.5, 1.0]).validate(),
+        ValidationError, "boundary must start at"),
+    "ZonoidBoundary end": (
+        lambda: ZonoidBoundary.from_grid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], mean=2.0).validate(),
+        ValidationError, "boundary must end at"),
+    "ZonoidBoundary p outside the grid": (
+        lambda: ZonoidBoundary.from_grid([0.0, 0.5], [0.0, 0.4], mean=1.0)(0.75),
+        DomainError, "p outside the stored boundary grid"),
+    "calls_from_upper_boundary strike grid": (
+        lambda: calls_from_upper_boundary(ZonoidBoundary.from_grid([0.0, 0.5, 1.0],
+                                                                   [0.0, 0.5, 1.0])),
+        ValidationError, "cannot infer a strike grid"),
+    "boundary_from_quantile_integral target": (
+        lambda: boundary_from_quantile_integral("x", 0.5), UnsupportedError,
+        "no quantile-integral route"),
+    "TimeChange table sizes": (lambda: TimeChange.from_table([0.0, 1.0], [0.0, 1.0, 2.0]),
+                               ValidationError, "time change table needs matching"),
+    "TimeChange sqrt table": (
+        lambda: TimeChange("sqrt", 1.0, np.array([0.0, 1.0]), np.array([0.0, 1.0])),
+        ValidationError, "sqrt time change takes no table"),
+    "SurfaceGrid shape": (
+        lambda: SurfaceGrid([0.0, 1.0], [0.0, 1.0], np.zeros((3, 2)), "zonoid-space"),
+        ValidationError, "values must have shape"),
+    "SurfaceGrid axis_kind": (
+        lambda: SurfaceGrid([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2)), "time-space"),
+        ValidationError, "axis_kind must be one of"),
+    "DensityModel.from_spec int": (lambda: DensityModel.from_spec(3), ValidationError,
+                                   "density spec must be a dict or string"),
+    "DensityModel.from_spec custom": (lambda: DensityModel.from_spec({"family": "custom"}),
+                                      UnsupportedError, "custom models cannot be built"),
+    "localvol_linear_closed Y(t) = 0": (
+        lambda: localvol_linear_closed(GAUSS, TimeChange.linear(), 0.0, 0.0, 0.0),
+        DomainError, "time change must be positive at t"),
+    "localvol_geometric_closed Y(t) = 0": (
+        lambda: localvol_geometric_closed(GAUSS, TimeChange.linear(), 1.0, 0.0, 1.0),
+        DomainError, "time change must be positive at t"),
+    "implied_y_minimization empty range": (
+        lambda: implied_y_minimization(ImpliedQuery(GAUSS, 1.0 - 1e-10, 1.0)),
+        DomainError, "empty feasible range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_RAISES))
+def test_typed_error_branches(case):
+    fn, error, message = TYPED_RAISES[case]
+    with pytest.raises(error, match="^" + message):
         fn()
 
 

@@ -9,6 +9,9 @@ failure.
 import csv
 import json
 import math
+import pathlib
+import re
+import shlex
 import warnings
 
 import numpy as np
@@ -98,6 +101,49 @@ def test_path_that_cannot_be_opened_exits_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# exits no other test runs: argv ({tmp} holds boundary.csv and calls.csv),
+# exit code, a fragment of the one error line
+EXIT_CODES = {
+    "y-kind table without y-table": (
+        ("certify", "--family", "linear", "--t-grid", "0.25:4:4", "--y-kind", "table"), 2,
+        "--y-table is required"),
+    "two curve sources": (("boundary", "--model", "bachelier", "--atoms", "0,1",
+                           "--weights", "0.5,0.5"), 1, "exactly one of --calls"),
+    "atoms without weights": (("boundary", "--atoms", "0,1"), 1, "--atoms requires --weights"),
+    "grid 0:1:1": (("price", "--model", "bachelier", "--k-grid", "0:1:1"), 1, "bad grid"),
+    "grid 1:0:5": (("price", "--model", "bachelier", "--k-grid", "1:0:5"), 1, "bad grid"),
+    "grid a:1:5": (("price", "--model", "bachelier", "--k-grid", "a:1:5"), 1, "bad grid"),
+    "boundary --calls on a p,Chat file": (
+        ("boundary", "--calls", "{tmp}/boundary.csv", "--mean", "0"), 2, "header K,C"),
+    "calls --boundary on a K,C file": (
+        ("calls", "--boundary", "{tmp}/calls.csv", "--k-grid", "0:1:3"), 2, "header p,Chat"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODES))
+def test_exit_codes(tmp_path, capsys, case):
+    argv, code, fragment = EXIT_CODES[case]
+    (tmp_path / "boundary.csv").write_text("p,Chat\n0,0\n0.5,0.5\n1,0.5\n")
+    (tmp_path / "calls.csv").write_text("K,C\n-1,1\n0,0\n1,0\n")
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and fragment in captured.err
+
+
+def test_readme_commands_exit_as_documented(tmp_path, monkeypatch, capsys):
+    # the README's bash block of CLI examples, line by line and in order: a
+    # later line reads what an earlier one wrote
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = next(b for b in re.findall(r"```bash\n(.*?)```", text, re.S) if "zonoid-lab" in b)
+    commands = [line for line in block.splitlines() if line.startswith("zonoid-lab ")]
+    assert len(commands) > 20
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        assert (line, run_cli(*argv)) == (line, 2 if line.endswith("# fails") else 0)
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

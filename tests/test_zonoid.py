@@ -364,6 +364,28 @@ def test_inverse_boundary_domain_errors():
         inverse_boundary_positive(signed, 0.5)
 
 
+def test_positivity_is_read_off_the_curve():
+    # two grid curves of a lognormal law, neither declared positive: the
+    # calls of its boundary on a strike grid starting below 0, and its prices
+    # on that grid
+    sigma = 0.5
+    family = geometric_family_curve(GAUSS_MODEL, 1.0, sigma)
+    kgrid = np.linspace(-1.0, 6.0, 14001)
+    boundary = upper_boundary_from_calls(family, np.linspace(0.0, 1.0, 20001))
+    for curve in (calls_from_upper_boundary(boundary, kgrid),
+                  CallCurve.from_grid(kgrid, family(kgrid))):
+        assert curve.positive
+        for q in (0.05, 0.3, 0.6, 0.95):
+            want = norm.cdf(norm.ppf(q) - sigma)
+            assert inverse_boundary_positive(curve, q) == pytest.approx(want, abs=1e-7)
+        assert check_geometric_symmetry(curve, np.geomspace(0.25, 4.0, 41))
+    # C(0) = E X^+ = E X reads X >= 0, an atom at 0 included
+    assert DiscreteDistribution([0.0, 2.0], [0.5, 0.5]).call_curve().positive
+    assert not DiscreteDistribution([-0.5, 2.5], [0.5, 0.5]).call_curve().positive
+    signed = linear_family_curve(GAUSS_MODEL, 1.0, 1.0)
+    assert not CallCurve.from_grid(kgrid, signed(kgrid), mean=1.0).positive
+
+
 # ---------------------------------------------------------------------------
 # Order and symmetry checks
 # ---------------------------------------------------------------------------
@@ -382,6 +404,14 @@ def test_arithmetic_symmetry():
     assert check_arithmetic_symmetry(linear_family_curve(GAUSS_MODEL, 0.0, 1.0))
     dist = DiscreteDistribution([-1.0, 2.0], [2.0 / 3.0, 1.0 / 3.0])  # mean 0, skewed
     kgrid = np.linspace(-2.0, 2.0, 81)
+    assert not check_arithmetic_symmetry(dist.call_curve(), kgrid)
+
+
+def test_arithmetic_symmetry_on_an_asymmetric_grid():
+    # C(K) = -K + C(-K) is evaluated at each K and -K, so no grid is refused
+    kgrid = [-1.0, 0.0, 2.0]
+    assert check_arithmetic_symmetry(linear_family_curve(GAUSS_MODEL, 0.0, 1.0), kgrid)
+    dist = DiscreteDistribution([-1.0, 2.0], [2.0 / 3.0, 1.0 / 3.0])
     assert not check_arithmetic_symmetry(dist.call_curve(), kgrid)
 
 
@@ -821,8 +851,7 @@ def _family_curves():
 
 def _golden_twin(curve):
     """The same call curve as a user closed-form curve, without the conjugate."""
-    return CallCurve.from_function(curve.fn, curve.mean, (curve.k_lo, curve.k_hi),
-                                   positive=curve.positive)
+    return CallCurve.from_function(curve.fn, curve.mean, (curve.k_lo, curve.k_hi))
 
 
 def _counting(fn, counter):
