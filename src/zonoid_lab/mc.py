@@ -1,13 +1,14 @@
 """Monte Carlo oracle for the two benchmark models.
 
-Samples are generated by a counter-based generator: path i draws its uniform
-from a 64-bit mix of (seed, i) alone.  Normals come from the inverse CDF,
-which keeps antithetic pairs perfectly mirrored.  Paths are cut by index
-into fixed blocks of 2^17 (never by worker count), and each block is
-simulated and reduced at once in a pool of min(cap, blocks) threads, the cap
-being ``ZONOID_LAB_THREADS`` or the CPU count.  Block results are combined
-in block order, so samples and every report built from them are
-bit-identical for any worker count.
+Paths are cut by index into fixed blocks of 2^17 (never by worker count).
+Block b draws its normals from its own SFC64 stream, keyed by (seed mod
+2^64, b) through numpy's ``SeedSequence``, with numpy's ziggurat sampler;
+an antithetic block draws one normal per pair and interleaves (z, -z).  So
+a sample of n paths is a prefix of every longer sample with the same seed.
+Each block is simulated and reduced at once in a pool of min(cap, blocks)
+threads, the cap being ``ZONOID_LAB_THREADS`` or the CPU count.  Block
+results are combined in block order, so samples and every report built
+from them are bit-identical for any worker count.
 
 ``mc_check_propositions`` drives the whole pipeline: each block is sorted
 and reduced to its count, sum and sum of squares above each strike, which
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple, TypeVar
 
 import numpy as np
-from scipy import special
 
 from .densities import DensityModel
 from .errors import DomainError, ValidationError
@@ -44,10 +44,6 @@ from .zonoid import CallCurve, project_convex_decreasing
 
 _T = TypeVar("_T")
 _MODELS = tuple(MODEL_FAMILIES)
-_U64 = np.uint64
-_GAMMA = _U64(0x9E3779B97F4A7C15)
-_MIX1 = _U64(0xBF58476D1CE4E5B9)
-_MIX2 = _U64(0x94D049BB133111EB)
 _BLOCK = 1 << 17  # paths per block; even, so antithetic pairs never straddle two
 
 
@@ -89,42 +85,16 @@ class McEstimate:
             raise ValidationError("std_error must be non-negative")
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finaliser, in place."""
-    t = np.empty_like(z)
-    for shift, mul in ((30, _MIX1), (27, _MIX2), (31, None)):
-        np.right_shift(z, _U64(shift), out=t)
-        z ^= t
-        if mul is not None:
-            z *= mul
-    return z
-
-
-def _uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
-    """Uniforms in (0, 1) for counter indices [lo, hi), independent of how
-    the index range is partitioned across calls."""
-    counters = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-    counters *= _GAMMA
-    counters += _U64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    bits = _mix64(counters)
-    bits >>= _U64(11)
-    u = bits.astype(np.float64)
-    u += 0.5
-    u *= 2.0 ** -53
-    return u
-
-
 def _normals(config: SimConfig, lo: int, hi: int) -> np.ndarray:
-    """Standard normals for path indices [lo, hi); antithetic pairs are
-    interleaved as (z, -z) and share one counter per pair."""
+    """Standard normals for the paths [lo, hi) of the block that starts at
+    lo: its own SFC64 stream, keyed by (seed mod 2^64, block index).
+    Antithetic pairs are interleaved as (z, -z), one draw per pair."""
+    key = np.random.SeedSequence(int(config.seed) % 2 ** 64, spawn_key=(lo // _BLOCK,))
+    rng = np.random.Generator(np.random.SFC64(key))
     if not config.antithetic:
-        return special.ndtri(_uniforms(config.seed, lo, hi))
-    pair_lo, pair_hi = lo // 2, (hi + 1) // 2
-    base = special.ndtri(_uniforms(config.seed, pair_lo, pair_hi))
-    z = np.empty(2 * (pair_hi - pair_lo))
-    z[0::2] = base
-    z[1::2] = -base
-    return z[lo - 2 * pair_lo: hi - 2 * pair_lo]
+        return rng.standard_normal(hi - lo)
+    base = rng.standard_normal((hi - lo) // 2)
+    return np.stack((base, -base), axis=1).ravel()
 
 
 def _worker_count(n: int) -> int:

@@ -55,9 +55,20 @@ _CCW_BOUND = (3.0 + 8.0 * _EPS) * 0.5 * _EPS
 _CCW_SLACK = 2.0 ** -1068
 
 
+def _real_array(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array; ValidationError unless its entries are
+    real numbers (bool, int or float dtype; a bool reads as 0 or 1), so a
+    complex, string or object array is never cast."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def as_float_array(x, name: str = "x") -> np.ndarray:
-    """Coerce to a float64 ndarray and reject non-finite entries."""
-    arr = np.asarray(x, dtype=np.float64)
+    """Coerce to a float64 ndarray (the rule of ``_real_array``) and reject
+    non-finite entries."""
+    arr = _real_array(x, name)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite, got {x!r}")
     return arr
@@ -74,8 +85,9 @@ def increasing_grid(x, name: str, min_size: int = 2) -> np.ndarray:
 
 
 def probabilities(p, name: str) -> np.ndarray:
-    """Coerce to a float64 array; DomainError unless every entry lies in [0, 1]."""
-    arr = np.asarray(p, dtype=np.float64)
+    """Coerce to a float64 array (the rule of ``_real_array``); DomainError
+    unless every entry lies in [0, 1]."""
+    arr = _real_array(p, name)
     if not ((arr >= 0.0) & (arr <= 1.0)).all():  # nan fails both comparisons
         raise DomainError(f"{name} must lie in [0, 1]")
     return arr

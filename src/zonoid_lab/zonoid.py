@@ -391,7 +391,9 @@ def calls_from_upper_boundary(boundary: ZonoidBoundary, kgrid=None, *,
                               validate: bool = True) -> CallCurve:
     """Conjugate transform C(K) = max_{0<=p<=1} [boundary(p) - p K] on a
     strike grid; the p in {0, 1} endpoint candidates (0 and mean - K) are
-    always included; a closed-form boundary goes to the minimiser."""
+    always included.  The provenance's ``route`` names the method: "grid"
+    for a grid-backed boundary (the discrete Legendre transform over its
+    nodes), "golden" for a closed-form one (the minimiser)."""
     if validate:
         boundary.validate()
     if kgrid is None:
@@ -399,13 +401,16 @@ def calls_from_upper_boundary(boundary: ZonoidBoundary, kgrid=None, *,
     kgrid = increasing_grid(kgrid, "kgrid")
     m = boundary.mean
     if boundary.is_grid:
+        route = "grid"
         neg, _ = legendre_min(boundary.probs, -boundary.values, kgrid)
     else:
+        route = "golden"
         _, neg = golden_section_min(lambda pk: pk[1] * pk[0] - boundary(pk[0]),
                                     _P_EPS, 1.0 - _P_EPS, args=(kgrid,), logit=True)
     vals = np.maximum(0.0 - neg, 0.0)   # 0.0 - x keeps an exact zero at +0.0
     vals = np.maximum(vals, m - kgrid)
-    return CallCurve.from_grid(kgrid, vals, mean=m, provenance=dict(boundary.provenance))
+    return CallCurve.from_grid(kgrid, vals, mean=m,
+                               provenance=dict(boundary.provenance, route=route))
 
 
 def discrete_upper_boundary(dist: DiscreteDistribution, p):
@@ -491,7 +496,7 @@ def check_convex_order(curve_x: CallCurve, curve_y: CallCurve, kgrid=None) -> bo
         k_lo = min(curve_x.k_lo, curve_y.k_lo)
         k_hi = max(curve_x.k_hi, curve_y.k_hi)
         kgrid = np.linspace(k_lo, k_hi, 1001)
-    kgrid = as_float_array(kgrid, "kgrid")
+    kgrid = increasing_grid(kgrid, "kgrid", min_size=1)
     gap = curve_x(kgrid) - curve_y(kgrid)
     return bool(np.max(gap) <= _ORDER_SLACK * _value_scale(curve_x.mean))
 
@@ -505,7 +510,7 @@ def check_arithmetic_symmetry(curve: CallCurve, kgrid=None) -> bool:
             raise DomainError("need a strike domain straddling 0")
         a = min(-curve.k_lo, curve.k_hi)
         kgrid = np.linspace(-a, a, 1001)
-    kgrid = as_float_array(kgrid, "kgrid")
+    kgrid = increasing_grid(kgrid, "kgrid", min_size=1)
     gap = curve(kgrid) - (-kgrid + curve(-kgrid))
     return bool(np.max(np.abs(gap)) <= _ARITH_SYM_TOL)
 
@@ -524,7 +529,7 @@ def check_geometric_symmetry(curve: CallCurve, kgrid=None) -> bool:
         if curve.k_lo > 0.0:
             span = min(span, -math.log(curve.k_lo))
         kgrid = np.exp(np.linspace(-span, span, 1001))
-    kgrid = as_float_array(kgrid, "kgrid")
+    kgrid = increasing_grid(kgrid, "kgrid", min_size=1)
     if np.any(kgrid <= 0.0):
         raise DomainError("strikes must be positive")
     gap = curve(kgrid) - (1.0 - kgrid + kgrid * curve(1.0 / kgrid))

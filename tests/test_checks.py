@@ -27,10 +27,13 @@ from zonoid_lab.peacocks import (G_map, H_map, PeacockSpec, SurfaceGrid, TimeCha
                                  boundary_surface, call_surface, certify_peacock,
                                  generator_limit_check, group_property_check,
                                  recover_F_from_G, recover_F_from_H, surface_boundary)
-from zonoid_lab.pricing import ModelParams, family_prices
+from zonoid_lab.pricing import (ModelParams, family_prices, geometric_family_curve,
+                                linear_family_curve)
 from zonoid_lab.zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
                                boundary_from_quantile_integral,
-                               calls_from_upper_boundary, discrete_upper_boundary,
+                               calls_from_upper_boundary, check_arithmetic_symmetry,
+                               check_convex_order, check_geometric_symmetry,
+                               discrete_upper_boundary,
                                inverse_boundary_positive, project_convex_decreasing,
                                upper_boundary_from_calls)
 
@@ -42,6 +45,8 @@ DIST = DiscreteDistribution([-1.0, 2.0], [0.25, 0.75])
 POSITIVE_DIST = DiscreteDistribution([0.5, 1.5], [0.5, 0.5])
 SPEC = PeacockSpec("linear", GAUSS, 0.0, TimeChange.sqrt())
 SIM = SimConfig("bachelier", 1.0, 1000, 1)
+LINEAR_CURVE = linear_family_curve(GAUSS, 0.0, 1.0)
+GEOMETRIC_CURVE = geometric_family_curve(GAUSS, 1.0, 0.7)
 
 
 def _ramp(grid):
@@ -156,6 +161,19 @@ SHAPE_ERRORS = {
                                         DomainError),
     "DiscreteDistribution.boundary_curve 2-d pgrid": (
         lambda: POSITIVE_DIST.boundary_curve(np.full((2, 3), 0.5)), ValidationError),
+    "check_convex_order empty kgrid": (
+        lambda: check_convex_order(LINEAR_CURVE, LINEAR_CURVE, kgrid=[]), ValidationError),
+    "check_arithmetic_symmetry empty kgrid": (
+        lambda: check_arithmetic_symmetry(LINEAR_CURVE, kgrid=[]), ValidationError),
+    "check_geometric_symmetry empty kgrid": (
+        lambda: check_geometric_symmetry(GEOMETRIC_CURVE, kgrid=[]), ValidationError),
+    # a complex array used to price its real part outside pytest; a complex
+    # list raised TypeError, and a string list was parsed as numbers
+    "family_prices complex strike array": (
+        lambda: family_prices("linear", GAUSS, 0.0, 1.0, np.array([0.1 + 1j])), ValidationError),
+    "G_map complex list": (lambda: G_map(GAUSS, [0.5 + 3j, 0.6]), ValidationError),
+    "family_prices string strike list": (
+        lambda: family_prices("linear", GAUSS, 0.0, 1.0, ["0.1", "0.2"]), ValidationError),
 }
 
 # scalar fields and arguments that once let a complex value through, or
@@ -356,6 +374,11 @@ def test_probability_rule_accepts_the_closed_interval():
     assert probabilities([], "p").shape == (0,)
     assert probabilities(np.zeros((0, 3)), "p").shape == (0, 3)
     assert np.array_equal(probabilities([[0.0, 1.0]], "p"), [[0.0, 1.0]])
+
+
+def test_a_bool_array_reads_as_zeros_and_ones():
+    assert np.array_equal(probabilities([True, False], "p"), [1.0, 0.0])
+    assert np.array_equal(G_map(GAUSS, np.array([True, False])), G_map(GAUSS, [1.0, 0.0]))
 
 
 def _central_d1(v, idx, h):

@@ -263,6 +263,16 @@ def test_no_module_imports_scipy_integrate_or_optimize():
     assert {name: lines for name, lines in breaches.items() if lines} == {}
 
 
+def test_mc_imports_nothing_from_scipy():
+    # its normals come from numpy's per-block streams (ROADMAP item 8)
+    tree = ast.parse((SRC / "mc.py").read_text())
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module and not node.level]
+    assert imported and not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
 # ---------------------------------------------------------------------------
 # One output path: only curve_io writes (json.dump, json.dumps, csv.writer,
 # builtin open, sys.stdout.write); reading (json.loads, csv.reader) is free

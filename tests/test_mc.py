@@ -60,15 +60,16 @@ def test_deterministic_across_worker_counts(thread_env):
 
 
 # sha256 of the float64 bytes of two samples, first and last value, frozen
-# from the simulation that wrote each slice at once per worker (before paths
-# were cut into fixed blocks)
+# from the per-block streams: block b of a sample draws numpy's ziggurat
+# normals from SFC64 keyed by SeedSequence(seed mod 2^64, spawn_key=(b,)),
+# one normal per antithetic pair
 FROZEN_SAMPLES = [
     (SimConfig("black_scholes", 0.9, 300_000, 2 ** 62 + 5, antithetic=True),
-     "a94916b85bbf7ab0403875d5883a80e1df32d76352400f8b61326ce3dcad5087",
-     0.2728011430167772, 0.7047367439983329),
+     "cc8e33c0d3fe96968ed9868565c59766fc3056531470de0da39b4fcc082e4d02",
+     0.4831229923842011, 1.8563785406995181),
     (SimConfig("bachelier", 1.7, 300_001, -3),
-     "f3a0adbe03b6116c1c37efb84852cf6cbbe7099aba636a2d28cb213a181b476a",
-     2.3846097967127777, 0.5049168632002077),
+     "f966a4564d4dc8ec2a1ca14ae700adf1e78b4de13288424d7f46cd8bd21a3da2",
+     0.43106987928341167, -0.6175500381870186),
 ]
 
 
@@ -279,6 +280,17 @@ def test_sim_config_needs_integer_paths_and_seed():
             SimConfig("bachelier", 1.0, n_paths, seed)
     a = simulate_terminal(SimConfig("bachelier", 1.0, np.int64(1000), np.int64(2 ** 62)))
     assert np.array_equal(a, simulate_terminal(SimConfig("bachelier", 1.0, 1000, 2 ** 62)))
+
+
+def test_stream_is_a_prefix_keyed_by_seed_mod_2_64_and_mirrors_exactly():
+    # 300,002 paths span three blocks, 200,000 end inside the second
+    for antithetic in (False, True):
+        long = simulate_terminal(SimConfig("bachelier", 1.0, 300_002, 17, antithetic=antithetic))
+        short = simulate_terminal(SimConfig("bachelier", 1.0, 200_000, 17, antithetic=antithetic))
+        assert np.array_equal(long[:200_000], short)
+    assert np.array_equal(long[1::2], -long[0::2])  # across block boundaries too
+    assert np.array_equal(simulate_terminal(SimConfig("bachelier", 1.0, 300_002, -3)),
+                          simulate_terminal(SimConfig("bachelier", 1.0, 300_002, 2 ** 64 - 3)))
 
 
 def test_proposition_pgrid_is_an_increasing_grid():

@@ -914,6 +914,17 @@ def test_golden_section_runs_only_for_user_closed_form_curves(monkeypatch):
     assert (b.provenance["route"], len(calls)) == ("grid", 0)
 
 
+def test_reverse_transform_records_its_route():
+    # each direction names its own route
+    b = upper_boundary_from_calls(linear_family_curve(GAUSS_MODEL, 0.0, 1.0))
+    c = calls_from_upper_boundary(b)
+    assert (b.provenance["route"], c.provenance["route"]) == ("exact", "grid")
+    assert c.provenance == dict(b.provenance, route="grid")
+    closed = ZonoidBoundary.from_function(b, b.mean, provenance={"kind": "closed"})
+    c = calls_from_upper_boundary(closed, np.linspace(-2.0, 2.0, 9))
+    assert c.provenance == {"kind": "closed", "route": "golden"}
+
+
 _ORACLE_MODELS = {"gaussian": GAUSS_MODEL, "logistic": LOGISTIC,
                   "custom-gaussian": _custom_twin(GAUSS_MODEL),
                   "custom-logistic": _custom_twin(LOGISTIC)}
