@@ -11,20 +11,26 @@ two inverse maps that drive everything downstream:
 
 Both maps are monotone exactly when f is log-concave, which is why the
 operations insist on a log-concavity certificate.
+
+Only the gaussian needs a special function: its F and F^-1 are scipy's
+``ndtr`` and ``ndtri``, and ``scipy.special`` is imported on the first
+gaussian evaluation (``_scipy_special``).  The logistic pair expit/logit is
+elementary numpy and cauchy needs neither, so a process that evaluates no
+gaussian never imports scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, RangeError, UnsupportedError, ValidationError
-from .numerics import (as_float_array, like_input, monotone_root, probabilities,
+from .numerics import (_real_array, as_float_array, like_input, monotone_root, probabilities,
                        real_scalar, require_uniform)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -36,7 +42,47 @@ _FAMILIES = ("gaussian", "logistic", "cauchy", "custom")
 _BRACKET_EPS = 1e-12
 _BUILTIN_EPS = 1e-15
 _GRID_N, _GRID_HALF_WIDTH = 1001, 8.0  # default_grid: points, half-width in scales
-_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+@functools.cache
+def _scipy_special():
+    """``scipy.special``, imported on the first call: the gaussian F and F^-1
+    (``ndtr``, ``ndtri``) are the package's only use of scipy."""
+    from scipy import special
+    return special
+
+
+# The logistic kernels are numpy ufuncs on every input, so a scalar gives the
+# array element bit for bit, and none raises a floating-point warning.
+
+def _logistic_pdf(z):
+    """expit(z) expit(-z), the standard logistic density: with e = exp(-|z|)
+    the two factors are 1/(1 + e) and e/(1 + e), so one exponential, which
+    cannot overflow, gives both, and both tails keep relative precision."""
+    e = np.exp(-abs(z))
+    d = 1.0 + e
+    return (1.0 / d) * (e / d)
+
+
+def _expit(z):
+    """1 / (1 + exp(-z)), written as exp(min(z, 0)) / (1 + exp(-|z|)): neither
+    exponential overflows, and below z = -709.78, where scipy's expit returns
+    0, this keeps the subnormal exp(z)."""
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-abs(z)))
+
+
+def _logit(p):
+    """log(p / (1 - p)) on [0, 1]: -inf at 0, inf at 1, nan at nan.  From
+    1/4 on, x = 2p - 1 is exact and 2 artanh(x) keeps the relative precision
+    of a result near 0 at p = 1/2; below 1/4, log of the ratio keeps that of
+    a small p and overwrites it.  The infinities at x = -1 and 1 are filled
+    in, not taken from artanh, which would warn."""
+    x = 2.0 * p - 1.0
+    out = np.arctanh(x, out=np.copysign(np.inf, x, out=np.empty_like(x)),
+                     where=abs(x) != 1.0)
+    out *= 2.0
+    lo = np.minimum(p, 0.25)
+    return np.log(lo / (1.0 - lo), out=out, where=(p > 0.0) & (p < 0.25))
 
 
 @dataclass(frozen=True)
@@ -162,10 +208,7 @@ class DensityModel:
             z = np.minimum(np.abs(self._z(x)), 40.0)
             out = np.exp(-0.5 * z * z) / (self.scale * _SQRT2PI)
         elif self.family == "logistic":
-            # expit(-z) in place of 1 - expit(z) keeps relative precision in
-            # the right tail, where 1 - p has lost it
-            z = self._z(x)
-            out = special.expit(z) * special.expit(-z) / self.scale
+            out = _logistic_pdf(self._z(x)) / self.scale
         elif self.family == "cauchy":
             z = self._z(x)
             out = 1.0 / (math.pi * self.scale * (1.0 + z * z))
@@ -179,9 +222,8 @@ class DensityModel:
             z = self._z(x)
             out = -z / self.scale * np.exp(-0.5 * z * z) / (self.scale * _SQRT2PI)
         elif self.family == "logistic":
-            z = self._z(x)
-            p, q = special.expit(z), special.expit(-z)
-            out = p * q * (q - p) / self.scale ** 2
+            z = self._z(x)  # f times (log f)' = -tanh(z/2) / scale
+            out = -_logistic_pdf(z) * np.tanh(0.5 * z) / self.scale ** 2
         elif self.family == "cauchy":
             z = self._z(x)
             out = -2.0 * z / (math.pi * self.scale ** 2 * (1.0 + z * z) ** 2)
@@ -190,14 +232,15 @@ class DensityModel:
         return like_input(out, x)
 
     def cdf(self, x):
-        """F(x), with the limits F(-inf) = 0 and F(inf) = 1."""
-        x = np.asarray(x, dtype=np.float64)
+        """F(x), with the limits F(-inf) = 0 and F(inf) = 1; x holds real
+        numbers (the rule of ``numerics._real_array``) and no nan."""
+        x = _real_array(x, "x")
         if np.any(np.isnan(x)):
             raise DomainError("x must not be nan")
         if self.family == "gaussian":
-            out = special.ndtr(self._z(x))
+            out = _scipy_special().ndtr(self._z(x))
         elif self.family == "logistic":
-            out = special.expit(self._z(x))
+            out = _expit(self._z(x))
         elif self.family == "cauchy":
             out = 0.5 + np.arctan(self._z(x)) / math.pi
         else:
@@ -207,10 +250,9 @@ class DensityModel:
     def quantile(self, p):
         p = probabilities(p, "probability level")
         if self.family == "gaussian":
-            out = self.location + self.scale * special.ndtri(p)
+            out = self.location + self.scale * _scipy_special().ndtri(p)
         elif self.family == "logistic":
-            with np.errstate(divide="ignore"):
-                out = self.location + self.scale * special.logit(p)
+            out = self.location + self.scale * _logit(p)
         elif self.family == "cauchy":
             out = np.where(
                 p == 0.0, -np.inf,
@@ -258,8 +300,7 @@ class DensityModel:
         if self.family == "gaussian":
             out = np.full_like(x, -1.0 / self.scale ** 2)
         elif self.family == "logistic":
-            z = self._z(x)  # expit(-z), not 1 - expit(z): both tails keep precision
-            out = -2.0 * special.expit(z) * special.expit(-z) / self.scale ** 2
+            out = -2.0 * _logistic_pdf(self._z(x)) / self.scale ** 2
         elif self.family == "cauchy":
             z = self._z(x)
             out = 2.0 * (z * z - 1.0) / (self.scale ** 2 * (1.0 + z * z) ** 2)
@@ -326,10 +367,11 @@ class DensityModel:
 # ---------------------------------------------------------------------------
 
 def _levels(y) -> np.ndarray:
-    """The levels y as a float64 array; DomainError unless each is positive
-    and finite.  A scalar is tested in Python: a numpy reduction on a 0-d
-    array costs more than the rest of a scalar ratio range."""
-    y_arr = np.asarray(y, dtype=np.float64)
+    """The levels y as a float64 array (the rule of ``numerics._real_array``);
+    DomainError unless each is positive and finite.  A scalar is tested in
+    Python: a numpy reduction on a 0-d array costs more than the rest of a
+    scalar ratio range."""
+    y_arr = _real_array(y, "y")
     if not (0.0 < float(y_arr) < math.inf if y_arr.ndim == 0
             else np.all((y_arr > 0.0) & np.isfinite(y_arr))):
         raise DomainError("y must be positive and finite")
@@ -350,18 +392,15 @@ def inverse_log_slope(model: DensityModel, w):
     log-concavity certificate.
     """
     require_log_concave(model, "inverse_log_slope")
-    w_arr = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w_arr)):
-        raise DomainError("w must be finite")
+    w_arr = as_float_array(w, "w")
     if model.family == "gaussian":
         return like_input(model.location - w_arr * model.scale ** 2, w)
     if model.family == "logistic":
         ws = w_arr * model.scale
         if np.any(ws <= -1.0) or np.any(ws >= 1.0):
             raise RangeError(f"w={w!r} outside the logistic log-slope range")
-        # (1 - ws)/2 rounds to 1 within an ulp of ws = -1; logit(1) is inf
-        half = np.minimum((1.0 - ws) * 0.5, _BELOW_ONE)
-        return like_input(model.location + model.scale * special.logit(half), w)
+        # (log f)' = -tanh(z/2)/scale, so z = -2 artanh(ws): finite on (-1, 1)
+        return like_input(model.location - 2.0 * model.scale * np.arctanh(ws), w)
     lo, hi = model.quantile_bounds()
     return monotone_root(model.log_slope, w_arr, lo, hi, xtol=1e-13 * model.scale)
 
@@ -374,7 +413,7 @@ def inverse_ratio(model: DensityModel, y, r):
     """
     require_log_concave(model, "inverse_ratio")
     y_arr = _levels(y)
-    r_arr = np.asarray(r, dtype=np.float64)
+    r_arr = _real_array(r, "r")
     if not np.all(np.isfinite(r_arr) & (r_arr > 0.0)):
         raise RangeError(f"r must be positive and finite, got {r!r}")
     if model.family == "gaussian":

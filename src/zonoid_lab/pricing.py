@@ -29,9 +29,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
-from .densities import DensityModel, inverse_log_slope, inverse_ratio, require_log_concave
+from .densities import (DensityModel, _scipy_special, inverse_log_slope, inverse_ratio,
+                        require_log_concave)
 from .errors import DomainError, RangeError, ValidationError
 from .numerics import as_float_array, like_input, real_scalar, stand_in
 from .peacocks import family_boundary
@@ -73,7 +73,7 @@ def bachelier_call(params: ModelParams, k):
     else:
         v = params.sigma * math.sqrt(params.t)
         d = (params.s0 - k) / v
-        out = v * _phi(d) + (params.s0 - k) * special.ndtr(d)
+        out = v * _phi(d) + (params.s0 - k) * _scipy_special().ndtr(d)
     return like_input(out, k)
 
 
@@ -91,7 +91,8 @@ def black_scholes_call(params: ModelParams, k):
     else:
         v = params.sigma * math.sqrt(params.t)
         d1 = np.log(params.s0 / k) / v + 0.5 * v
-        out = params.s0 * special.ndtr(d1) - k * special.ndtr(d1 - v)
+        ndtr = _scipy_special().ndtr
+        out = params.s0 * ndtr(d1) - k * ndtr(d1 - v)
     return like_input(out, k)
 
 

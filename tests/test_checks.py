@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from zonoid_lab.densities import DensityModel
+from zonoid_lab.densities import DensityModel, inverse_log_slope, inverse_ratio
 from zonoid_lab.errors import DomainError, UnsupportedError, ValidationError
 from zonoid_lab.implied import (ImpliedQuery, implied_y_minimization, normalized_call,
                                 vega_integral)
@@ -174,6 +174,16 @@ SHAPE_ERRORS = {
     "G_map complex list": (lambda: G_map(GAUSS, [0.5 + 3j, 0.6]), ValidationError),
     "family_prices string strike list": (
         lambda: family_prices("linear", GAUSS, 0.0, 1.0, ["0.1", "0.2"]), ValidationError),
+    # densities cast these itself: a complex entry lost its imaginary part
+    # outside pytest, and a string was parsed as a number
+    "DensityModel.cdf complex array": (lambda: GAUSS.cdf(np.array([0.5 + 1j])), ValidationError),
+    "DensityModel.cdf string list": (lambda: LOGISTIC.cdf(["0.5"]), ValidationError),
+    "ratio_range complex level array": (lambda: LOGISTIC.ratio_range(np.array([0.5 + 1j])),
+                                        ValidationError),
+    "inverse_log_slope complex array": (lambda: inverse_log_slope(GAUSS, np.array([0.5 + 1j])),
+                                        ValidationError),
+    "inverse_ratio complex ratio array": (
+        lambda: inverse_ratio(GAUSS, 2.0, np.array([1.0 + 2j])), ValidationError),
 }
 
 # scalar fields and arguments that once let a complex value through, or

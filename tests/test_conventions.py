@@ -4,6 +4,9 @@
   scalar for a 0-d input and the array otherwise.
 * One JSON rule, ``numerics.jsonable``, and one output path: only
   ``curve_io`` writes files, JSON, CSV or stdout.
+* scipy loads on first gaussian use: the one scipy import in ``src/`` is
+  inside ``densities._scipy_special``, and a fresh process that evaluates
+  no gaussian leaves scipy out of ``sys.modules``.
 * Every public name resolves: everything in ``zonoid_lab.__all__``, every
   function the benchmark's tracer patches by name (``_TARGETS`` in
   ``perfbench/spans.py``), and every ``zonoid_lab`` attribute the benchmark
@@ -15,6 +18,8 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -263,14 +268,91 @@ def test_no_module_imports_scipy_integrate_or_optimize():
     assert {name: lines for name, lines in breaches.items() if lines} == {}
 
 
-def test_mc_imports_nothing_from_scipy():
-    # its normals come from numpy's per-block streams (ROADMAP item 8)
-    tree = ast.parse((SRC / "mc.py").read_text())
-    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for a in node.names]
-    imported += [node.module for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.module and not node.level]
-    assert imported and not [m for m in imported if m.split(".")[0] == "scipy"]
+# ---------------------------------------------------------------------------
+# scipy on first gaussian use: the one scipy import in src/ is the function
+# densities._scipy_special, so a process that evaluates no gaussian never
+# loads scipy
+# ---------------------------------------------------------------------------
+
+def _scipy_import_sites(source: str):
+    """(enclosing function or None, line) of each import of scipy or of a
+    scipy submodule in a module's source; None for an import at module
+    level, in a class body or under an ``if``."""
+    def is_scipy(name):
+        return name == "scipy" or name.startswith("scipy.")
+
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import) and any(is_scipy(a.name) for a in child.names):
+                sites.append((func, child.lineno))
+            elif (isinstance(child, ast.ImportFrom) and not child.level and child.module
+                  and is_scipy(child.module)):
+                sites.append((func, child.lineno))
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     else func)
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_scipy_site_guard_sees_every_form():
+    assert _scipy_import_sites("import scipy") == [(None, 1)]
+    assert _scipy_import_sites("import numpy, scipy.special as sp") == [(None, 1)]
+    assert _scipy_import_sites("from scipy import special") == [(None, 1)]
+    assert _scipy_import_sites("from scipy.special import ndtr") == [(None, 1)]
+    assert _scipy_import_sites("if True:\n    import scipy\n") == [(None, 2)]
+    assert _scipy_import_sites("class A:\n    from scipy import stats\n") == [(None, 2)]
+    assert _scipy_import_sites("def f():\n    from scipy import special\n") == [("f", 2)]
+    assert _scipy_import_sites("def f():\n    def g():\n        import scipy\n") == [("g", 3)]
+    assert _scipy_import_sites("import scipyx\nfrom .scipy import a\nx = 'scipy'") == []
+
+
+def test_the_one_scipy_import_is_the_gaussian_accessor():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    sites = {(path.name, func) for path in modules
+             for func, _ in _scipy_import_sites(path.read_text())}
+    assert sites == {("densities.py", "_scipy_special")}
+
+
+# the seven cli-batch calls that evaluate no gaussian, plus a logistic family
+# price; then one gaussian cdf
+_NO_GAUSSIAN_RUN = """
+import contextlib, io, sys
+from zonoid_lab import cli
+from zonoid_lab.densities import DensityModel
+from zonoid_lab.pricing import family_prices
+family_prices("geometric", DensityModel.logistic(), 1.2, 0.6, [0.8, 1.0, 1.3])
+path = sys.argv[1]
+runs = [
+    ["price", "--family=linear", "--density=logistic", "--s0=0.2", "--sigma=0.6", "--t=1.5",
+     "--k-grid=-1:1:21"],
+    ["boundary", "--family=linear", "--density=logistic", "--s0=0.2", "--sigma=0.6", "--t=1.5",
+     "--out=" + path],
+    ["calls", "--boundary=" + path, "--mean=0.2", "--k-grid=-1:1:21"],
+    ["boundary", "--family=linear", "--density=logistic", "--s0=0.2", "--sigma=0.6", "--t=1.5",
+     "--format=json"],
+    ["certify", "--family=geometric", "--density=logistic", "--s=1.2", "--y-kind=linear",
+     "--y-scale=0.8"],
+    ["certify", "--family=linear", "--density=cauchy", "--s=0.3"],
+    ["implied", "--density=logistic", "--c=0.3", "--k=1.1"],
+    ["density-check", "--density", "logistic"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+print(codes, "scipy" in sys.modules)
+DensityModel.gaussian().cdf(0.5)
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_no_gaussian_no_scipy(tmp_path):
+    out = subprocess.run([sys.executable, "-c", _NO_GAUSSIAN_RUN, str(tmp_path / "b.csv")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["[0, 0, 0, 0, 0, 2, 0, 0] False", "True"]
 
 
 # ---------------------------------------------------------------------------

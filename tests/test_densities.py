@@ -2,7 +2,9 @@
 
 Expected values are frozen from independent oracles: scipy.stats closed
 forms for the named families, scipy.integrate.quad for normalizations, and
-central finite differences for derivative cross-checks.
+central finite differences for derivative cross-checks.  The logistic
+kernels ``_expit``, ``_logit`` and ``_logistic_pdf`` are checked against
+scipy.special, which the package itself only imports for the gaussian.
 """
 
 import math
@@ -13,11 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 from scipy.stats import norm
 
-from zonoid_lab.densities import (DensityModel, check_log_concavity,
-                                  inverse_log_slope, inverse_ratio)
+from zonoid_lab.densities import (DensityModel, _expit, _logistic_pdf, _logit,
+                                  check_log_concavity, inverse_log_slope, inverse_ratio)
 from zonoid_lab.errors import (DomainError, RangeError, UnsupportedError,
                                ValidationError)
 
@@ -149,6 +151,78 @@ def test_gaussian_pdf_far_tail_is_zero_without_a_warning():
 
 
 # ---------------------------------------------------------------------------
+# Logistic kernels: numpy stand-ins for scipy.special.expit and logit
+# ---------------------------------------------------------------------------
+
+def _ulps(got, want):
+    """|got - want| in units of the float spacing at want (elementwise)."""
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def _kernel_values(kernel, values):
+    """The kernel on the array of ``values`` and on each value as a numpy
+    scalar and as a 0-d array, with every floating-point warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arr = kernel(np.array(values, dtype=np.float64))
+        scalars = [kernel(np.float64(v)) for v in values]
+        zero_d = [kernel(np.array(v)) for v in values]
+    return arr, np.array(scalars), np.array(zero_d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=16))
+def test_expit_and_logistic_pdf_within_4_ulp_of_scipy(zs):
+    z = np.array(zs)
+    # past |z| = 709.78 scipy's 1 + exp(|z|) overflows and its factor
+    # returns 0; the kernels keep exp(-|z|) there, the subnormal it rounds to
+    tail = np.exp(-np.maximum(np.abs(z), 709.0))
+    for kernel, want in ((_expit, np.where(z < -709.0, tail, special.expit(z))),
+                         (_logistic_pdf, np.where(np.abs(z) > 709.0, tail,
+                                                  special.expit(z) * special.expit(-z)))):
+        got, scalars, zero_d = _kernel_values(kernel, zs)
+        assert np.array_equal(scalars, got) and np.array_equal(zero_d, got)
+        assert np.all(_ulps(got, want) <= 4.0)
+
+
+_LOGIT_P = st.one_of(st.floats(0.0, 1.0), st.floats(0.49, 0.51),
+                     st.floats(0.0, 1e-300), st.floats(1.0 - 1e-12, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LOGIT_P, min_size=1, max_size=16))
+def test_logit_within_2_ulp_of_scipy(ps):
+    got, scalars, zero_d = _kernel_values(_logit, ps)
+    assert np.array_equal(scalars, got) and np.array_equal(zero_d, got)
+    want = special.logit(np.array(ps))
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    assert np.all(_ulps(got[finite], want[finite]) <= 2.0)
+
+
+def test_logistic_kernels_at_the_special_values():
+    real_line = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300]
+    for kernel, scipy_kernel, values in (
+            (_expit, special.expit, real_line),
+            (_logistic_pdf, lambda z: special.expit(z) * special.expit(-z), real_line),
+            (_logit, special.logit, [0.0, -0.0, 1.0, 0.5, np.nan])):
+        got, scalars, zero_d = _kernel_values(kernel, values)
+        want = scipy_kernel(np.array(values))
+        for out in (got, scalars, zero_d):
+            assert np.array_equal(out, want, equal_nan=True)
+
+
+def test_logistic_kernels_on_a_dense_sweep():
+    z = np.concatenate([np.linspace(-709.0, 800.0, 200_001), np.linspace(-40.0, 40.0, 100_001)])
+    assert np.max(_ulps(_expit(z), special.expit(z))) <= 4.0
+    z = z[np.abs(z) <= 709.0]
+    assert np.max(_ulps(_logistic_pdf(z), special.expit(z) * special.expit(-z))) <= 4.0
+    p = np.concatenate([np.linspace(0.0, 1.0, 200_001)[1:-1], 0.5 + np.linspace(-1e-9, 1e-9, 2001),
+                        np.geomspace(1e-300, 1e-3, 2001), 1.0 - np.geomspace(1e-16, 1e-3, 2001)])
+    assert np.max(_ulps(_logit(p), special.logit(p))) <= 2.0
+
+
+# ---------------------------------------------------------------------------
 # Structure and spec parsing
 # ---------------------------------------------------------------------------
 
@@ -234,8 +308,8 @@ def test_inverse_log_slope_substitution(model):
 
 
 def test_logistic_inverse_log_slope_is_finite_at_the_range_edge():
-    # (1 - w scale)/2 rounds to 1 an ulp inside w = -1/scale; the argument
-    # of logit is capped below 1 so the inverse stays finite
+    # an ulp inside w = -1/scale the inverse -2 scale artanh(w scale) is
+    # still finite
     for model in (LOGISTIC, DensityModel.logistic(-1.0, 0.7)):
         w = np.nextafter(-1.0 / model.scale, 0.0)
         x = inverse_log_slope(model, w)
