@@ -68,8 +68,7 @@ def _table(text: str):
 _DENSITY = _arg(DensityModel.from_spec, "density spec")
 _GRID = _arg(parse_grid, "grid")
 _TABLE = _arg(_table, "table")
-_FLOATS = _arg(lambda text: np.array([float(v) for v in text.split(",")], dtype=np.float64),
-               "float list")
+_FLOATS = _arg(lambda text: np.array([float(v) for v in text.split(",")]), "float list")
 
 
 def _sink(path: str):
@@ -89,9 +88,7 @@ def _time_change(args) -> TimeChange:
         return TimeChange.linear(args.y_scale)
     if args.y_table is None:
         raise ValidationError("--y-table is required when --y-kind table")
-    times = [p[0] for p in args.y_table]
-    values = [p[1] for p in args.y_table]
-    return TimeChange.from_table(times, values)
+    return TimeChange.from_table(*zip(*args.y_table))
 
 
 def _add_density_flag(sp) -> None:

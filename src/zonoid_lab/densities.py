@@ -30,8 +30,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, RangeError, UnsupportedError, ValidationError
-from .numerics import (_real_array, as_float_array, like_input, monotone_root, probabilities,
-                       real_scalar, require_uniform)
+from .numerics import (_real_array, as_float_array, increasing_grid, like_input, monotone_root,
+                       probabilities, real_scalar, require_uniform)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _FAMILIES = ("gaussian", "logistic", "cauchy", "custom")
@@ -102,8 +102,7 @@ class ConcavityReport:
 def _concavity_report(grid: np.ndarray, values: np.ndarray, slack: float) -> ConcavityReport:
     """The second-difference rule on the rows of ``values`` over ``grid``: the
     worst is the first largest in row-major order, a violation above slack."""
-    v = np.asarray(values, dtype=np.float64)
-    d2 = v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]
+    d2 = values[..., 2:] - 2.0 * values[..., 1:-1] + values[..., :-2]
     i = np.unravel_index(int(np.argmax(d2)), d2.shape)
     worst, j = float(d2[i]), i[-1]
     if worst <= slack:
@@ -131,6 +130,7 @@ class DensityModel:
     cdf_fn: Optional[Callable] = None
     quantile_fn: Optional[Callable] = None
     _custom_log_concave: bool = field(default=False, repr=False, compare=False)
+    _quantile_bounds: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -188,8 +188,7 @@ class DensityModel:
         family = spec.get("family")
         if family == "custom":
             raise UnsupportedError("custom models cannot be built from a JSON spec")
-        return cls(str(family), float(spec.get("location", 0.0)),
-                   float(spec.get("scale", 1.0)))
+        return cls(str(family), spec.get("location", 0.0), spec.get("scale", 1.0))
 
     def to_spec(self) -> dict:
         if self.family == "custom":
@@ -213,7 +212,7 @@ class DensityModel:
             z = self._z(x)
             out = 1.0 / (math.pi * self.scale * (1.0 + z * z))
         else:
-            out = np.asarray(self.pdf_fn(x), dtype=np.float64)
+            out = _real_array(self.pdf_fn(x), "pdf")
         return like_input(out, x)
 
     def pdf_prime(self, x):
@@ -228,7 +227,7 @@ class DensityModel:
             z = self._z(x)
             out = -2.0 * z / (math.pi * self.scale ** 2 * (1.0 + z * z) ** 2)
         else:
-            out = np.asarray(self.pdf_prime_fn(x), dtype=np.float64)
+            out = _real_array(self.pdf_prime_fn(x), "pdf_prime")
         return like_input(out, x)
 
     def cdf(self, x):
@@ -244,7 +243,7 @@ class DensityModel:
         elif self.family == "cauchy":
             out = 0.5 + np.arctan(self._z(x)) / math.pi
         else:
-            out = np.asarray(self.cdf_fn(x), dtype=np.float64)
+            out = _real_array(self.cdf_fn(x), "cdf")
         return like_input(out, x)
 
     def quantile(self, p):
@@ -259,7 +258,7 @@ class DensityModel:
                 np.where(p == 1.0, np.inf,
                          self.location + self.scale * np.tan(math.pi * (p - 0.5))))
         else:
-            out = np.asarray(self.quantile_fn(p), dtype=np.float64)
+            out = _real_array(self.quantile_fn(p), "quantile")
         return like_input(out, p)
 
     def log_pdf(self, x):
@@ -275,7 +274,7 @@ class DensityModel:
             out = -np.log1p(z * z) - math.log(math.pi * self.scale)
         else:
             with np.errstate(divide="ignore"):
-                out = np.log(np.asarray(self.pdf_fn(x), dtype=np.float64))
+                out = np.log(_real_array(self.pdf_fn(x), "pdf"))
         return like_input(out, x)
 
     def log_slope(self, x):
@@ -289,8 +288,8 @@ class DensityModel:
             z = self._z(x)
             out = -2.0 * z / (self.scale * (1.0 + z * z))
         else:
-            out = (np.asarray(self.pdf_prime_fn(x), dtype=np.float64)
-                   / np.asarray(self.pdf_fn(x), dtype=np.float64))
+            out = (_real_array(self.pdf_prime_fn(x), "pdf_prime")
+                   / _real_array(self.pdf_fn(x), "pdf"))
         return like_input(out, x)
 
     def log_curvature(self, x):
@@ -330,9 +329,13 @@ class DensityModel:
 
     def quantile_bounds(self) -> Tuple[float, float]:
         """[F^-1(eps), F^-1(1 - eps)] with eps = 1e-12 for custom models and
-        1e-15 for the built-ins: the one tail cut of the package."""
-        eps = _BRACKET_EPS if self.family == "custom" else _BUILTIN_EPS
-        return tuple(self.quantile(np.array([eps, 1.0 - eps])).tolist())
+        1e-15 for the built-ins: the one tail cut of the package, kept from
+        the first call (at construction it would load scipy for a gaussian)."""
+        if self._quantile_bounds is None:
+            eps = _BRACKET_EPS if self.family == "custom" else _BUILTIN_EPS
+            object.__setattr__(self, "_quantile_bounds",
+                               tuple(self.quantile(np.array([eps, 1.0 - eps])).tolist()))
+        return self._quantile_bounds
 
     def log_slope_range(self) -> Tuple[float, float]:
         """Open range (w_min, w_max) of (log f)' over R."""
@@ -444,8 +447,6 @@ def check_log_concavity(model: DensityModel, grid=None) -> ConcavityReport:
     """
     if grid is None:
         grid = model.default_grid()
-    grid = as_float_array(grid, "grid")
-    if grid.ndim != 1 or grid.size < 3:
-        raise ValidationError("concavity grid needs at least 3 points")
+    grid = increasing_grid(grid, "grid", min_size=3)
     h = require_uniform(grid, "grid")
     return _concavity_report(grid, model.log_pdf(grid), 1e-10 * h * h)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .densities import DensityModel, inverse_log_slope, inverse_ratio
 from .errors import DomainError, SingularCurvatureError
-from .numerics import central_diff, require_uniform
+from .numerics import central_diff, real_scalar, require_uniform
 from .peacocks import SurfaceGrid, TimeChange
 
 _CURVATURE_FLOOR = 1e-12
@@ -61,6 +61,7 @@ def dupire_from_calls(surface: SurfaceGrid, t: float, k: float) -> LocalVolResul
     surface.  Curvature magnitudes below 1e-12 raise SingularCurvatureError."""
     if surface.axis_kind != "call-space":
         raise DomainError("dupire_from_calls needs a call-space surface")
+    t, k = real_scalar(t, "t"), real_scalar(k, "K")
     ht = require_uniform(surface.times, "times")
     hk = require_uniform(surface.axis, "strikes")
     it = _node_index(surface.times, t, ht, "t")
@@ -70,7 +71,7 @@ def dupire_from_calls(surface: SurfaceGrid, t: float, k: float) -> LocalVolResul
     if abs(dkk) < _CURVATURE_FLOOR:
         raise SingularCurvatureError(
             f"strike curvature {dkk!r} below {_CURVATURE_FLOOR} at (t={t}, K={k})")
-    return _finish(float(t), float(k), 2.0 * dt / dkk, "fd-calls")
+    return _finish(t, k, 2.0 * dt / dkk, "fd-calls")
 
 
 def dupire_from_boundary(surface: SurfaceGrid, t: float, p: float) -> LocalVolResult:
@@ -79,6 +80,7 @@ def dupire_from_boundary(surface: SurfaceGrid, t: float, p: float) -> LocalVolRe
     stencil (positive curvature in p) yields a flagged result."""
     if surface.axis_kind != "zonoid-space":
         raise DomainError("dupire_from_boundary needs a zonoid-space surface")
+    t, p = real_scalar(t, "t"), real_scalar(p, "p")
     ht = require_uniform(surface.times, "times")
     hp = require_uniform(surface.axis, "probs")
     it = _node_index(surface.times, t, ht, "t")
@@ -86,20 +88,20 @@ def dupire_from_boundary(surface: SurfaceGrid, t: float, p: float) -> LocalVolRe
     strike = central_diff(surface.values[it, :], ip, hp, 1)
     dt = central_diff(surface.values[:, ip], it, ht, 1)
     dpp = central_diff(surface.values[it, :], ip, hp, 2)
-    return _finish(float(t), float(strike), -2.0 * dt * dpp, "fd-boundary")
+    return _finish(t, strike, -2.0 * dt * dpp, "fd-boundary")
 
 
 def localvol_linear_closed(density: DensityModel, time_change: TimeChange,
                            s0: float, t: float, k: float) -> LocalVolResult:
     """Closed-form linear-family local variance
     -2 Y Ydot (log f)''(U((K - s0)/Y))."""
-    yval = time_change.value(t)
-    ydot = time_change.derivative(t)
+    s0, t, k = real_scalar(s0, "s0"), real_scalar(t, "t"), real_scalar(k, "strike")
+    yval, ydot = time_change.value(t), time_change.derivative(t)
     if yval <= 0.0:
         raise DomainError("time change must be positive at t")
     u = inverse_log_slope(density, (k - s0) / yval)
     curv = float(density.log_curvature(u))
-    return _finish(float(t), float(k), -2.0 * yval * ydot * curv, "closed-form")
+    return _finish(t, k, -2.0 * yval * ydot * curv, "closed-form")
 
 
 def localvol_geometric_closed(density: DensityModel, time_change: TimeChange,
@@ -107,14 +109,13 @@ def localvol_geometric_closed(density: DensityModel, time_change: TimeChange,
     """Closed-form geometric-family relative variance
     2 Ydot [(log f)'(V) - (log f)'(V + Y)], V = V_Y(K/s0); the absolute
     variance is K^2 times it."""
+    s0, t, k = real_scalar(s0, "s0"), real_scalar(t, "t"), real_scalar(k, "strike")
     if s0 <= 0.0 or k <= 0.0:
         raise DomainError("geometric family needs positive s0 and K")
-    yval = time_change.value(t)
-    ydot = time_change.derivative(t)
+    yval, ydot = time_change.value(t), time_change.derivative(t)
     if yval <= 0.0:
         raise DomainError("time change must be positive at t")
     v = inverse_ratio(density, yval, k / s0)
     bar = 2.0 * ydot * (float(density.log_slope(v)) - float(density.log_slope(v + yval)))
-    k = float(k)
-    return LocalVolResult(float(t), k, bar * k * k, "closed-form", sigma_bar_sq=bar,
+    return LocalVolResult(t, k, bar * k * k, "closed-form", sigma_bar_sq=bar,
                           flagged=bar < -_NEGATIVE_SLACK)

@@ -6,12 +6,12 @@ arrays of problems and call their map once per step on every unfinished one.
 
 These helpers are deliberately dumb about what they optimise; all of the
 domain knowledge (call curves, boundaries, densities) lives in the modules
-that call them.  The three input rules every module shares are written here
-and nowhere else: ``increasing_grid`` (a finite, 1-d, strictly increasing
-grid), ``probabilities`` (every entry in [0, 1]) and ``real_scalar`` (one
-finite real level, strike, price, time or constructor field); so are the
-two output conventions, ``like_input`` (scalar or array) and ``jsonable``
-(JSON).
+that call them.  The input rules every module shares are written here and
+nowhere else: ``as_float_array`` (finite real entries; ``_real_array``, real
+only, also reads the values of a caller's function), ``increasing_grid``
+(finite, 1-d, strictly increasing), ``probabilities`` (in [0, 1]) and
+``real_scalar`` (one finite real number); so are the output conventions,
+``like_input`` (scalar or array) and ``jsonable`` (JSON).
 """
 
 from __future__ import annotations
@@ -491,15 +491,14 @@ def central_diff(values: np.ndarray, idx: int, h: float, order: int) -> float:
     """Derivative of order 1 or 2 at node ``idx`` of a grid with step h by
     central differences, Richardson-extrapolated when two nodes of margin
     are available on both sides."""
-    v = np.asarray(values, dtype=np.float64)
-    n = v.size
+    n = values.size
     if idx < 1 or idx > n - 2:
         raise DomainError("need at least one interior node on each side")
 
     def stencil(j):  # for j = 1, 2 the divisors are 2h, 4h and h h, 4h h exactly
         if order == 1:
-            return (v[idx + j] - v[idx - j]) / (2.0 * j * h)
-        return (v[idx + j] - 2.0 * v[idx] + v[idx - j]) / (j * j * h * h)
+            return (values[idx + j] - values[idx - j]) / (2.0 * j * h)
+        return (values[idx + j] - 2.0 * values[idx] + values[idx - j]) / (j * j * h * h)
 
     d_h = stencil(1)
     if idx < 2 or idx > n - 3:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .densities import ConcavityReport, DensityModel, _concavity_report
 from .errors import DomainError, UnsupportedError, ValidationError
-from .numerics import (as_float_array, gauss_kronrod, increasing_grid, jsonable,
+from .numerics import (_real_array, as_float_array, gauss_kronrod, increasing_grid, jsonable,
                        like_input, probabilities, real_scalar, require_uniform)
 
 _FAMILIES = ("linear", "geometric")
@@ -98,8 +98,7 @@ class TimeChange:
 
     @classmethod
     def from_table(cls, times, values) -> "TimeChange":
-        return cls("table", 1.0, np.asarray(times, dtype=np.float64),
-                   np.asarray(values, dtype=np.float64))
+        return cls("table", 1.0, times, values)
 
     def _check(self, t) -> float:
         """t as a float; DomainError unless it is a real scalar (by
@@ -194,9 +193,7 @@ def H_map(density: DensityModel, y, p):
     """H_y(p) = F(F^{-1}(p) + y) for real levels y that broadcast with p;
     H_y(0) = 0 and H_y(1) = 1 by convention, and H_0 is the identity
     exactly.  A float only when p and y are both scalars."""
-    y = np.asarray(y, dtype=np.float64)
-    if not np.isfinite(y).all():
-        raise DomainError("y must be finite")
+    y = as_float_array(y, "y")
     p = probabilities(p, "p")
     interior = (p > 0.0) & (p < 1.0)  # the ends are evaluated at p = 1/2
     x = density.quantile(np.where(interior, p, 0.5))
@@ -209,7 +206,8 @@ def family_boundary(family: str, density: DensityModel, s: float, y, p):
     with p: s p + y G(p) for the linear family, s H_y(p) for the geometric
     one.  A float only when p and y are both scalars."""
     if family == "linear":
-        out = s * np.asarray(p, dtype=np.float64) + y * G_map(density, p)
+        p = probabilities(p, "p")
+        out = s * p + y * G_map(density, p)
     else:
         out = s * np.asarray(H_map(density, y, p))
     return like_input(out, out)
@@ -352,7 +350,6 @@ def group_property_check(density: DensityModel, y1: float, y2: float,
     y1, y2 = real_scalar(y1, "y1"), real_scalar(y2, "y2")
     if pgrid is None:
         pgrid = np.linspace(0.01, 0.99, 99)
-    pgrid = as_float_array(pgrid, "pgrid")
     composed = H_map(density, y1, H_map(density, y2, pgrid))
     direct = H_map(density, y1 + y2, pgrid)
     return float(np.max(np.abs(composed - direct)))
@@ -396,10 +393,10 @@ def recover_F_from_G(gen: Callable, anchor: float, p0: float,
         pgrid = np.linspace(0.01, 0.99, 99)
     pgrid = as_float_array(pgrid, "pgrid")
     ps = np.unique(np.clip(np.append(pgrid, p0), _P_CLIP, 1.0 - _P_CLIP))
-    if np.any(np.asarray(gen(ps), dtype=np.float64) <= 0.0):
+    if np.any(_real_array(gen(ps), "generator value") <= 0.0):
         raise DomainError("generator must be positive on the evaluation range")
     pieces = np.zeros(ps.size)
-    pieces[1:] = gauss_kronrod(lambda q: 1.0 / np.asarray(gen(q), dtype=np.float64),
+    pieces[1:] = gauss_kronrod(lambda q: 1.0 / _real_array(gen(q), "generator value"),
                                ps[:-1], ps[1:], epsabs=1e-12, epsrel=1e-10)
     cum = np.cumsum(pieces)
     i0 = int(np.searchsorted(ps, min(p0, ps[-1])))
@@ -420,4 +417,4 @@ def recover_F_from_H(h_handle: Callable, anchor: float, p0: float, x):
     x_arr = as_float_array(x, "x")
     if (x_arr < anchor).any():
         raise UnsupportedError("recover_F_from_H needs x >= anchor")
-    return like_input(np.asarray(h_handle(x_arr - anchor, p0), dtype=np.float64), x)
+    return like_input(_real_array(h_handle(x_arr - anchor, p0), "flow value"), x)

@@ -222,6 +222,9 @@ def _family_curve(kind: str, model: DensityModel, s: float, y: float):
     C = (s - K)^+, or a level so small that it rounds to one float), the
     domain is one around s.  Its ``conjugate`` is the exact boundary
     (log-concave models only, or y = 0)."""
+    check_level(y)  # the domain's edges use s and y before any price checks them
+    real_scalar(s, "s")
+
     def conjugate(p):
         if y != 0.0:
             require_log_concave(model, f"the {kind} family boundary")

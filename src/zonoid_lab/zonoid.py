@@ -43,8 +43,9 @@ import numpy as np
 
 from .densities import DensityModel
 from .errors import DomainError, UnsupportedError, ValidationError
-from .numerics import (as_float_array, gauss_kronrod, golden_section_min, increasing_grid,
-                       legendre_min, like_input, lower_hull, probabilities, real_scalar)
+from .numerics import (_real_array, as_float_array, gauss_kronrod, golden_section_min,
+                       increasing_grid, legendre_min, like_input, lower_hull, probabilities,
+                       real_scalar)
 
 _P_EPS = 1e-9          # probability clipping for continuous searches
 _Q_EPS = 1e-12         # quantile clipping for quadrature supports
@@ -94,10 +95,11 @@ class CallCurve:
 
     @classmethod
     def from_function(cls, fn, mean, domain, provenance=None) -> "CallCurve":
-        k_lo, k_hi = float(domain[0]), float(domain[1])
-        if not (np.isfinite(k_lo) and np.isfinite(k_hi) and k_lo < k_hi):
+        k_lo, k_hi = (real_scalar(domain[i], f"domain[{i}]", ValidationError) for i in (0, 1))
+        if not k_lo < k_hi:
             raise ValidationError("call curve domain must be a finite interval")
-        return cls(float(mean), k_lo, k_hi, fn=fn, provenance=dict(provenance or {}))
+        return cls(real_scalar(mean, "mean", ValidationError), k_lo, k_hi, fn=fn,
+                   provenance=dict(provenance or {}))
 
     @classmethod
     def from_grid(cls, strikes, values, mean=None, provenance=None) -> "CallCurve":
@@ -115,8 +117,9 @@ class CallCurve:
                     f"not -1, so the grid stops short of the intrinsic asymptote; "
                     f"pass the mean")
             mean = float(values[0] + strikes[0])
-        return cls(float(mean), float(strikes[0]), float(strikes[-1]),
-                   strikes=strikes, values=values, provenance=dict(provenance or {}))
+        return cls(real_scalar(mean, "mean", ValidationError), float(strikes[0]),
+                   float(strikes[-1]), strikes=strikes, values=values,
+                   provenance=dict(provenance or {}))
 
     @property
     def is_grid(self) -> bool:
@@ -135,7 +138,8 @@ class CallCurve:
         # outside [k_lo, k_hi] the curve sits on its asymptotes; the fn is only
         # trusted inside (it may reject outside strikes), so it gets them clipped
         if self.fn is not None:
-            out = np.where(k > self.k_hi, 0.0, self.fn(np.clip(k, self.k_lo, self.k_hi)))
+            inside = _real_array(self.fn(np.clip(k, self.k_lo, self.k_hi)), "call fn value")
+            out = np.where(k > self.k_hi, 0.0, inside)
         else:
             out = np.interp(k, self.strikes, self.values, right=0.0)
         return like_input(np.where(k < self.k_lo, self.mean - k, out), k)
@@ -201,7 +205,8 @@ class ZonoidBoundary:
 
     @classmethod
     def from_function(cls, fn, mean, provenance=None) -> "ZonoidBoundary":
-        return cls(float(mean), fn=fn, provenance=dict(provenance or {}))
+        return cls(real_scalar(mean, "mean", ValidationError), fn=fn,
+                   provenance=dict(provenance or {}))
 
     @classmethod
     def from_grid(cls, probs, values, mean=None, provenance=None) -> "ZonoidBoundary":
@@ -213,7 +218,7 @@ class ZonoidBoundary:
             if probs[-1] != 1.0:
                 raise ValidationError("mean is required when the grid does not reach p = 1")
             mean = float(values[-1])
-        return cls(float(mean), probs=probs, values=values,
+        return cls(real_scalar(mean, "mean", ValidationError), probs=probs, values=values,
                    provenance=dict(provenance or {}))
 
     @property
@@ -223,7 +228,7 @@ class ZonoidBoundary:
     def __call__(self, p):
         p = probabilities(p, "boundary argument")
         if self.fn is not None:
-            out = np.asarray(self.fn(p), dtype=np.float64)
+            out = _real_array(self.fn(p), "boundary fn value")
             out = np.where(p == 0.0, 0.0, np.where(p == 1.0, self.mean, out))
         else:
             if np.any(p < self.probs[0]) or np.any(p > self.probs[-1]):
@@ -233,8 +238,7 @@ class ZonoidBoundary:
 
     def lower(self, p):
         """Lower boundary branch mean - upper(1 - p)."""
-        p_arr = np.asarray(p, dtype=np.float64)
-        return self.mean - self.__call__(1.0 - p_arr)
+        return self.mean - self.__call__(1.0 - probabilities(p, "p"))
 
     def sample_grid(self) -> np.ndarray:
         if self.is_grid:
@@ -335,17 +339,16 @@ class DiscreteDistribution:
 # Transforms
 # ---------------------------------------------------------------------------
 
-def upper_boundary_from_calls(curve: CallCurve, pgrid=None, *,
-                              validate: bool = True) -> ZonoidBoundary:
+def upper_boundary_from_calls(curve: CallCurve, pgrid=None) -> ZonoidBoundary:
     """Conjugate transform boundary(p) = min_K [C(K) + p K] on a p grid.
 
-    The p grid is checked before the curve is touched.  Endpoint values are
-    pinned exactly: boundary(0) = 0, boundary(1) = mean.  The provenance's
-    ``route`` names the method: "exact" for a family curve, which evaluates
-    its ``conjugate`` (one G or H evaluation per p); "grid" for a grid-backed
-    curve, minimised over its nodes by the linear-time discrete Legendre
-    transform; "golden" for any other closed-form curve, the minimiser route
-    (``numerics.golden_section_min`` over the strike domain).
+    The p grid is checked before the curve is touched, then the curve is
+    always validated.  Endpoint values are pinned exactly: boundary(0) = 0,
+    boundary(1) = mean.  The provenance's ``route`` names the method:
+    "exact" for a family curve, which evaluates its ``conjugate`` (one G or
+    H evaluation per p); "grid" for a grid-backed curve, minimised over its
+    nodes by the linear-time discrete Legendre transform; "golden" for any
+    other closed-form curve, the minimiser route (``golden_section_min``).
 
     The default p grid has 2001 nodes: 0, 1999 nodes evenly spaced in
     logit p on [-14, 14] (p from 8.3e-7 to 1 - 8.3e-7), and 1.  The
@@ -357,8 +360,7 @@ def upper_boundary_from_calls(curve: CallCurve, pgrid=None, *,
         logits = np.linspace(-_LOGIT_HALF_WIDTH, _LOGIT_HALF_WIDTH, _DEFAULT_GRID_N - 2)
         pgrid = np.concatenate(([0.0], 1.0 / (1.0 + np.exp(-logits)), [1.0]))
     pgrid = _probability_grid(pgrid, "pgrid")
-    if validate:
-        curve.validate()
+    curve.validate()
     if curve.conjugate is not None:
         route, vals = "exact", curve.conjugate(pgrid)
     elif curve.is_grid:
@@ -387,15 +389,14 @@ def _default_kgrid(boundary: ZonoidBoundary, n: int) -> np.ndarray:
     return np.linspace(k_lo, k_hi, n)
 
 
-def calls_from_upper_boundary(boundary: ZonoidBoundary, kgrid=None, *,
-                              validate: bool = True) -> CallCurve:
+def calls_from_upper_boundary(boundary: ZonoidBoundary, kgrid=None) -> CallCurve:
     """Conjugate transform C(K) = max_{0<=p<=1} [boundary(p) - p K] on a
-    strike grid; the p in {0, 1} endpoint candidates (0 and mean - K) are
-    always included.  The provenance's ``route`` names the method: "grid"
-    for a grid-backed boundary (the discrete Legendre transform over its
-    nodes), "golden" for a closed-form one (the minimiser)."""
-    if validate:
-        boundary.validate()
+    strike grid, after always validating the boundary; the p in {0, 1}
+    endpoint candidates (0 and mean - K) are always included.  The
+    provenance's ``route`` names the method: "grid" for a grid-backed
+    boundary (the discrete Legendre transform over its nodes), "golden" for
+    a closed-form one (the minimiser)."""
+    boundary.validate()
     if kgrid is None:
         kgrid = _default_kgrid(boundary, _DEFAULT_GRID_N)
     kgrid = increasing_grid(kgrid, "kgrid")

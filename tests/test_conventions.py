@@ -7,6 +7,9 @@
 * scipy loads on first gaussian use: the one scipy import in ``src/`` is
   inside ``densities._scipy_special``, and a fresh process that evaluates
   no gaussian leaves scipy out of ``sys.modules``.
+* One way to read a caller's number: only ``numerics`` casts a public
+  function's own parameter, and a fuzz table gives every public callable
+  that takes numbers complex, string, nan and bool inputs.
 * Every public name resolves: everything in ``zonoid_lab.__all__``, every
   function the benchmark's tracer patches by name (``_TARGETS`` in
   ``perfbench/spans.py``), and every ``zonoid_lab`` attribute the benchmark
@@ -18,11 +21,14 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import zonoid_lab
 from zonoid_lab.numerics import jsonable, like_input
@@ -546,3 +552,338 @@ def test_mc_calls_no_blas():
     source = (SRC / "mc.py").read_text()
     assert "_block_map" in source
     assert _blas_calls(source) == []
+
+
+# ---------------------------------------------------------------------------
+# One way to read a caller's number: outside numerics (and the CLI's text
+# parsers), no public function or method applies float(p), np.asarray(p,
+# dtype=...) or np.array(p, dtype=...) to one of its own parameters p; it
+# goes through real_scalar, as_float_array, probabilities or increasing_grid
+# ---------------------------------------------------------------------------
+
+# (module, function): why the cast stays
+_CAST_ALLOWED = {
+    ("curve_io.py", "format_float"): "formats a value the writers hand it; it reads no input",
+}
+
+
+def _is_public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def _parameter_casts(source: str):
+    """(function, line) of each float(p), np.asarray(p, dtype=...) or
+    np.array(p, dtype=...) (dtype by keyword or second argument) that a
+    public function or method applies to one of its own parameters p (self
+    and cls aside).  Nested functions and lambdas are private, and skipped."""
+    sites = []
+
+    def casts(func):
+        args = func.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs} - {"self", "cls"}
+        stack = list(func.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id in params):
+                continue
+            chain = (node.func.id,) if isinstance(node.func, ast.Name) else _chain(node.func)
+            typed = len(node.args) > 1 or any(kw.arg == "dtype" for kw in node.keywords)
+            if chain == ("float",) or (chain in (("np", "asarray"), ("np", "array")) and typed):
+                sites.append((func.name, node.lineno))
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and _is_public(child.name):
+                visit(child)
+            elif (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and _is_public(child.name)):
+                casts(child)
+
+    visit(ast.parse(source))
+    return sorted(sites, key=lambda site: site[1])
+
+
+def test_cast_guard_sees_every_form():
+    assert _parameter_casts("def f(x):\n    return float(x)") == [("f", 2)]
+    assert _parameter_casts("def f(x):\n    y = np.asarray(x, dtype=np.float64)") == [("f", 2)]
+    assert _parameter_casts("def f(x):\n    y = np.array(x, np.float64)") == [("f", 2)]
+    assert _parameter_casts("class A:\n    def m(self, p):\n        return float(p)") == [("m", 3)]
+    assert _parameter_casts("class A:\n    @classmethod\n    def m(cls, *, mean):\n"
+                            "        return cls(float(mean))") == [("m", 4)]
+    assert _parameter_casts("class A:\n    def __call__(self, k):\n"
+                            "        return np.asarray(k, dtype=float)") == [("__call__", 3)]
+    assert _parameter_casts("def f(x):\n    if x:\n        return [float(x)]") == [("f", 3)]
+    # not a parameter, not public, not a typed cast, or a nested function's own
+    assert _parameter_casts("def f(x):\n    return float(y) + float(x[0]) + float(x + 1)") == []
+    assert _parameter_casts("def _f(x):\n    return float(x)") == []
+    assert _parameter_casts("class _A:\n    def m(self, x):\n        return float(x)") == []
+    assert _parameter_casts("def f(x):\n    return np.asarray(x) + float(self)") == []
+    assert _parameter_casts("def f(x):\n    g = lambda x: float(x)\n"
+                            "    def h(x):\n        return float(x)") == []
+
+
+def test_only_numerics_reads_a_callers_number():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    sites = {(path.name, func) for path in modules if path.name not in ("numerics.py", "cli.py")
+             for func, _ in _parameter_casts(path.read_text())}
+    assert sites == set(_CAST_ALLOWED)
+
+
+# ---------------------------------------------------------------------------
+# The input rule, fuzzed: every ``__all__`` callable that takes numbers
+# answers a complex array or number, a string, nan, a bool where it takes one
+# real scalar, and a caller's function whose values are complex or strings,
+# with a ZonoidLabError (warnings are errors; a bool array reads as 0 and 1)
+# ---------------------------------------------------------------------------
+
+# __all__ names that take no number of the caller's own, and why
+_NO_NUMBERS = {
+    **{name: "an exception class" for name in (
+        "DomainError", "RangeError", "SingularCurvatureError", "UnsupportedError",
+        "ValidationError", "ZonoidLabError")},
+    **{name: "a result record the package fills from its own computations" for name in (
+        "ConcavityReport", "KellererReport", "LocalVolResult", "McEstimate",
+        "McPropositionReport", "PeacockCertificate")},
+    "implied_y_root": "takes an ImpliedQuery, whose numbers have their row",
+    "implied_y_minimization": "takes an ImpliedQuery, whose numbers have their row",
+    "simulate_terminal": "takes a SimConfig, whose numbers have their row",
+}
+
+_BAD_ARRAYS = (np.array([0.5 + 1j]), 0.5 + 0j, "0.5", math.nan)
+_BAD_SCALARS = _BAD_ARRAYS + (True,)
+
+
+def _bad_callables(fn):
+    """A caller's function whose values are complex, and one whose values are strings."""
+    return (lambda *a: fn(*a) + 0.3j, lambda *a: np.asarray(fn(*a)).astype(str))
+
+
+def _fuzz_fixtures():
+    from scipy.stats import norm
+
+    gauss, logistic = zonoid_lab.DensityModel.gaussian(), zonoid_lab.DensityModel.logistic()
+    custom = dict(pdf=norm.pdf, pdf_prime=lambda x: -x * norm.pdf(x), cdf=norm.cdf,
+                  quantile=norm.ppf)
+    dist = zonoid_lab.DiscreteDistribution([0.5, 1.0, 2.0], [0.25, 0.5, 0.25])
+    linear = zonoid_lab.PeacockSpec("linear", gauss, 1.0, zonoid_lab.TimeChange.sqrt())
+    tgrid = np.linspace(0.5, 1.5, 11)
+    return dict(gauss=gauss, logistic=logistic, custom=custom, dist=dist, linear=linear,
+                calls=zonoid_lab.call_surface(linear, tgrid, np.linspace(0.0, 2.0, 41)),
+                zonoid=zonoid_lab.boundary_surface(linear, tgrid, np.linspace(0.0, 1.0, 41)),
+                config=zonoid_lab.SimConfig("bachelier", 1.0, 2000, 7),
+                boundary_fn=lambda p: 0.5 * p * (3.0 - p))
+
+
+def _fuzz_rows(fx):
+    """name -> (call, valid arguments, kind of each argument fuzzed: scalar,
+    array or callable).  A name is an ``__all__`` name, or one with a method
+    or classmethod after a dot."""
+    z, g, dist, lin = zonoid_lab, fx["gauss"], fx["dist"], fx["linear"]
+    custom = fx["custom"]
+    ps, ks = np.linspace(0.0, 1.0, 11), np.linspace(-1.0, 3.0, 21)
+    curve = dist.call_curve()
+    x = np.array([0.3, -0.4])
+
+    def density_method(method, arg="x", value=x):
+        return (lambda **kw: getattr(fx["logistic"], method)(*kw.values()), {arg: value},
+                {arg: "array"})
+
+    def family(name, kind=None):
+        fn = getattr(z, name)
+        head = (kind,) if kind else ()
+        return (lambda s, y, k: fn(*head, g, s, y, k), dict(s=1.0, y=0.5, k=[0.8, 1.2]),
+                dict(s="scalar", y="scalar", k="array"))
+
+    def run_custom(location, scale, **fns):
+        m = z.DensityModel.custom(location=location, scale=scale, **fns)
+        return [getattr(m, e)(x) for e in ("pdf", "pdf_prime", "cdf", "log_pdf", "log_slope")] + [
+            m.quantile([0.2, 0.7])]
+
+    return {
+        "CallCurve.from_function": (
+            lambda fn, mean, k_lo, k_hi: z.CallCurve.from_function(fn, mean, (k_lo, k_hi))(x),
+            dict(fn=curve, mean=curve.mean, k_lo=-1.0, k_hi=3.0),
+            dict(fn="callable", mean="scalar", k_lo="scalar", k_hi="scalar")),
+        "CallCurve.from_grid": (z.CallCurve.from_grid,
+                                dict(strikes=ks, values=curve(ks), mean=curve.mean),
+                                dict(strikes="array", values="array", mean="scalar")),
+        "CallCurve.__call__": (curve, dict(k=x), dict(k="array")),
+        "DensityModel": (z.DensityModel, dict(family="gaussian", location=0.0, scale=1.0),
+                         dict(location="scalar", scale="scalar")),
+        "DensityModel.from_spec": (
+            lambda location, scale: z.DensityModel.from_spec(
+                {"family": "logistic", "location": location, "scale": scale}),
+            dict(location=0.0, scale=1.0), dict(location="scalar", scale="scalar")),
+        "DensityModel.custom": (run_custom, dict(location=0.0, scale=1.0, **custom),
+                                dict(location="scalar", scale="scalar",
+                                     **{name: "callable" for name in custom})),
+        **{f"DensityModel.{m}": density_method(m) for m in (
+            "pdf", "pdf_prime", "cdf", "log_pdf", "log_slope", "log_curvature")},
+        "DensityModel.quantile": density_method("quantile", "p", ps),
+        "DensityModel.ratio_range": density_method("ratio_range", "y", [0.5, 2.0]),
+        "DiscreteDistribution": (z.DiscreteDistribution,
+                                 dict(atoms=[0.5, 1.0], weights=[0.25, 0.75]),
+                                 dict(atoms="array", weights="array")),
+        "DiscreteDistribution.call_value": (dist.call_value, dict(k=x), dict(k="array")),
+        "DiscreteDistribution.boundary_curve": (dist.boundary_curve, dict(pgrid=ps),
+                                                dict(pgrid="array")),
+        "G_map": (lambda p: z.G_map(g, p), dict(p=ps), dict(p="array")),
+        "H_map": (lambda y, p: z.H_map(g, y, p), dict(y=0.3, p=ps), dict(y="array", p="array")),
+        "ImpliedQuery": (lambda c, k: z.ImpliedQuery(g, c, k), dict(c=0.3, k=1.1),
+                         dict(c="scalar", k="scalar")),
+        "ModelParams": (z.ModelParams, dict(s0=1.0, sigma=0.4, t=1.0),
+                        dict(s0="scalar", sigma="scalar", t="scalar")),
+        "PeacockSpec": (lambda s: z.PeacockSpec("geometric", g, s, z.TimeChange.sqrt()),
+                        dict(s=1.0), dict(s="scalar")),
+        "SimConfig": (lambda t, n_paths, seed: z.SimConfig("bachelier", t, n_paths, seed),
+                      dict(t=1.0, n_paths=10, seed=3),
+                      dict(t="scalar", n_paths="scalar", seed="scalar")),
+        "SurfaceGrid": (lambda times, axis, values: z.SurfaceGrid(times, axis, values,
+                                                                  "zonoid-space"),
+                        dict(times=[0.5, 1.0], axis=[0.0, 1.0], values=np.zeros((2, 2))),
+                        dict(times="array", axis="array", values="array")),
+        "TimeChange": (lambda scale: z.TimeChange("linear", scale), dict(scale=2.0),
+                       dict(scale="scalar")),
+        "TimeChange.from_table": (lambda times, values: z.TimeChange.from_table(
+            times, values).value(1.0), dict(times=[0.0, 1.0, 2.0], values=[0.0, 1.0, 1.5]),
+            dict(times="array", values="array")),
+        "TimeChange.value": (z.TimeChange.sqrt().value, dict(t=1.0), dict(t="scalar")),
+        "TimeChange.derivative": (z.TimeChange.sqrt().derivative, dict(t=1.0), dict(t="scalar")),
+        "ZonoidBoundary.from_function": (
+            lambda fn, mean: z.ZonoidBoundary.from_function(fn, mean)(ps),
+            dict(fn=fx["boundary_fn"], mean=1.0), dict(fn="callable", mean="scalar")),
+        "ZonoidBoundary.from_grid": (z.ZonoidBoundary.from_grid,
+                                     dict(probs=ps, values=0.5 * ps, mean=0.5),
+                                     dict(probs="array", values="array", mean="scalar")),
+        "ZonoidBoundary.__call__": (dist.boundary_curve(), dict(p=ps), dict(p="array")),
+        "ZonoidBoundary.lower": (dist.boundary_curve().lower, dict(p=ps), dict(p="array")),
+        "bachelier_call": (lambda k: z.bachelier_call(z.ModelParams(0.0, 1.0, 1.0), k),
+                           dict(k=x), dict(k="array")),
+        "black_scholes_call": (lambda k: z.black_scholes_call(z.ModelParams(1.0, 0.4, 1.0), k),
+                               dict(k=[0.8, 1.2]), dict(k="array")),
+        "boundary_from_quantile_integral": (lambda p: z.boundary_from_quantile_integral(dist, p),
+                                            dict(p=ps), dict(p="array")),
+        "boundary_surface": (lambda tgrid, pgrid: z.boundary_surface(lin, tgrid, pgrid),
+                             dict(tgrid=[0.5, 1.0], pgrid=ps),
+                             dict(tgrid="array", pgrid="array")),
+        "call_surface": (lambda tgrid, kgrid: z.call_surface(lin, tgrid, kgrid),
+                         dict(tgrid=[0.5, 1.0], kgrid=ks), dict(tgrid="array", kgrid="array")),
+        "calls_from_upper_boundary": (
+            lambda kgrid: z.calls_from_upper_boundary(dist.boundary_curve(), kgrid),
+            dict(kgrid=ks), dict(kgrid="array")),
+        "certify_peacock": (lambda tgrid, pgrid: z.certify_peacock(lin, tgrid, pgrid),
+                            dict(tgrid=[0.5, 1.0], pgrid=ps), dict(tgrid="array", pgrid="array")),
+        "check_arithmetic_symmetry": (
+            lambda kgrid: z.check_arithmetic_symmetry(z.linear_family_curve(g, 0.0, 1.0), kgrid),
+            dict(kgrid=[-0.4, 0.3]), dict(kgrid="array")),
+        "check_convex_order": (
+            lambda kgrid: z.check_convex_order(curve, curve, kgrid), dict(kgrid=ks),
+            dict(kgrid="array")),
+        "check_geometric_symmetry": (
+            lambda kgrid: z.check_geometric_symmetry(z.geometric_family_curve(g, 1.0, 0.5),
+                                                     kgrid),
+            dict(kgrid=[0.8, 1.25]), dict(kgrid="array")),
+        "check_log_concavity": (lambda grid: z.check_log_concavity(g, grid),
+                                dict(grid=np.linspace(-3.0, 3.0, 61)), dict(grid="array")),
+        "discrete_upper_boundary": (lambda p: z.discrete_upper_boundary(dist, p), dict(p=ps),
+                                    dict(p="array")),
+        "dupire_from_boundary": (lambda t, p: z.dupire_from_boundary(fx["zonoid"], t, p),
+                                 dict(t=1.0, p=0.5), dict(t="scalar", p="scalar")),
+        "dupire_from_calls": (lambda t, k: z.dupire_from_calls(fx["calls"], t, k),
+                              dict(t=1.0, k=1.0), dict(t="scalar", k="scalar")),
+        "empirical_call_curve": (z.empirical_call_curve,
+                                 dict(sample=[0.1, 0.4, 0.9], kgrid=[0.0, 0.5, 1.0]),
+                                 dict(sample="array", kgrid="array")),
+        "exact_boundary": (lambda t, p: z.exact_boundary("bachelier", t, p),
+                           dict(t=1.0, p=ps), dict(t="scalar", p="array")),
+        "family_call_geometric": family("family_call_geometric"),
+        "family_call_geometric_with_flag": family("family_call_geometric_with_flag"),
+        "family_call_linear": family("family_call_linear"),
+        "family_call_linear_with_flag": family("family_call_linear_with_flag"),
+        "family_prices": family("family_prices", "geometric"),
+        "survival": family("survival", "linear"),
+        "survival_geometric": family("survival_geometric"),
+        "survival_linear": family("survival_linear"),
+        "generator_limit_check": (lambda ygrid, pgrid: z.generator_limit_check(g, ygrid, pgrid),
+                                  dict(ygrid=[1e-2, 1e-3], pgrid=[0.2, 0.5]),
+                                  dict(ygrid="array", pgrid="array")),
+        "geometric_family_curve": (lambda s, y: z.geometric_family_curve(g, s, y)(x + 1.0),
+                                   dict(s=1.0, y=0.5), dict(s="scalar", y="scalar")),
+        "linear_family_curve": (lambda s, y: z.linear_family_curve(g, s, y)(x),
+                                dict(s=1.0, y=0.5), dict(s="scalar", y="scalar")),
+        "group_property_check": (lambda y1, y2, pgrid: z.group_property_check(g, y1, y2, pgrid),
+                                 dict(y1=0.2, y2=-0.1, pgrid=[0.3, 0.6]),
+                                 dict(y1="scalar", y2="scalar", pgrid="array")),
+        "inverse_boundary_positive": (lambda q: z.inverse_boundary_positive(curve, q),
+                                      dict(q=0.5), dict(q="scalar")),
+        "inverse_log_slope": (lambda w: z.inverse_log_slope(fx["logistic"], w), dict(w=x),
+                              dict(w="array")),
+        "inverse_ratio": (lambda y, r: z.inverse_ratio(g, y, r), dict(y=0.5, r=[0.8, 1.2]),
+                          dict(y="array", r="array")),
+        "localvol_geometric_closed": (
+            lambda s0, t, k: z.localvol_geometric_closed(g, z.TimeChange.sqrt(), s0, t, k),
+            dict(s0=1.0, t=1.0, k=1.2), dict(s0="scalar", t="scalar", k="scalar")),
+        "localvol_linear_closed": (
+            lambda s0, t, k: z.localvol_linear_closed(g, z.TimeChange.sqrt(), s0, t, k),
+            dict(s0=1.0, t=1.0, k=1.2), dict(s0="scalar", t="scalar", k="scalar")),
+        "mc_call": (lambda k: z.mc_call(fx["config"], k), dict(k=0.5), dict(k="scalar")),
+        "mc_check_propositions": (
+            lambda pgrid, kgrid: z.mc_check_propositions(fx["config"], pgrid, kgrid),
+            dict(pgrid=[0.2, 0.5, 0.8], kgrid=np.linspace(-6.0, 6.0, 61)),
+            dict(pgrid="array", kgrid="array")),
+        "normalized_call": (lambda y, k: z.normalized_call(g, y, k), dict(y=0.5, k=1.1),
+                            dict(y="scalar", k="scalar")),
+        "project_convex_decreasing": (z.project_convex_decreasing,
+                                      dict(strikes=ks, values=curve(ks)),
+                                      dict(strikes="array", values="array")),
+        "recover_F_from_G": (
+            z.recover_F_from_G,
+            dict(gen=lambda q: z.G_map(g, q), anchor=0.0, p0=0.5, pgrid=[0.3, 0.6]),
+            dict(gen="callable", anchor="scalar", p0="scalar", pgrid="array")),
+        "recover_F_from_H": (
+            z.recover_F_from_H,
+            dict(h_handle=lambda y, p: z.H_map(g, y, p), anchor=0.0, p0=0.5, x=[0.5, 1.0]),
+            dict(h_handle="callable", anchor="scalar", p0="scalar", x="array")),
+        "surface_boundary": (lambda t, p: z.surface_boundary(lin, t, p), dict(t=1.0, p=ps),
+                             dict(t="scalar", p="array")),
+        "upper_boundary_from_calls": (lambda pgrid: z.upper_boundary_from_calls(curve, pgrid),
+                                      dict(pgrid=ps), dict(pgrid="array")),
+        "vega_integral": (lambda y, k: z.vega_integral(g, y, k), dict(y=0.5, k=1.1),
+                          dict(y="scalar", k="scalar")),
+    }
+
+
+_FUZZ_FIXTURES = _fuzz_fixtures()
+_FUZZ_ROWS = _fuzz_rows(_FUZZ_FIXTURES)
+
+
+def test_every_public_name_has_a_fuzz_row():
+    rows = {name.split(".")[0] for name in _FUZZ_ROWS}
+    assert rows <= set(zonoid_lab.__all__)
+    assert not rows & set(_NO_NUMBERS)
+    assert sorted(set(zonoid_lab.__all__) - rows - set(_NO_NUMBERS)) == []
+
+
+@pytest.mark.parametrize("name", sorted(_FUZZ_ROWS))
+def test_bad_numbers_raise_a_typed_error(name):
+    call, valid, kinds = _FUZZ_ROWS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(**valid)  # the row's valid arguments pass
+        failures = []
+        for arg, kind in kinds.items():
+            bad = {"scalar": _BAD_SCALARS, "array": _BAD_ARRAYS}.get(kind)
+            for value in bad or _bad_callables(valid[arg]):
+                try:
+                    out = call(**{**valid, arg: value})
+                except zonoid_lab.ZonoidLabError:
+                    continue
+                except Exception as exc:  # an untyped error fails the row
+                    out = exc
+                failures.append(f"{arg}={value!r}: {out!r}"[:160])
+    assert failures == []

@@ -19,7 +19,6 @@ from scipy.optimize import elementwise
 from zonoid_lab import numerics
 from zonoid_lab.errors import DomainError, ZonoidLabError
 from zonoid_lab.numerics import golden_section_min
-from zonoid_lab.zonoid import CallCurve, upper_boundary_from_calls
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -146,13 +145,13 @@ def _sine_curve(k):
 
 @pytest.mark.parametrize("domain", [(-20.0, 20.0), (-19.0, 21.0)])
 def test_multimodal_call_curve_boundary(domain):
-    # golden section from the whole domain used to return 0.0785 at p = 0.1
-    # and 0.9 on (-20, 20); on (-19, 21) the zero at K = 0 is not a scan node
-    curve = CallCurve.from_function(_sine_curve, mean=0.0, domain=domain)
+    # min_K [C(K) + p K] for the sine curve, the objective of the transform's
+    # golden route: golden section from the whole domain used to return
+    # 0.0785 at p = 0.1 and 0.9 on (-20, 20); on (-19, 21) the zero at K = 0
+    # is not a scan node
     p = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
-    b = upper_boundary_from_calls(curve, p, validate=False)
-    assert b.provenance["route"] == "golden"
-    assert np.max(np.abs(b.values)) <= 1e-12
+    _, f = golden_section_min(lambda kp: _sine_curve(kp[0]) + kp[1] * kp[0], *domain, args=(p,))
+    assert np.max(np.abs(f)) <= 1e-12
 
 
 def test_minimum_at_and_near_the_domain_ends():

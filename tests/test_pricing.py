@@ -543,6 +543,25 @@ def test_quantile_bounds_are_the_tail_cut():
                                               float(CUSTOM_GAUSS.log_slope(lo)))
 
 
+def test_quantile_bounds_evaluate_the_quantile_once():
+    calls = []
+
+    def quantile(p):
+        calls.append(np.shape(p))
+        return GAUSS.quantile(p)
+
+    model = DensityModel.custom(GAUSS.pdf, GAUSS.pdf_prime, GAUSS.cdf, quantile)
+    assert calls == []  # not at construction
+    bounds = model.quantile_bounds()
+    for y in (0.3, 0.8, 1.5):
+        assert model.quantile_bounds() == bounds
+        assert model.log_slope_range() == CUSTOM_GAUSS.log_slope_range()
+        linear_family_curve(model, 1.0, y)(np.linspace(-1.0, 3.0, 9))
+        geometric_family_curve(model, 1.0, y)(np.linspace(0.2, 3.0, 9))
+    assert calls == [(2,)]
+    assert bounds == tuple(GAUSS.quantile(np.array([1e-12, 1.0 - 1e-12])).tolist())
+
+
 def test_custom_logistic_prices_near_the_low_ratio_edge():
     # the root bracket used to end at the 1 - 1e-15 quantile, where p (1 - p)
     # has no relative precision left, and this price raised RangeError
@@ -652,8 +671,7 @@ def test_level_zero_keeps_the_argument_rules():
 
 
 @pytest.mark.parametrize("kind", ["linear", "geometric"])
-@pytest.mark.parametrize("validate", [True, False])
-def test_family_curve_at_level_zero_is_the_point_mass(kind, validate):
+def test_family_curve_at_level_zero_is_the_point_mass(kind):
     from zonoid_lab.zonoid import upper_boundary_from_calls
 
     build = linear_family_curve if kind == "linear" else geometric_family_curve
@@ -664,7 +682,7 @@ def test_family_curve_at_level_zero_is_the_point_mass(kind, validate):
         ks = np.linspace(0.0, 3.0, 61)
         assert np.array_equal(curve(ks), np.maximum(s - ks, 0.0))
         ps = np.linspace(0.0, 1.0, 101)
-        boundary = upper_boundary_from_calls(curve, ps, validate=validate)
+        boundary = upper_boundary_from_calls(curve, ps)
         assert boundary.provenance["route"] == "exact"
         assert np.array_equal(boundary.values, s * ps)
     if kind == "linear":  # any sign of s

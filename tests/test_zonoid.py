@@ -106,9 +106,11 @@ def test_call_curve_refuses_to_infer_mean_off_the_asymptote():
     vals = linear_family_curve(GAUSS_MODEL, 0.0, 1.0)(ks)
     with pytest.raises(ValidationError, match="pass the mean"):
         CallCurve.from_grid(ks, vals)
+    # with the mean given, the curve stops short of its asymptote: no law's
+    # curve, so the transform refuses it
     curve = CallCurve.from_grid(ks, vals, mean=0.0)
-    b = upper_boundary_from_calls(curve, np.linspace(0.0, 1.0, 11), validate=False)
-    assert b.values[-1] == 0.0
+    with pytest.raises(ValidationError, match="intrinsic asymptote"):
+        upper_boundary_from_calls(curve, np.linspace(0.0, 1.0, 11))
 
 
 def test_call_curve_asymptotes_outside_domain():
@@ -614,21 +616,25 @@ def test_legendre_min_equals_brute_force_property(data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=kernel_inputs())
-def test_both_transform_directions_equal_brute_force_property(data):
-    x, y, _, _ = data
-    # calls -> boundary: any nodes, minimised over them
+@given(dist=discrete_dists())
+def test_both_transform_directions_equal_brute_force_property(dist):
+    # The transforms validate, so they are fed the curves of a law: the call
+    # curve and the boundary of a finite-atom one, on a lattice whose kinks
+    # lie well above float noise.  The kernel on arbitrary nodes is
+    # test_legendre_min_equals_brute_force_property's.
+    # calls -> boundary: minimised over the curve's nodes
+    curve = dist.call_curve()
     pgrid = np.linspace(0.0, 1.0, 201)
-    curve = CallCurve.from_grid(x, y, mean=1.0)
-    got = upper_boundary_from_calls(curve, pgrid, validate=False).values
-    assert np.array_equal(got[1:-1], legendre_min_oracle(y, x, pgrid)[1:-1])
+    got = upper_boundary_from_calls(curve, pgrid).values
+    assert np.array_equal(got[1:-1],
+                          legendre_min_oracle(curve.values, curve.strikes, pgrid)[1:-1])
     # boundary -> calls: max over the boundary nodes, floored by 0 and m - K
-    probs = np.linspace(0.0, 1.0, x.size)
-    boundary = ZonoidBoundary.from_grid(probs, y, mean=float(y[-1]))
-    kgrid = np.linspace(-3.0, 3.0, 151)
+    boundary = dist.boundary_curve()
+    probs, y = boundary.probs, boundary.values
+    kgrid = np.linspace(curve.k_lo, curve.k_hi, 151)
     brute = np.max(y[None, :] - kgrid[:, None] * probs[None, :], axis=1)
     want = np.maximum(np.maximum(brute, 0.0), boundary.mean - kgrid)
-    got = calls_from_upper_boundary(boundary, kgrid, validate=False).values
+    got = calls_from_upper_boundary(boundary, kgrid).values
     assert np.array_equal(got, want)
 
 
@@ -863,37 +869,33 @@ def _counting(fn, counter):
 
 @pytest.mark.parametrize("pgrid", [np.linspace(0.0, 2.0, 2001), [-0.1, 0.5, 1.0]],
                          ids=["above-1", "below-0"])
-@pytest.mark.parametrize("validate", [True, False])
-def test_pgrid_is_checked_before_any_curve_evaluation(monkeypatch, pgrid, validate):
+def test_pgrid_is_checked_before_any_curve_evaluation(monkeypatch, pgrid):
     calls = []
     user = CallCurve.from_function(_counting(linear_family_curve(GAUSS_MODEL, 0.0, 1.0).fn, calls),
                                    0.0, (-9.0, 9.0))
     monkeypatch.setattr(pricing, "family_prices", _counting(pricing.family_prices, calls))
     for curve in [user] + list(_family_curves().values()):
         with pytest.raises(ValidationError, match=r"probability grid must lie in \[0, 1\]"):
-            upper_boundary_from_calls(curve, pgrid, validate=validate)
+            upper_boundary_from_calls(curve, pgrid)
         with pytest.raises(ValidationError, match="pgrid must be 1-d, strictly increasing"):
-            upper_boundary_from_calls(curve, [0.0, 0.5, 0.5, 1.0], validate=validate)
+            upper_boundary_from_calls(curve, [0.0, 0.5, 0.5, 1.0])
     assert calls == []
 
 
 @pytest.mark.parametrize("model", [DensityModel.cauchy(), _bimodal()], ids=["cauchy", "bimodal"])
 @pytest.mark.parametrize("kind", ["linear", "geometric"])
-@pytest.mark.parametrize("validate", [True, False])
-def test_no_boundary_for_densities_outside_the_theorem(model, kind, validate):
+def test_no_boundary_for_densities_outside_the_theorem(model, kind):
     curve = pricing._family_curve(kind, model, 1.0, 0.8)
     assert curve.conjugate is not None
     for c in (curve, _golden_twin(curve)):
         with pytest.raises(UnsupportedError):
-            upper_boundary_from_calls(c, np.linspace(0.0, 1.0, 11), validate=validate)
+            upper_boundary_from_calls(c, np.linspace(0.0, 1.0, 11))
 
 
 def test_exact_route_keeps_validate(monkeypatch):
     calls = []
     monkeypatch.setattr(CallCurve, "validate", _counting(CallCurve.validate, calls))
     curve = _family_curves()["linear_family_curve"]
-    upper_boundary_from_calls(curve, np.linspace(0.0, 1.0, 11), validate=False)
-    assert calls == []
     upper_boundary_from_calls(curve, np.linspace(0.0, 1.0, 11))
     assert len(calls) == 1
 
