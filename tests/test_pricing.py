@@ -671,13 +671,18 @@ def test_level_zero_keeps_the_argument_rules():
 
 
 @pytest.mark.parametrize("kind", ["linear", "geometric"])
-def test_family_curve_at_level_zero_is_the_point_mass(kind):
+@pytest.mark.parametrize("prevalidated", [True, False])
+def test_family_curve_at_level_zero_is_the_point_mass(kind, prevalidated):
+    # The transform always validates; a curve the caller validated first
+    # gives the same boundary.
     from zonoid_lab.zonoid import upper_boundary_from_calls
 
     build = linear_family_curve if kind == "linear" else geometric_family_curve
     s = 1.5
     for model in (GAUSS, LOGISTIC):
         curve = build(model, s, 0.0)
+        if prevalidated:
+            curve.validate()
         assert curve.k_lo < s < curve.k_hi
         ks = np.linspace(0.0, 3.0, 61)
         assert np.array_equal(curve(ks), np.maximum(s - ks, 0.0))

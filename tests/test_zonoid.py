@@ -869,12 +869,19 @@ def _counting(fn, counter):
 
 @pytest.mark.parametrize("pgrid", [np.linspace(0.0, 2.0, 2001), [-0.1, 0.5, 1.0]],
                          ids=["above-1", "below-0"])
-def test_pgrid_is_checked_before_any_curve_evaluation(monkeypatch, pgrid):
+@pytest.mark.parametrize("prevalidated", [True, False])
+def test_pgrid_is_checked_before_any_curve_evaluation(monkeypatch, pgrid, prevalidated):
+    # A curve the caller validated first is not evaluated either.
     calls = []
     user = CallCurve.from_function(_counting(linear_family_curve(GAUSS_MODEL, 0.0, 1.0).fn, calls),
                                    0.0, (-9.0, 9.0))
     monkeypatch.setattr(pricing, "family_prices", _counting(pricing.family_prices, calls))
-    for curve in [user] + list(_family_curves().values()):
+    curves = [user] + list(_family_curves().values())
+    if prevalidated:
+        for curve in curves:
+            curve.validate()
+        calls.clear()
+    for curve in curves:
         with pytest.raises(ValidationError, match=r"probability grid must lie in \[0, 1\]"):
             upper_boundary_from_calls(curve, pgrid)
         with pytest.raises(ValidationError, match="pgrid must be 1-d, strictly increasing"):
@@ -884,10 +891,16 @@ def test_pgrid_is_checked_before_any_curve_evaluation(monkeypatch, pgrid):
 
 @pytest.mark.parametrize("model", [DensityModel.cauchy(), _bimodal()], ids=["cauchy", "bimodal"])
 @pytest.mark.parametrize("kind", ["linear", "geometric"])
-def test_no_boundary_for_densities_outside_the_theorem(model, kind):
+@pytest.mark.parametrize("prevalidated", [True, False])
+def test_no_boundary_for_densities_outside_the_theorem(model, kind, prevalidated):
+    # Such a curve cannot be evaluated, so the caller's own validate refuses
+    # it the same way the transform does.
     curve = pricing._family_curve(kind, model, 1.0, 0.8)
     assert curve.conjugate is not None
     for c in (curve, _golden_twin(curve)):
+        if prevalidated:
+            with pytest.raises(UnsupportedError):
+                c.validate()
         with pytest.raises(UnsupportedError):
             upper_boundary_from_calls(c, np.linspace(0.0, 1.0, 11))
 
