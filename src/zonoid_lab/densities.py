@@ -12,6 +12,16 @@ two inverse maps that drive everything downstream:
 Both maps are monotone exactly when f is log-concave, which is why the
 operations insist on a log-concavity certificate.
 
+Each formula is written once, in a private kernel (``_quantile``,
+``_log_pdf``, ``_log_slope``, and ``_log_ratio`` for the ratio map) that
+takes float arrays or numpy scalars the package built itself and returns
+what numpy gives.  The public evaluators are shells around them: they check
+the caller's input (``as_float_array``, ``probabilities``) and apply
+``like_input``.  The custom branches of the inverse maps hand the kernels to
+``numerics.monotone_root``, whose points lie inside the bracket of
+``quantile_bounds``, so a solve checks no point it made itself; the values a
+caller's function returns still go through ``_real_array`` on every call.
+
 Only the gaussian needs a special function: its F and F^-1 are scipy's
 ``ndtr`` and ``ndtri``, and ``scipy.special`` is imported on the first
 gaussian evaluation (``_scipy_special``).  The logistic pair expit/logit is
@@ -248,49 +258,64 @@ class DensityModel:
 
     def quantile(self, p):
         p = probabilities(p, "probability level")
+        return like_input(self._quantile(p), p)
+
+    def _quantile(self, p):
+        """F^-1 on probabilities the package has checked (the kernel of
+        ``quantile``)."""
         if self.family == "gaussian":
-            out = self.location + self.scale * _scipy_special().ndtri(p)
-        elif self.family == "logistic":
-            out = self.location + self.scale * _logit(p)
-        elif self.family == "cauchy":
-            out = np.where(
-                p == 0.0, -np.inf,
-                np.where(p == 1.0, np.inf,
-                         self.location + self.scale * np.tan(math.pi * (p - 0.5))))
-        else:
-            out = _real_array(self.quantile_fn(p), "quantile")
-        return like_input(out, p)
+            return self.location + self.scale * _scipy_special().ndtri(p)
+        if self.family == "logistic":
+            return self.location + self.scale * _logit(p)
+        if self.family == "cauchy":
+            return np.where(p == 0.0, -np.inf,
+                            np.where(p == 1.0, np.inf,
+                                     self.location + self.scale * np.tan(math.pi * (p - 0.5))))
+        return _real_array(self.quantile_fn(p), "quantile")
 
     def log_pdf(self, x):
         x = as_float_array(x, "x")
+        return like_input(self._log_pdf(x), x)
+
+    def _log_pdf(self, x):
+        """log f on finite points the package built (the kernel of ``log_pdf``)."""
         if self.family == "gaussian":
             z = self._z(x)
-            out = -0.5 * z * z - math.log(self.scale * _SQRT2PI)
-        elif self.family == "logistic":
+            return -0.5 * z * z - math.log(self.scale * _SQRT2PI)
+        if self.family == "logistic":
             z = np.abs(self._z(x))
-            out = -z - 2.0 * np.log1p(np.exp(-z)) - math.log(self.scale)
-        elif self.family == "cauchy":
+            return -z - 2.0 * np.log1p(np.exp(-z)) - math.log(self.scale)
+        if self.family == "cauchy":
             z = self._z(x)
-            out = -np.log1p(z * z) - math.log(math.pi * self.scale)
-        else:
-            with np.errstate(divide="ignore"):
-                out = np.log(_real_array(self.pdf_fn(x), "pdf"))
-        return like_input(out, x)
+            return -np.log1p(z * z) - math.log(math.pi * self.scale)
+        with np.errstate(divide="ignore"):
+            return np.log(_real_array(self.pdf_fn(x), "pdf"))
 
     def log_slope(self, x):
         """(log f)'(x) = f'(x)/f(x); decreasing exactly when f is log-concave."""
         x = as_float_array(x, "x")
+        return like_input(self._log_slope(x), x)
+
+    def _log_slope(self, x):
+        """(log f)' on finite points the package built (the kernel of
+        ``log_slope``)."""
         if self.family == "gaussian":
-            out = -self._z(x) / self.scale
-        elif self.family == "logistic":
-            out = -np.tanh(0.5 * self._z(x)) / self.scale
-        elif self.family == "cauchy":
+            return -self._z(x) / self.scale
+        if self.family == "logistic":
+            return -np.tanh(0.5 * self._z(x)) / self.scale
+        if self.family == "cauchy":
             z = self._z(x)
-            out = -2.0 * z / (self.scale * (1.0 + z * z))
-        else:
-            out = (_real_array(self.pdf_prime_fn(x), "pdf_prime")
-                   / _real_array(self.pdf_fn(x), "pdf"))
-        return like_input(out, x)
+            return -2.0 * z / (self.scale * (1.0 + z * z))
+        return _real_array(self.pdf_prime_fn(x), "pdf_prime") / _real_array(self.pdf_fn(x), "pdf")
+
+    def _log_ratio(self, xy):
+        """log f(x + y) - log f(x) for xy = (x, y) of one shape, from one log f
+        evaluation on the stacked points (x + y, x), so one pdf call for a
+        custom model: the map that ``inverse_ratio`` inverts and at whose
+        tail cuts ``ratio_range`` ends."""
+        x, y = xy
+        both = self._log_pdf(np.array((x + y, x)))
+        return both[0] - both[1]
 
     def log_curvature(self, x):
         """(log f)''(x); analytic for the built-ins, central differences of
@@ -305,7 +330,7 @@ class DensityModel:
             out = 2.0 * (z * z - 1.0) / (self.scale ** 2 * (1.0 + z * z) ** 2)
         else:
             h = 1e-5 * self.scale
-            out = (self.log_slope(x + h) - self.log_slope(x - h)) / (2.0 * h)
+            out = (self._log_slope(x + h) - self._log_slope(x - h)) / (2.0 * h)
         return like_input(out, x)
 
     # -- structure ---------------------------------------------------------
@@ -330,11 +355,13 @@ class DensityModel:
     def quantile_bounds(self) -> Tuple[float, float]:
         """[F^-1(eps), F^-1(1 - eps)] with eps = 1e-12 for custom models and
         1e-15 for the built-ins: the one tail cut of the package, kept from
-        the first call (at construction it would load scipy for a gaussian)."""
+        the first call (at construction it would load scipy for a gaussian).
+        DomainError unless both are finite: they bracket every custom root
+        solve, whose points the kernels then take unchecked."""
         if self._quantile_bounds is None:
             eps = _BRACKET_EPS if self.family == "custom" else _BUILTIN_EPS
-            object.__setattr__(self, "_quantile_bounds",
-                               tuple(self.quantile(np.array([eps, 1.0 - eps])).tolist()))
+            bounds = as_float_array(self.quantile(np.array([eps, 1.0 - eps])), "quantile bounds")
+            object.__setattr__(self, "_quantile_bounds", tuple(bounds.tolist()))
         return self._quantile_bounds
 
     def log_slope_range(self) -> Tuple[float, float]:
@@ -359,9 +386,9 @@ class DensityModel:
         elif self.family == "cauchy":
             raise UnsupportedError("cauchy ratio map is not monotone")
         else:
-            x_lo, x_hi = self.quantile_bounds()
-            lo = np.exp(self.log_pdf(x_hi + y_arr) - self.log_pdf(x_hi))
-            hi = np.exp(self.log_pdf(x_lo + y_arr) - self.log_pdf(x_lo))
+            # the map at x_hi (r_min) and x_lo (r_max), in one evaluation
+            ends = np.reshape(self.quantile_bounds()[::-1], (2,) + (1,) * y_arr.ndim)
+            lo, hi = np.exp(self._log_ratio((np.broadcast_to(ends, (2,) + y_arr.shape), y_arr)))
         return (lo, hi) if y_arr.ndim else (float(lo), float(hi))
 
 
@@ -405,7 +432,7 @@ def inverse_log_slope(model: DensityModel, w):
         # (log f)' = -tanh(z/2)/scale, so z = -2 artanh(ws): finite on (-1, 1)
         return like_input(model.location - 2.0 * model.scale * np.arctanh(ws), w)
     lo, hi = model.quantile_bounds()
-    return monotone_root(model.log_slope, w_arr, lo, hi, xtol=1e-13 * model.scale)
+    return monotone_root(model._log_slope, w_arr, lo, hi, xtol=1e-13 * model.scale)
 
 
 def inverse_ratio(model: DensityModel, y, r):
@@ -435,8 +462,8 @@ def inverse_ratio(model: DensityModel, y, r):
         out = model.location - model.scale * log_u
         return like_input(out, out)
     lo, hi = model.quantile_bounds()
-    return monotone_root(lambda tl: model.log_pdf(tl[0] + tl[1]) - model.log_pdf(tl[0]),
-                         np.log(r_arr), lo, hi, args=(y_arr,), xtol=1e-13 * model.scale)
+    return monotone_root(model._log_ratio, np.log(r_arr), lo, hi, args=(y_arr,),
+                         xtol=1e-13 * model.scale)
 
 
 def check_log_concavity(model: DensityModel, grid=None) -> ConcavityReport:

@@ -137,6 +137,57 @@ def jsonable(obj):
     return None if isinstance(obj, float) and math.isnan(obj) else obj
 
 
+def _step(a, fa, b, fb, c, fc, xtol: float):
+    """The arithmetic of one Chandrupatla step, written once for both loops
+    of ``monotone_root`` (numpy arrays, or numpy float64 scalars, whose IEEE
+    operations give the same bits): with a the newest point, [a, b] the
+    bracket and c the point last dropped from it, the fraction tlim of
+    b - a that the tolerance takes, whether inverse quadratic interpolation
+    is safe, and its fraction t of b - a."""
+    d = b - a
+    tlim = 0.5 * (xtol + 8.9e-16 * abs(a)) / abs(d)
+    xi, phi = d / (b - c), (fa - fb) / (fc - fb)
+    iqi = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+    t = fa / (fb - fc) * (fc / (fb - fa) - (c - a) / d * fb / (fc - fa))
+    return tlim, iqi, t
+
+
+def _not_bracketed(target, lo, hi) -> RangeError:
+    return RangeError(f"target {float(target)!r} not bracketed by [{float(lo)!r}, {float(hi)!r}]")
+
+
+def _root_0d(fn, target, lo, hi, args: tuple, xtol: float) -> float:
+    """``monotone_root`` for one problem, on numpy float64 scalars: the step
+    of ``_step``, with Python branches where the array loop selects with
+    ``np.where`` and clamps with ``np.minimum``/``np.maximum`` (nan kept as
+    they keep it), so it returns the array loop's root bit for bit."""
+    call = (lambda v: fn((v, *args))) if args else fn
+    glo, ghi = (np.float64(call(v)) - target for v in (lo, hi))
+    if not (glo <= 0.0 <= ghi or ghi <= 0.0 <= glo):  # a nan residual brackets nothing
+        raise _not_bracketed(target, lo, hi)
+    a, fa, b, fb, c, fc = hi, ghi, lo, glo, hi, ghi
+    t, done = 0.5, glo == 0.0 or ghi == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_ITERS):
+            if done:
+                return float(a if abs(fa) < abs(fb) else b)
+            xt = a + t * (b - a)
+            ft = np.float64(call(xt)) - target
+            if ft != ft:
+                raise DomainError("the map is nan inside the bracket")
+            if (ft > 0.0) == (fa > 0.0) and (ft < 0.0) == (fa < 0.0):  # same sign
+                c, fc = a, fa
+            else:
+                c, fc, b, fb = b, fb, a, fa
+            a, fa = xt, ft
+            tlim, iqi, t = _step(a, fa, b, fb, c, fc, xtol)
+            done = fa == 0.0 or tlim > 0.5
+            t = t if iqi else 0.5
+            t = t if t >= tlim or t != t else tlim
+            t = t if t <= 1.0 - tlim or t != t else 1.0 - tlim
+    raise ZonoidLabError(f"root solver did not converge in {_ROOT_ITERS} steps")
+
+
 def monotone_root(fn: Callable[..., np.ndarray], target, lo, hi, *,
                   xtol: float = 1e-13, args: tuple = ()):
     """Solve fn(x) = target elementwise for an elementwise, monotone fn.
@@ -153,17 +204,25 @@ def monotone_root(fn: Callable[..., np.ndarray], target, lo, hi, *,
     when its bracket is narrower than xtol + 8.9e-16 |x| or its residual is
     exactly zero, so a root at an endpoint is returned exactly.  Raises
     RangeError when a target is not bracketed, DomainError when fn is nan
-    inside a bracket.  Returns a float for 0-d inputs, else an array.
+    inside a bracket, ZonoidLabError after _ROOT_ITERS steps.  Returns a
+    float for 0-d inputs, else an array.
+
+    When the target, the ends and every parameter are 0-d, the solve runs
+    on numpy float64 scalars (``_root_0d``) and fn gets scalars: on one
+    element the array loop's masks, selects and reductions cost about 17 us
+    of numpy calls per step, the scalar loop's arithmetic about 3 us.  Both
+    loops take it from ``_step``, so they return the same bits.
     """
-    target, lo, hi, *args = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64)
-                                                  for v in (target, lo, hi, *args)))
+    target, lo, hi, *args = (np.asarray(v, dtype=np.float64) for v in (target, lo, hi, *args))
+    if target.ndim == lo.ndim == hi.ndim == 0 and not any(v.ndim for v in args):
+        return _root_0d(fn, target[()], lo[()], hi[()], tuple(v[()] for v in args), xtol)
+    target, lo, hi, *args = np.broadcast_arrays(target, lo, hi, *args)
     glo, ghi = (np.asarray(fn((v, *args) if args else v), dtype=np.float64) - target
                 for v in (lo, hi))
     bad = ~(np.sign(glo) * np.sign(ghi) <= 0.0)  # a nan residual brackets nothing
     if bad.any():
         i = np.argmax(bad)
-        raise RangeError(f"target {float(target.flat[i])!r} not bracketed by "
-                         f"[{float(lo.flat[i])!r}, {float(hi.flat[i])!r}]")
+        raise _not_bracketed(target.flat[i], lo.flat[i], hi.flat[i])
     x, at = np.empty(target.shape), np.arange(target.size).reshape(target.shape)
     # a is the newest point, [a, b] the bracket, c the point last dropped from it
     a, fa, b, fb, c, fc = hi, ghi, lo, glo, hi, ghi
@@ -173,26 +232,21 @@ def monotone_root(fn: Callable[..., np.ndarray], target, lo, hi, *,
             if done.any() or not done.size:  # store the better end of each done bracket, drop it
                 x.flat[at[done]] = np.where(np.abs(fa) < np.abs(fb), a, b)[done]
                 if done.all():
-                    return like_input(x, x)
+                    return x
                 a, fa, b, fb, c, fc, t, target, at, *args = (
                     v[~done] for v in (a, fa, b, fb, c, fc, t, target, at, *args))
             xt = a + t * (b - a)
             ft = np.asarray(fn((xt, *args) if args else xt), dtype=np.float64) - target
             if np.isnan(ft).any():
                 raise DomainError("the map is nan inside the bracket")
-            # [()] turns the 0-d arrays of a scalar solve into numpy scalars,
-            # whose arithmetic costs a tenth; an array is returned as is
             same = np.sign(ft) == np.sign(fa)
-            c, fc = np.where(same, a, b)[()], np.where(same, fa, fb)[()]
-            b, fb = np.where(same, b, a)[()], np.where(same, fb, fa)[()]
-            a, fa, d = xt, ft, b - xt
-            tlim = 0.5 * (xtol + 8.9e-16 * np.abs(a)) / np.abs(d)
+            c, fc = np.where(same, a, b), np.where(same, fa, fb)
+            b, fb = np.where(same, b, a), np.where(same, fb, fa)
+            a, fa = xt, ft
+            tlim, iqi, t = _step(a, fa, b, fb, c, fc, xtol)
             done = (fa == 0.0) | (tlim > 0.5)
-            xi, phi = d / (b - c), (fa - fb) / (fc - fb)
-            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-            t = fa / (fb - fc) * (fc / (fb - fa) - (c - a) / d * fb / (fc - fa))
             # the next point lands at least the tolerance inside the bracket
-            t = np.minimum(np.maximum(np.where(iqi, t, 0.5)[()], tlim), 1.0 - tlim)
+            t = np.minimum(np.maximum(np.where(iqi, t, 0.5), tlim), 1.0 - tlim)
     raise ZonoidLabError(f"root solver did not converge in {_ROOT_ITERS} steps")
 
 

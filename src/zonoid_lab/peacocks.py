@@ -184,9 +184,14 @@ class SurfaceGrid:
 def G_map(density: DensityModel, p):
     """G(p) = f(F^{-1}(p)), with G(0) = G(1) = 0 by convention."""
     p = probabilities(p, "p")
+    return like_input(_G(density, p), p)
+
+
+def _G(density: DensityModel, p: np.ndarray) -> np.ndarray:
+    """G on probabilities already checked (the kernel of ``G_map``)."""
     interior = (p > 0.0) & (p < 1.0)  # the ends are evaluated at p = 1/2
-    x = density.quantile(np.where(interior, p, 0.5))
-    return like_input(np.where(interior, density.pdf(x), 0.0), p)
+    x = density._quantile(np.where(interior, p, 0.5))
+    return np.where(interior, density.pdf(x), 0.0)
 
 
 def H_map(density: DensityModel, y, p):
@@ -194,22 +199,28 @@ def H_map(density: DensityModel, y, p):
     H_y(0) = 0 and H_y(1) = 1 by convention, and H_0 is the identity
     exactly.  A float only when p and y are both scalars."""
     y = as_float_array(y, "y")
-    p = probabilities(p, "p")
-    interior = (p > 0.0) & (p < 1.0)  # the ends are evaluated at p = 1/2
-    x = density.quantile(np.where(interior, p, 0.5))
-    out = np.where(interior & (y != 0.0), density.cdf(x + y), p)
+    out = _H(density, y, probabilities(p, "p"))
     return like_input(out, out)
+
+
+def _H(density: DensityModel, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """H_y on levels and probabilities already checked (the kernel of ``H_map``)."""
+    interior = (p > 0.0) & (p < 1.0)  # the ends are evaluated at p = 1/2
+    x = density._quantile(np.where(interior, p, 0.5))
+    return np.where(interior & (y != 0.0), density.cdf(x + y), p)
 
 
 def family_boundary(family: str, density: DensityModel, s: float, y, p):
     """Upper boundary of the family marginal at levels y, which broadcast
     with p: s p + y G(p) for the linear family, s H_y(p) for the geometric
-    one.  A float only when p and y are both scalars."""
+    one.  A float only when p and y are both scalars.  p is checked once,
+    here; G and H take it as checked."""
     if family == "linear":
         p = probabilities(p, "p")
-        out = s * p + y * G_map(density, p)
+        out = s * p + y * _G(density, p)
     else:
-        out = s * np.asarray(H_map(density, y, p))
+        y = as_float_array(y, "y")
+        out = s * _H(density, y, probabilities(p, "p"))
     return like_input(out, out)
 
 

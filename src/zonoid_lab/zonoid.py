@@ -93,13 +93,16 @@ class CallCurve:
     # the exact boundary p -> values; set only by the pricing family curves
     conjugate: Optional[Callable] = field(default=None, repr=False)
 
+    def __post_init__(self):
+        for name in ("mean", "k_lo", "k_hi"):
+            object.__setattr__(self, name, real_scalar(getattr(self, name), name, ValidationError))
+
     @classmethod
     def from_function(cls, fn, mean, domain, provenance=None) -> "CallCurve":
-        k_lo, k_hi = (real_scalar(domain[i], f"domain[{i}]", ValidationError) for i in (0, 1))
-        if not k_lo < k_hi:
+        curve = cls(mean, domain[0], domain[1], fn=fn, provenance=dict(provenance or {}))
+        if not curve.k_lo < curve.k_hi:
             raise ValidationError("call curve domain must be a finite interval")
-        return cls(real_scalar(mean, "mean", ValidationError), k_lo, k_hi, fn=fn,
-                   provenance=dict(provenance or {}))
+        return curve
 
     @classmethod
     def from_grid(cls, strikes, values, mean=None, provenance=None) -> "CallCurve":
@@ -117,8 +120,7 @@ class CallCurve:
                     f"not -1, so the grid stops short of the intrinsic asymptote; "
                     f"pass the mean")
             mean = float(values[0] + strikes[0])
-        return cls(real_scalar(mean, "mean", ValidationError), float(strikes[0]),
-                   float(strikes[-1]), strikes=strikes, values=values,
+        return cls(mean, float(strikes[0]), float(strikes[-1]), strikes=strikes, values=values,
                    provenance=dict(provenance or {}))
 
     @property
@@ -203,10 +205,12 @@ class ZonoidBoundary:
     values: Optional[np.ndarray] = None
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "mean", real_scalar(self.mean, "mean", ValidationError))
+
     @classmethod
     def from_function(cls, fn, mean, provenance=None) -> "ZonoidBoundary":
-        return cls(real_scalar(mean, "mean", ValidationError), fn=fn,
-                   provenance=dict(provenance or {}))
+        return cls(mean, fn=fn, provenance=dict(provenance or {}))
 
     @classmethod
     def from_grid(cls, probs, values, mean=None, provenance=None) -> "ZonoidBoundary":
@@ -218,8 +222,7 @@ class ZonoidBoundary:
             if probs[-1] != 1.0:
                 raise ValidationError("mean is required when the grid does not reach p = 1")
             mean = float(values[-1])
-        return cls(real_scalar(mean, "mean", ValidationError), probs=probs, values=values,
-                   provenance=dict(provenance or {}))
+        return cls(mean, probs=probs, values=values, provenance=dict(provenance or {}))
 
     @property
     def is_grid(self) -> bool:
@@ -309,9 +312,13 @@ class DiscreteDistribution:
 
     def call_curve(self) -> CallCurve:
         """Piecewise-linear call curve with kinks exactly at the atoms, padded
-        by max(1, spread / 2) on each side."""
+        on the law's own scale on each side: by half the spread, or by
+        max(1, |atom|) for a single atom.  A pad far wider than the law puts
+        its atoms within rounding of the chord to the pad nodes, where the
+        transform's float peel drops them."""
         atoms = self.atoms
-        pad = max(1.0, 0.5 * float(atoms[-1] - atoms[0]))
+        spread = float(atoms[-1] - atoms[0])
+        pad = 0.5 * spread if spread > 0.0 else max(1.0, abs(float(atoms[0])))
         left = max(0.0, atoms[0] - pad) if atoms[0] > 0.0 else atoms[0] - pad
         strikes = np.concatenate(([left], atoms, [atoms[-1] + pad]))
         return CallCurve.from_grid(strikes, self.call_value(strikes), mean=self.mean,

@@ -705,6 +705,9 @@ def _fuzz_rows(fx):
             m.quantile([0.2, 0.7])]
 
     return {
+        "CallCurve": (lambda mean, k_lo, k_hi: z.CallCurve(mean, k_lo, k_hi, fn=curve)(x),
+                      dict(mean=curve.mean, k_lo=-1.0, k_hi=3.0),
+                      dict(mean="scalar", k_lo="scalar", k_hi="scalar")),
         "CallCurve.from_function": (
             lambda fn, mean, k_lo, k_hi: z.CallCurve.from_function(fn, mean, (k_lo, k_hi))(x),
             dict(fn=curve, mean=curve.mean, k_lo=-1.0, k_hi=3.0),
@@ -754,6 +757,8 @@ def _fuzz_rows(fx):
             dict(times="array", values="array")),
         "TimeChange.value": (z.TimeChange.sqrt().value, dict(t=1.0), dict(t="scalar")),
         "TimeChange.derivative": (z.TimeChange.sqrt().derivative, dict(t=1.0), dict(t="scalar")),
+        "ZonoidBoundary": (lambda mean: z.ZonoidBoundary(mean, fn=fx["boundary_fn"])(ps),
+                           dict(mean=1.0), dict(mean="scalar")),
         "ZonoidBoundary.from_function": (
             lambda fn, mean: z.ZonoidBoundary.from_function(fn, mean)(ps),
             dict(fn=fx["boundary_fn"], mean=1.0), dict(fn="callable", mean="scalar")),

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, special
 
+from zonoid_lab import densities
 from zonoid_lab.densities import (_BRACKET_EPS, DensityModel, inverse_log_slope,
                                   inverse_ratio)
 from zonoid_lab.errors import DomainError, RangeError, ZonoidLabError
@@ -121,6 +122,49 @@ def test_custom_inverses_scalar_in_scalar_out():
     assert inverse_log_slope(model, np.array([0.2])).shape == (1,)
 
 
+def counting_custom(model):
+    """A custom model wrapping ``model``'s evaluators that counts its pdf calls."""
+    calls = []
+    pdf = lambda x: (calls.append(np.shape(x)), model.pdf(x))[1]
+    return DensityModel.custom(pdf, model.pdf_prime, model.cdf, model.quantile), calls
+
+
+def test_custom_ratio_map_calls_the_pdf_once_per_solver_step(monkeypatch):
+    # the ratio map stacks (x + y, x) into one pdf call
+    model, pdf_calls = counting_custom(DensityModel.gaussian())
+    steps = []
+
+    def counted_root(fn, *args, **kwargs):
+        return monotone_root(lambda v: (steps.append(1), fn(v))[1], *args, **kwargs)
+
+    monkeypatch.setattr(densities, "monotone_root", counted_root)
+    rng = np.random.default_rng(3)
+    ys, xs = rng.uniform(0.3, 2.0, 50), rng.uniform(-2.0, 2.0, 50)
+    rs = np.exp(model.log_pdf(xs + ys) - model.log_pdf(xs))
+    for y, r in ((ys, rs), (float(ys[0]), float(rs[0]))):
+        pdf_calls.clear()
+        steps.clear()
+        inverse_ratio(model, y, r)
+        assert len(steps) > 2 and len(pdf_calls) == len(steps)
+        assert pdf_calls[0] == (2,) + np.shape(r)  # the stacked (x + y, x)
+    # both ends of the ratio range come from one evaluation of the same map
+    pdf_calls.clear()
+    model.ratio_range(ys)
+    assert pdf_calls == [(2, 2, 50)]
+
+
+def test_custom_quantile_bounds_must_be_finite():
+    # the bracket ends of every custom solve come from quantile_bounds,
+    # which checks them once per model: the solver's points go unchecked
+    g = DensityModel.gaussian()
+    quantile = lambda p: np.where(np.asarray(p) <= 1e-9, -np.inf, g.quantile(p))
+    model = DensityModel.custom(g.pdf, g.pdf_prime, g.cdf, quantile)
+    for call in (model.quantile_bounds, lambda: inverse_log_slope(model, 0.3),
+                 lambda: inverse_ratio(model, 0.5, 0.9), model.log_slope_range):
+        with pytest.raises(DomainError, match="quantile bounds must be finite"):
+            call()
+
+
 def test_custom_inverse_outside_the_bracket_raises():
     model = affine_custom("gaussian", 0.0, 1.0)
     with pytest.raises(RangeError):
@@ -164,40 +208,73 @@ def test_monotone_root_converges_superlinearly():
     assert calls[2] == 100 and calls[-1] < 100  # converged elements are dropped
 
 
+# one problem as a 0-d target (the scalar loop) and as a 1-element array
+# (the array loop): the error tests and the endpoint test run both
+ONE = (lambda v: v, lambda v: np.array([v]))
+
+
 def test_monotone_root_returns_exact_endpoints():
     f = lambda x: 2.0 * x
-    assert monotone_root(f, 0.0, 0.0, 3.0) == 0.0
-    assert monotone_root(f, 6.0, 0.0, 3.0) == 3.0
+    for one in ONE:
+        assert monotone_root(f, one(0.0), 0.0, 3.0) == 0.0
+        assert monotone_root(f, one(6.0), 0.0, 3.0) == 3.0
+        # a map that is zero on the whole bracket: the lower end, as before
+        assert monotone_root(lambda x: 0.0 * x, one(0.0), -1.0, 1.0) == -1.0
     got = monotone_root(f, np.array([0.0, 6.0, 3.0]), 0.0, 3.0)
     assert got[0] == 0.0 and got[1] == 3.0 and abs(got[2] - 1.5) <= 2e-13
-    # a map that is zero on the whole bracket: the lower end, as before
-    assert monotone_root(lambda x: 0.0 * x, 0.0, -1.0, 1.0) == -1.0
 
 
 def test_monotone_root_rejects_unbracketed_targets():
     f = lambda x: x ** 3
-    with pytest.raises(RangeError, match="not bracketed"):
-        monotone_root(f, 9.0, 0.0, 2.0)
+    for one in ONE:
+        with pytest.raises(RangeError, match=r"target 9\.0 not bracketed by \[0\.0, 2\.0\]"):
+            monotone_root(f, one(9.0), 0.0, 2.0)
+        with pytest.raises(RangeError):  # nan residuals bracket nothing
+            monotone_root(lambda x: np.full(np.shape(x), np.nan), one(0.0), 0.0, 1.0)
     with pytest.raises(RangeError, match="9.0"):
         monotone_root(f, np.array([1.0, 9.0]), 0.0, 2.0)
-    with pytest.raises(RangeError):  # nan residuals bracket nothing
-        monotone_root(lambda x: np.full(np.shape(x), np.nan), 0.0, 0.0, 1.0)
 
 
 def test_monotone_root_rejects_a_map_that_is_nan_inside_the_bracket():
     # the first step lands in the nan window; without the check the solver
     # returned 0.583 for the root 0.3
     holed = lambda x: np.where((x > 0.4) & (x < 0.6), np.nan, x - 0.3)
-    with pytest.raises(DomainError, match="nan"):
-        monotone_root(holed, 0.0, 0.0, 1.0)
+    for one in ONE:
+        with pytest.raises(DomainError, match="nan"):
+            monotone_root(holed, one(0.0), 0.0, 1.0)
 
 
 def test_monotone_root_gives_up_with_a_typed_error():
     # a sign change at 0 with no tolerance: the bracket can never get
     # narrower than 0 + 8.9e-16 |x|, so the step budget runs out
     step = lambda x: np.where(x > 0.0, 1.0, -1.0)
-    with pytest.raises(ZonoidLabError, match="did not converge"):
-        monotone_root(step, 0.0, 0.0, 1.0, xtol=0.0)
+    for one in ONE:
+        with pytest.raises(ZonoidLabError, match="did not converge"):
+            monotone_root(step, one(0.0), 0.0, 1.0, xtol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50),
+       xtol=st.sampled_from([1e-14, 1e-13, 1e-8]))
+def test_array_solve_equals_the_0d_solve_of_each_element_property(seed, n, xtol):
+    # the scalar loop takes the array loop's step on numpy scalars, so each
+    # element of an array solve is the 0-d solve of that element, bit for
+    # bit: the map a x^3 + b is exact elementwise, the brackets per element,
+    # the maps increasing or decreasing, some targets on a bracket end
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], n) * rng.uniform(0.2, 4.0, n)
+    b = rng.uniform(-1.0, 1.0, n)
+    lo = rng.uniform(-3.0, 1.0, n)
+    hi = lo + rng.uniform(1e-3, 4.0, n)
+    cube = lambda xab: xab[1] * (xab[0] * xab[0] * xab[0]) + xab[2]
+    x = np.where(rng.random(n) < 0.1, lo, np.where(rng.random(n) < 0.1, hi, rng.uniform(lo, hi)))
+    target = cube((x, a, b))
+    got = monotone_root(cube, target, lo, hi, args=(a, b), xtol=xtol)
+    each = [monotone_root(cube, *v, args=(ai, bi), xtol=xtol)
+            for *v, ai, bi in zip(target, lo, hi, a, b)]
+    assert all(type(v) is float for v in each)
+    assert np.array_equal(got, each)
+    assert np.array_equal(got[x == lo], lo[x == lo]) and np.array_equal(got[x == hi], hi[x == hi])
 
 
 def test_monotone_root_narrows_args_with_the_active_set():

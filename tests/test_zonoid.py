@@ -225,6 +225,26 @@ def test_conjugate_matches_greedy_on_kink_grid():
     assert np.max(np.abs(via_transform - via_greedy)) <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-40, 1e-10, 1.0, 1e10, 1e150])
+def test_conjugate_equals_greedy_at_every_scale(scale):
+    # the call curve is padded on the law's own scale; an absolute pad of 1
+    # made the peel drop atoms of a law of scale 1e-40 as float-collinear
+    rng = np.random.default_rng(17)
+    ps = np.linspace(0.0, 1.0, 101)
+    for _ in range(20):
+        w = rng.uniform(0.05, 1.0, 7)
+        dist = DiscreteDistribution(np.sort(rng.normal(size=7)) * scale, w / w.sum())
+        via_transform = upper_boundary_from_calls(dist.call_curve(), ps).values
+        via_greedy = discrete_upper_boundary(dist, ps)
+        assert np.max(np.abs(via_transform - via_greedy)) <= 1e-12 * np.max(np.abs(dist.atoms))
+
+
+def test_tiny_two_atom_boundary_stays_below_the_mean():
+    # with the pad of 1 the boundary at p = 3/4 read 8.25e-41, above the mean
+    coin = DiscreteDistribution([0.0, 1.1e-40], [0.5, 0.5])
+    assert upper_boundary_from_calls(coin.call_curve(), [0.0, 0.75, 1.0]).values[1] == coin.mean
+
+
 def test_quantile_integral_matches_greedy():
     dist = DiscreteDistribution([-2.0, 0.0, 1.0], [0.25, 0.5, 0.25])
     ps = np.linspace(0.0, 1.0, 101)
