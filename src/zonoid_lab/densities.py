@@ -127,7 +127,12 @@ class DensityModel:
     Parameters
     ----------
     family : one of ``gaussian``, ``logistic``, ``cauchy``, ``custom``.
-    location, scale : affine family parameters; ``scale`` must be positive.
+    location, scale : affine family parameters of the built-ins; ``scale``
+        must be positive.  A ``custom`` model's callables are used as
+        given; its two numbers only place the log-concavity grid
+        (``default_grid``: location +- 8 scale, 1001 points), scale the
+        ``xtol`` of its inverse maps (1e-13 scale) and scale the step of
+        ``log_curvature`` (1e-5 scale).
     pdf_fn, pdf_prime_fn, cdf_fn, quantile_fn : required for ``custom``
         models; each must be vectorised over numpy arrays.
     """

@@ -397,14 +397,6 @@ def golden_section_min(fn: Callable[..., np.ndarray], lo: float, hi: float, *,
     return best_x.reshape(shape), best_f.reshape(shape)
 
 
-def _turn_terms(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The two products of the turn a - b at each interior node, in floats:
-    a = (y2 - y0)(x1 - x0), b = (y1 - y0)(x2 - x0).  The turn is > 0 where
-    the node lies strictly below the chord of its neighbours, 0 on it, < 0
-    above it."""
-    return (y[2:] - y[:-2]) * (x[1:-1] - x[:-2]), (y[1:-1] - y[:-2]) * (x[2:] - x[:-2])
-
-
 def _scaled(v: float) -> int:
     """The float v times 2^1074, an integer for every finite double."""
     num, den = v.as_integer_ratio()
@@ -437,7 +429,8 @@ def _turns_up(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``_turn_up`` at every interior node: its float filter vectorised, then
     ``_turn_up`` itself at the nodes the filter leaves unsure."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan turns are unsure
-        a, b = _turn_terms(x, y)
+        a = (y[2:] - y[:-2]) * (x[1:-1] - x[:-2])
+        b = (y[1:-1] - y[:-2]) * (x[2:] - x[:-2])
         t, err = a - b, _CCW_BOUND * (np.abs(a) + np.abs(b)) + _CCW_SLACK
         up = t > err
         unsure = np.flatnonzero(~up)
@@ -463,27 +456,37 @@ def _monotone_chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.asarray(hull)
 
 
-def lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Indices of the strict lower convex hull of (x, y), x strictly increasing:
-    a node on or above the segment between two others is dropped, so
-    collinear interior nodes are not kept.
-
-    Every turn is decided exactly (``_turns_up``), so the hull does not
-    depend on rounding.  Vectorised peel passes each drop every interior
-    node whose turn is <= 0 against its current neighbours (such a node is
-    never a hull vertex), until a pass drops nothing: one pass for strictly
-    convex nodes, about ten for noisy curves.  After _PEEL_PASSES passes
-    Andrew's monotone chain finishes the survivors with the same predicate,
-    which bounds the worst case at O(N) after the passes.
-    """
+def _peel(x: np.ndarray, y: np.ndarray, up: Callable) -> np.ndarray:
+    """Indices of a convex chain through the lower-hull vertices of (x, y),
+    x strictly increasing.  Vectorised passes each drop every interior node
+    whose ``up`` flag against its current neighbours is False, until a pass
+    drops nothing: one pass for strictly convex nodes, about ten for noisy
+    curves.  After _PEEL_PASSES passes Andrew's monotone chain finishes the
+    survivors with the exact turn, which bounds the worst case at O(N)."""
     hull, xh, yh = np.arange(x.size), x, y
     for _ in range(_PEEL_PASSES):
-        drop = np.flatnonzero(~_turns_up(xh, yh))
+        drop = np.flatnonzero(~up(xh, yh))
         if drop.size == 0:
             return hull
         hull = np.delete(hull, drop + 1)
         xh, yh = x[hull], y[hull]
     return hull[_monotone_chain(xh, yh)]
+
+
+def lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the strict lower convex hull of (x, y), x strictly increasing:
+    a node on or above the segment between two others is dropped, so
+    collinear interior nodes are not kept.  ``_peel`` with the exact turn
+    (``_turns_up``) in every pass, so the hull does not depend on rounding;
+    a node whose turn is <= 0 is never a hull vertex."""
+    return _peel(x, y, _turns_up)
+
+
+def _slopes_rise(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether the float slope rises at each interior node: s[i-1] < s[i]
+    for s = diff(y) / diff(x)."""
+    s = np.diff(y) / np.diff(x)
+    return s[:-1] < s[1:]
 
 
 def legendre_min(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -493,31 +496,20 @@ def legendre_min(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> Tuple[np.ndarra
     Linear-time algorithm (Lucet, Numer. Algorithms 16, 1997): the minimiser
     for p is the lower-hull node whose incoming and outgoing slopes bracket
     -p, found by binary search on the hull slopes.  Any convex chain through
-    the hull vertices serves, so the hull is peeled in vectorised passes
-    that drop every node whose float turn is <= 0: a node stays only if it
-    lies strictly below the chord of its neighbours in floats.  Strictly
-    convex nodes take one pass, noisy ones and the float-collinear runs of
-    a projected curve about ten; the exact ``lower_hull`` finishes only
-    adversarial inputs still dropping nodes after _PEEL_PASSES.  The peel
-    stays in floats because the chain only has to reach the minimiser: the
-    value is the smallest of y_i + p x_i over the bracketing node and its
-    two chain neighbours (three 1-d passes, ties to the lowest node as in
-    argmin), evaluated with the same operations as the brute-force min over
-    all nodes, so the two agree bit for bit unless a node off the chain
-    ties the minimum to within rounding.  (Deciding its turns exactly would
-    cost thousands of integer-arithmetic turns per call on the
-    near-collinear runs of a projected curve.)  Cost O(N + M log N) for N
-    nodes and M values of p.
+    the hull vertices serves, so ``lower_hull``'s peel runs with the float
+    test ``_slopes_rise`` in place of the exact turn: a node stays only if
+    the float slope rises there.  Slopes stay in range at any scale (a call
+    curve's lie in [-1, 0]), where products of two differences overflow
+    past 1e154.  The chain only has to reach the minimiser: the value is
+    the smallest of y_i + p x_i over the bracketing node and its two chain
+    neighbours (three 1-d passes, ties to the lowest node as in argmin),
+    evaluated with the same operations as the brute-force min over all
+    nodes, so the two agree bit for bit unless a node off the chain ties
+    the minimum to within rounding.  (Exact turns would cost thousands of
+    integer-arithmetic turns per call on the near-collinear runs of a
+    projected curve.)  Cost O(N + M log N) for N nodes and M values of p.
     """
-    hull = np.arange(x.size)
-    for _ in range(_PEEL_PASSES):
-        a, b = _turn_terms(x[hull], y[hull])
-        drop = np.flatnonzero(a <= b)
-        if drop.size == 0:
-            break
-        hull = np.delete(hull, drop + 1)
-    else:  # still not convex: the monotone chain finishes
-        hull = hull[lower_hull(x[hull], y[hull])]
+    hull = _peel(x, y, _slopes_rise)
     xh, yh = x[hull], y[hull]
     # rounding can reverse two nearly equal slopes; searchsorted needs order
     slopes = np.maximum.accumulate(np.diff(yh) / np.diff(xh))

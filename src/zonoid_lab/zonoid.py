@@ -17,17 +17,15 @@ They are conjugate to each other:
 with the exact endpoint values boundary(0) = 0 and boundary(1) = E(X).
 ``upper_boundary_from_calls`` and ``calls_from_upper_boundary`` implement the
 two directions.  On grids both run the discrete Legendre transform
-``numerics.legendre_min``: O(N + M log N) for N nodes and M output points;
-nodes that are not convex add a few vectorised float hull passes, each
-dropping every node not strictly below the chord of its neighbours in
-floats, and the exact ``numerics.lower_hull`` finishes only adversarial
-inputs that those do not settle.
-``project_convex_decreasing`` starts from that exact strict lower hull:
-vectorised peel passes with an exact turn predicate, then the monotone
-chain with the same predicate when 32 passes do not settle it.  A family curve
-from ``pricing`` carries its exact boundary, s p + y G(p) or s H_y(p), as
-``conjugate``: one G or H evaluation per p in place of the minimiser.
-``boundary_from_quantile_integral`` is an independent route
+``numerics.legendre_min``: O(N + M log N) for N nodes and M output points.
+Its convex chain and ``project_convex_decreasing``'s exact strict lower hull
+come from one routine, ``numerics.lower_hull``'s peel, with two turn tests:
+vectorised passes drop every node where the float slope does not rise (the
+kernel) or whose exact turn is <= 0 (the projection), and the monotone
+chain with the exact turn finishes inputs that 32 passes do not settle.
+A family curve from ``pricing`` carries its exact boundary, s p + y G(p)
+or s H_y(p), as ``conjugate``: one G or H evaluation per p in place of the
+minimiser.  ``boundary_from_quantile_integral`` is an independent route
 through the integral of the upper quantile function, and
 ``discrete_upper_boundary`` solves the finite-atom problem exactly by the
 threshold-rule construction.
@@ -70,6 +68,22 @@ def _probability_grid(probs, name: str) -> np.ndarray:
     return probs
 
 
+def _check_form(obj, nodes: str, grid_rule: Callable, kind: str) -> None:
+    """The rules every ``CallCurve`` and ``ZonoidBoundary`` keeps, however it
+    is built: exactly one of ``fn`` and the grid (``nodes``, values), and a
+    grid's values finite and its nodes through ``grid_rule``, of one shape;
+    the checked arrays replace the given ones."""
+    if [getattr(obj, nodes) is not None, obj.values is not None] != [obj.fn is None] * 2:
+        raise ValidationError(f"exactly one of fn and the ({nodes}, values) grid must be set")
+    if obj.fn is None:
+        values = as_float_array(obj.values, "values")
+        x = grid_rule(getattr(obj, nodes), nodes)
+        if x.shape != values.shape:
+            raise ValidationError(f"{kind} and value grids must be matching 1-d arrays")
+        object.__setattr__(obj, nodes, x)
+        object.__setattr__(obj, "values", values)
+
+
 # ---------------------------------------------------------------------------
 # Curve objects
 # ---------------------------------------------------------------------------
@@ -78,9 +92,9 @@ def _probability_grid(probs, name: str) -> np.ndarray:
 class CallCurve:
     """Non-increasing convex call curve of an integrable random variable.
 
-    Exactly one of ``fn`` / (``strikes``, ``values``) is set.  Outside the
-    grid a grid-backed curve follows its asymptotes: ``mean - K`` to the left
-    and ``0`` to the right.
+    Exactly one of ``fn`` / (``strikes``, ``values``) is set; a grid-backed
+    curve's ``k_lo`` and ``k_hi`` are its end strikes.  Outside the grid it
+    follows its asymptotes: ``mean - K`` to the left and ``0`` to the right.
     """
 
     mean: float
@@ -94,34 +108,39 @@ class CallCurve:
     conjugate: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self):
+        _check_form(self, "strikes", increasing_grid, "strike")
         for name in ("mean", "k_lo", "k_hi"):
             object.__setattr__(self, name, real_scalar(getattr(self, name), name, ValidationError))
+        if self.fn is None and (self.k_lo != self.strikes[0] or self.k_hi != self.strikes[-1]):
+            raise ValidationError("k_lo and k_hi of a grid curve must be its end strikes")
+        if not self.k_lo < self.k_hi:
+            raise ValidationError("call curve domain must be a finite interval")
 
     @classmethod
     def from_function(cls, fn, mean, domain, provenance=None) -> "CallCurve":
-        curve = cls(mean, domain[0], domain[1], fn=fn, provenance=dict(provenance or {}))
-        if not curve.k_lo < curve.k_hi:
-            raise ValidationError("call curve domain must be a finite interval")
-        return curve
+        return cls(mean, domain[0], domain[1], fn=fn, provenance=dict(provenance or {}))
 
     @classmethod
     def from_grid(cls, strikes, values, mean=None, provenance=None) -> "CallCurve":
-        values = as_float_array(values, "values")
-        strikes = increasing_grid(strikes, "strikes")
-        if strikes.shape != values.shape:
-            raise ValidationError("strike and value grids must be matching 1-d arrays")
+        # the constructor checks the grid; its ends are read unchecked, and
+        # an inferred mean is set once the grid has passed
+        strikes = np.asarray(strikes)
+        ends = (strikes.flat[0], strikes.flat[-1]) if strikes.size else (0.0, 0.0)
+        curve = cls(0.0 if mean is None else mean, *ends, strikes=strikes, values=values,
+                    provenance=dict(provenance or {}))
         if mean is None:
             # the left-end asymptote C(K) ~ mean - K fixes the mean, but only
             # once the grid has reached it (slope -1)
+            strikes, values = curve.strikes, curve.values
             slope = float((values[1] - values[0]) / (strikes[1] - strikes[0]))
             if abs(slope + 1.0) > 1e-6:
                 raise ValidationError(
                     f"cannot infer the mean: the leftmost grid slope is {slope:.6g}, "
                     f"not -1, so the grid stops short of the intrinsic asymptote; "
                     f"pass the mean")
-            mean = float(values[0] + strikes[0])
-        return cls(mean, float(strikes[0]), float(strikes[-1]), strikes=strikes, values=values,
-                   provenance=dict(provenance or {}))
+            object.__setattr__(curve, "mean", real_scalar(values[0] + strikes[0], "mean",
+                                                          ValidationError))
+        return curve
 
     @property
     def is_grid(self) -> bool:
@@ -206,6 +225,7 @@ class ZonoidBoundary:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_form(self, "probs", _probability_grid, "probability")
         object.__setattr__(self, "mean", real_scalar(self.mean, "mean", ValidationError))
 
     @classmethod
@@ -214,15 +234,14 @@ class ZonoidBoundary:
 
     @classmethod
     def from_grid(cls, probs, values, mean=None, provenance=None) -> "ZonoidBoundary":
-        values = as_float_array(values, "values")
-        probs = _probability_grid(probs, "probs")
-        if probs.shape != values.shape:
-            raise ValidationError("probability and value grids must be matching 1-d arrays")
+        # the constructor checks the grid; an inferred mean is set once it has passed
+        boundary = cls(0.0 if mean is None else mean, probs=probs, values=values,
+                       provenance=dict(provenance or {}))
         if mean is None:
-            if probs[-1] != 1.0:
+            if boundary.probs[-1] != 1.0:
                 raise ValidationError("mean is required when the grid does not reach p = 1")
-            mean = float(values[-1])
-        return cls(mean, probs=probs, values=values, provenance=dict(provenance or {}))
+            object.__setattr__(boundary, "mean", float(boundary.values[-1]))
+        return boundary
 
     @property
     def is_grid(self) -> bool:

@@ -264,6 +264,64 @@ TYPED_RAISES = {
     "implied_y_minimization empty range": (
         lambda: implied_y_minimization(ImpliedQuery(GAUSS, 1.0 - 1e-10, 1.0)),
         DomainError, "empty feasible range"),
+    # the direct constructors keep the factories' rules
+    "ZonoidBoundary neither fn nor grid": (lambda: ZonoidBoundary(1.0)(0.5), ValidationError,
+                                           "exactly one of fn and the"),
+    "CallCurve neither fn nor grid": (
+        lambda: upper_boundary_from_calls(CallCurve(0.0, -1.0, 1.0)), ValidationError,
+        "exactly one of fn and the"),
+    "CallCurve both fn and grid": (
+        lambda: CallCurve(0.5, 0.0, 1.0, fn=lambda k: np.maximum(0.5 - k, 0.0),
+                          strikes=np.array([0.0, 1.0]), values=np.array([0.5, 0.0])),
+        ValidationError, "exactly one of fn and the"),
+    "ZonoidBoundary probs outside [0, 1]": (
+        lambda: ZonoidBoundary(1.0, probs=np.array([-1.0, 0.5, 2.0]),
+                               values=np.array([0.0, 0.5, 1.0])),
+        ValidationError, "probability grid must lie in"),
+    "ZonoidBoundary grids of unequal length": (
+        lambda: calls_from_upper_boundary(ZonoidBoundary(1.0, probs=np.array([0.0, 0.5, 1.0]),
+                                                         values=np.array([0.0, 1.0]))),
+        ValidationError, "probability and value grids must be matching"),
+    "CallCurve domain off its grid": (
+        lambda: CallCurve(0.5, -5.0, 5.0, strikes=np.array([0.0, 0.5, 1.0]),
+                          values=np.array([0.5, 0.125, 0.0])),
+        ValidationError, "k_lo and k_hi of a grid curve must be its end strikes"),
+    # typed errors of zonoid that no other test reaches
+    "CallCurve.from_function empty domain": (
+        lambda: CallCurve.from_function(lambda k: 0.0 * k, 0.0, (1.0, 1.0)),
+        ValidationError, "call curve domain must be a finite interval"),
+    "CallCurve.from_grid unequal grids": (
+        lambda: CallCurve.from_grid([0.0, 1.0, 2.0], [1.0, 0.0]),
+        ValidationError, "strike and value grids must be matching"),
+    "ZonoidBoundary.from_grid unequal grids": (
+        lambda: ZonoidBoundary.from_grid([0.0, 0.5, 1.0], [0.0, 1.0]),
+        ValidationError, "probability and value grids must be matching"),
+    "CallCurve.validate closed-form nan": (
+        lambda: CallCurve.from_function(lambda k: np.full(np.shape(k), np.nan), 0.0,
+                                        (-1.0, 1.0)).validate(),
+        ValidationError, "call curve values must be finite"),
+    "ZonoidBoundary.validate closed-form inf": (
+        lambda: ZonoidBoundary.from_function(lambda p: np.full(np.shape(p), np.inf),
+                                             1.0).validate(),
+        ValidationError, "boundary values must be finite"),
+    "DiscreteDistribution shapes": (lambda: DiscreteDistribution([0.0, 1.0], [1.0]),
+                                    ValidationError, "atoms and weights must be matching"),
+    "check_arithmetic_symmetry domain": (
+        lambda: check_arithmetic_symmetry(DiscreteDistribution([1.0, 2.0], [0.5, 0.5])
+                                          .call_curve()),
+        DomainError, "need a strike domain straddling 0"),
+    "check_geometric_symmetry not positive": (
+        lambda: check_geometric_symmetry(DiscreteDistribution([-1.0, 3.0], [0.5, 0.5])
+                                         .call_curve()),
+        UnsupportedError, "geometric symmetry requires a positive-variable curve"),
+    "check_geometric_symmetry domain": (
+        lambda: check_geometric_symmetry(CallCurve.from_function(
+            lambda k: np.maximum(1.0 - k, 0.0), 1.0, (0.0, 1.0))),
+        DomainError, "strike domain must extend beyond 1"),
+    "check_geometric_symmetry strikes": (
+        lambda: check_geometric_symmetry(DiscreteDistribution([0.5, 1.5], [0.5, 0.5])
+                                         .call_curve(), [-1.0, 1.0]),
+        DomainError, "strikes must be positive"),
 }
 
 
