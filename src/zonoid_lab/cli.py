@@ -113,10 +113,10 @@ def _add_spec_flags(sp) -> None:
     _add_time_change_flags(sp)
 
 
-def _add_time_change_flags(sp) -> None:
+def _add_time_change_flags(sp, *scale_aliases: str) -> None:
     sp.add_argument("--y-kind", choices=["sqrt", "linear", "table"], default="sqrt",
                     help="time change family (default sqrt)")
-    sp.add_argument("--y-scale", type=float, default=1.0,
+    sp.add_argument("--y-scale", *scale_aliases, type=float, default=1.0,
                     help="scale of the sqrt/linear time change")
     sp.add_argument("--y-table", type=_TABLE, default=None,
                     help="tabulated time change as t:v,t:v,...")
@@ -236,8 +236,6 @@ def _stencil(flag: str, x: float, h: float, lo: float = -math.inf, hi: float = m
 
 def _cmd_localvol(args, parser) -> int:
     density, family, s0 = args.density, args.family, args.s0
-    if args.sigma is not None:
-        args.y_scale = args.sigma  # --sigma names the sqrt/linear scale
     tc = _time_change(args)
     if args.source == "closed":
         closed = localvol_linear_closed if family == "linear" else localvol_geometric_closed
@@ -362,9 +360,7 @@ def build_parser() -> _Parser:
     _add_density_flag(sp)
     sp.add_argument("--family", choices=["linear", "geometric"], required=True)
     sp.add_argument("--s0", type=float, default=1.0)
-    sp.add_argument("--sigma", type=float, default=None,
-                    help="scale of the sqrt/linear time change (alias of --y-scale)")
-    _add_time_change_flags(sp)
+    _add_time_change_flags(sp, "--sigma")
     sp.add_argument("--t", type=float, action="append", required=True,
                     help="evaluation time; repeatable")
     sp.add_argument("--k", type=float, action="append")

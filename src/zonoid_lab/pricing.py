@@ -26,7 +26,7 @@ families at y = sigma sqrt(t) (``MODEL_FAMILIES``): their curves are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,7 +240,5 @@ def _family_curve(kind: str, model: DensityModel, s: float, y: float):
     domain = (edge(q_hi), edge(q_lo))
     if not domain[0] < domain[1]:
         domain = (0.5 * s, 2.0 * s) if kind == "geometric" else (s - 1.0, s + 1.0)
-    return replace(CallCurve.from_function(
-        lambda k: price(model, s, y, k), mean=s, domain=domain,
-        provenance={"family": kind, "density": model.family, "s": s, "y": y}),
-        conjugate=conjugate)
+    return CallCurve(s, *domain, fn=lambda k: price(model, s, y, k), conjugate=conjugate,
+                     provenance={"family": kind, "density": model.family, "s": s, "y": y})

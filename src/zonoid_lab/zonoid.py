@@ -16,8 +16,8 @@ They are conjugate to each other:
 
 with the exact endpoint values boundary(0) = 0 and boundary(1) = E(X).
 ``upper_boundary_from_calls`` and ``calls_from_upper_boundary`` implement the
-two directions.  On grids both run the discrete Legendre transform
-``numerics.legendre_min``: O(N + M log N) for N nodes and M output points.
+two directions through ``_conjugate``, the one routine that picks a route.  On
+grids it runs ``numerics.legendre_min``: O(N + M log N) for N nodes, M points.
 Its convex chain and ``project_convex_decreasing``'s exact strict lower hull
 come from one routine, ``numerics.lower_hull``'s peel, with two turn tests:
 vectorised passes drop every node where the float slope does not rise (the
@@ -365,41 +365,45 @@ class DiscreteDistribution:
 # Transforms
 # ---------------------------------------------------------------------------
 
+def _conjugate(obj, dual, sign: int, lo: float, hi: float, logit: bool):
+    """sign min_x [sign f(x) + d x] at every d of ``dual``, and the provenance
+    with its ``route``: f is a ``CallCurve`` (sign +1, x the strike, d = p)
+    or a ``ZonoidBoundary`` (sign -1, x = p, d the strike).  "exact" returns
+    the object's ``conjugate``, that transform itself (a family curve's: one
+    G or H evaluation per p); "grid" runs the discrete Legendre transform
+    over the stored nodes; "golden" minimises a closed form on [lo, hi] by
+    ``golden_section_min`` (scan even in x, or in logit x)."""
+    if getattr(obj, "conjugate", None) is not None:
+        return obj.conjugate(dual), dict(obj.provenance, route="exact")
+    if obj.is_grid:
+        route = "grid"
+        vals, _ = legendre_min(obj.sample_grid(), sign * obj.values, dual)
+    else:
+        route = "golden"
+        _, vals = golden_section_min(lambda xd: sign * obj(xd[0]) + xd[1] * xd[0],
+                                     lo, hi, args=(dual,), logit=logit)
+    # 0.0 - x keeps an exact zero at +0.0
+    return (vals if sign > 0 else 0.0 - vals), dict(obj.provenance, route=route)
+
+
 def upper_boundary_from_calls(curve: CallCurve, pgrid=None) -> ZonoidBoundary:
-    """Conjugate transform boundary(p) = min_K [C(K) + p K] on a p grid.
-
-    The p grid is checked before the curve is touched, then the curve is
-    always validated.  Endpoint values are pinned exactly: boundary(0) = 0,
-    boundary(1) = mean.  The provenance's ``route`` names the method:
-    "exact" for a family curve, which evaluates its ``conjugate`` (one G or
-    H evaluation per p); "grid" for a grid-backed curve, minimised over its
-    nodes by the linear-time discrete Legendre transform; "golden" for any
-    other closed-form curve, the minimiser route (``golden_section_min``).
-
-    The default p grid has 2001 nodes: 0, 1999 nodes evenly spaced in
-    logit p on [-14, 14] (p from 8.3e-7 to 1 - 8.3e-7), and 1.  The
-    boundary's slope at p is the strike that X exceeds with probability p,
-    so the tail strikes sit near p = 0 and p = 1, where an even grid in p
-    has few nodes.
-    """
+    """Conjugate transform boundary(p) = min_K [C(K) + p K] on a p grid by
+    ``_conjugate`` ("exact", "grid", or "golden" over [k_lo, k_hi]).  The p
+    grid is checked before the curve is touched, then the curve is always
+    validated.  Endpoint values are pinned exactly: boundary(0) = 0,
+    boundary(1) = mean.  The default p grid has 2001 nodes: 0, 1999 nodes
+    evenly spaced in logit p on [-14, 14] (p from 8.3e-7 to 1 - 8.3e-7), and
+    1: the boundary's slope at p is the strike X exceeds with probability p,
+    so the tail strikes near p = 0 and 1 get nodes an even p grid lacks."""
     if pgrid is None:
         logits = np.linspace(-_LOGIT_HALF_WIDTH, _LOGIT_HALF_WIDTH, _DEFAULT_GRID_N - 2)
         pgrid = np.concatenate(([0.0], 1.0 / (1.0 + np.exp(-logits)), [1.0]))
     pgrid = _probability_grid(pgrid, "pgrid")
     curve.validate()
-    if curve.conjugate is not None:
-        route, vals = "exact", curve.conjugate(pgrid)
-    elif curve.is_grid:
-        route = "grid"
-        vals, _ = legendre_min(curve.strikes, curve.values, pgrid)
-    else:
-        route = "golden"
-        _, vals = golden_section_min(lambda kp: curve(kp[0]) + kp[1] * kp[0],
-                                     curve.k_lo, curve.k_hi, args=(pgrid,))
+    vals, provenance = _conjugate(curve, pgrid, 1, curve.k_lo, curve.k_hi, logit=False)
     vals = np.where(pgrid == 0.0, 0.0, vals)
     vals = np.where(pgrid == 1.0, curve.mean, vals)
-    return ZonoidBoundary.from_grid(pgrid, vals, mean=curve.mean,
-                                    provenance=dict(curve.provenance, route=route))
+    return ZonoidBoundary.from_grid(pgrid, vals, mean=curve.mean, provenance=provenance)
 
 
 def _default_kgrid(boundary: ZonoidBoundary, n: int) -> np.ndarray:
@@ -417,27 +421,16 @@ def _default_kgrid(boundary: ZonoidBoundary, n: int) -> np.ndarray:
 
 def calls_from_upper_boundary(boundary: ZonoidBoundary, kgrid=None) -> CallCurve:
     """Conjugate transform C(K) = max_{0<=p<=1} [boundary(p) - p K] on a
-    strike grid, after always validating the boundary; the p in {0, 1}
-    endpoint candidates (0 and mean - K) are always included.  The
-    provenance's ``route`` names the method: "grid" for a grid-backed
-    boundary (the discrete Legendre transform over its nodes), "golden" for
-    a closed-form one (the minimiser)."""
+    strike grid, after always validating the boundary, by ``_conjugate``
+    ("grid", or "golden" over [1e-9, 1 - 1e-9] with a logit scan); the
+    p in {0, 1} endpoint candidates (0 and mean - K) are always included."""
     boundary.validate()
     if kgrid is None:
         kgrid = _default_kgrid(boundary, _DEFAULT_GRID_N)
     kgrid = increasing_grid(kgrid, "kgrid")
-    m = boundary.mean
-    if boundary.is_grid:
-        route = "grid"
-        neg, _ = legendre_min(boundary.probs, -boundary.values, kgrid)
-    else:
-        route = "golden"
-        _, neg = golden_section_min(lambda pk: pk[1] * pk[0] - boundary(pk[0]),
-                                    _P_EPS, 1.0 - _P_EPS, args=(kgrid,), logit=True)
-    vals = np.maximum(0.0 - neg, 0.0)   # 0.0 - x keeps an exact zero at +0.0
-    vals = np.maximum(vals, m - kgrid)
-    return CallCurve.from_grid(kgrid, vals, mean=m,
-                               provenance=dict(boundary.provenance, route=route))
+    vals, provenance = _conjugate(boundary, kgrid, -1, _P_EPS, 1.0 - _P_EPS, logit=True)
+    vals = np.maximum(np.maximum(vals, 0.0), boundary.mean - kgrid)
+    return CallCurve.from_grid(kgrid, vals, mean=boundary.mean, provenance=provenance)
 
 
 def discrete_upper_boundary(dist: DiscreteDistribution, p):
@@ -491,7 +484,8 @@ def inverse_boundary_positive(curve: CallCurve, q: float) -> float:
     computed by the direct formula p = max_{K > 0} (q - C(K)) / K.
 
     Requires a ``positive`` curve (so C(K) = mean - K for K <= 0) and a
-    real scalar 0 < q < mean; the endpoint limits are 0 and 1.
+    real scalar 0 < q < mean; the endpoint limits are 0 and 1.  The curve is
+    validated, and a grid curve needs a strike above 0 (else DomainError).
     """
     q = real_scalar(q, "q")
     if not curve.positive:
@@ -499,9 +493,12 @@ def inverse_boundary_positive(curve: CallCurve, q: float) -> float:
     m = curve.mean
     if q <= 0.0 or q >= m:  # no such q when m <= 0
         raise DomainError(f"q must lie strictly inside (0, mean), got {q!r}")
+    curve.validate()
     k_lo, k_hi = max(curve.k_lo, 1e-12 * _value_scale(m)), curve.k_hi
     if curve.is_grid:
         nodes = curve.strikes[curve.strikes > 0.0]
+        if not nodes.size:
+            raise DomainError("inverse_boundary_positive needs a grid strike above 0")
         ratios = (q - curve(nodes)) / nodes
         return float(np.clip(np.max(ratios), 0.0, 1.0))
     # maximise (q - C(K))/K; unimodal in K for convex C, searched in log-K

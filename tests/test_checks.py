@@ -318,6 +318,15 @@ TYPED_RAISES = {
         lambda: check_geometric_symmetry(CallCurve.from_function(
             lambda k: np.maximum(1.0 - k, 0.0), 1.0, (0.0, 1.0))),
         DomainError, "strike domain must extend beyond 1"),
+    # inverse_boundary_positive validates its curve, as both transforms do
+    "inverse_boundary_positive non-convex curve": (
+        lambda: inverse_boundary_positive(CallCurve.from_grid(
+            [0.0, 0.5, 1.0, 1.5, 2.0], [1.0, 0.5, 0.45, 0.0, 0.0], mean=1.0), 0.6),
+        ValidationError, "call curve must be convex"),
+    "inverse_boundary_positive no strike above 0": (
+        lambda: inverse_boundary_positive(CallCurve.from_grid(
+            [-2e-5, -1e-5], [2e-5 + 1e-7, 1e-5 + 1e-7], mean=1e-7), 5e-8),
+        DomainError, "inverse_boundary_positive needs a grid strike above 0"),
     "check_geometric_symmetry strikes": (
         lambda: check_geometric_symmetry(DiscreteDistribution([0.5, 1.5], [0.5, 0.5])
                                          .call_curve(), [-1.0, 1.0]),

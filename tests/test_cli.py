@@ -12,6 +12,8 @@ import math
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -119,6 +121,9 @@ EXIT_CODES = {
         ("boundary", "--calls", "{tmp}/boundary.csv", "--mean", "0"), 2, "header K,C"),
     "calls --boundary on a K,C file": (
         ("calls", "--boundary", "{tmp}/calls.csv", "--k-grid", "0:1:3"), 2, "header p,Chat"),
+    "y-table entry without a colon": (
+        ("surface", "--family", "linear", "--t-grid", "0:1:3", "--y-kind", "table",
+         "--y-table", "0:0,1"), 1, "bad table '0:0,1': each entry must be t:value"),
 }
 
 
@@ -130,6 +135,19 @@ def test_exit_codes(tmp_path, capsys, case):
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == code
     captured = capsys.readouterr()
     assert captured.out == "" and fragment in captured.err
+
+
+def test_closed_pipe_exits_0_in_silence():
+    # a reader that stops early closes stdout under the writer; the handler
+    # dup2s over fd 1, so it runs in a process of its own
+    with subprocess.Popen([sys.executable, "-m", "zonoid_lab.cli", "price", "--model",
+                           "bachelier", "--k-grid=-5:5:200001"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert head.startswith(b"K,C,survival\n")
 
 
 def test_readme_commands_exit_as_documented(tmp_path, monkeypatch, capsys):
@@ -486,6 +504,17 @@ def test_localvol_closed_flat_gaussian(capsys):
     assert header == ("t", "K", "sigma_sq", "method")
     assert np.allclose(data[:, 2], 0.25, atol=1e-12)
     assert set(methods) == {"closed-form"}
+
+
+def test_localvol_sigma_spells_y_scale(capsys):
+    # --sigma is a second spelling of --y-scale: the last one given wins
+    def table(*flags):
+        assert run_cli("localvol", "--from", "closed", "--family", "geometric",
+                       "--t", "1", "--k", "0.8", *flags) == 0
+        return capsys.readouterr().out
+    assert table("--sigma", "0.5", "--y-scale", "2") == table("--y-scale", "2")
+    assert table("--y-scale", "2", "--sigma", "0.5") == table("--sigma", "0.5")
+    assert table("--sigma", "0.5") != table("--y-scale", "2")
 
 
 def test_localvol_fd_routes(capsys):
