@@ -3,6 +3,10 @@ adaptive Gauss-Kronrod quadrature, the minimiser, the discrete Legendre
 kernel, the central-difference stencil, grids.  Each is the package's one
 kernel of its kind: the root solver, the quadrature and the minimiser take
 arrays of problems and call their map once per step on every unfinished one.
+The minimiser's refinement (``_section``) follows one of two scans: a matrix
+of every element at every node (``golden_section_min``, any objective), or,
+for the separable objectives g(x) + d x of the closed-form conjugates, one
+g evaluation on the nodes and the Legendre kernel (``_legendre_scan_min``).
 
 These helpers are deliberately dumb about what they optimise; all of the
 domain knowledge (call curves, boundaries, densities) lives in the modules
@@ -315,45 +319,30 @@ def gauss_kronrod(fn: Callable[[np.ndarray], np.ndarray], lo, hi, owner=None, *,
     return out
 
 
-def golden_section_min(fn: Callable[..., np.ndarray], lo: float, hi: float, *,
-                       args: tuple = (), logit: bool = False):
-    """Minimise fn over [lo, hi] for every element at once; returns (argmin, min).
+def _checked(out) -> np.ndarray:
+    """A minimiser's objective values as float64; DomainError on a nan."""
+    out = np.asarray(out, dtype=np.float64)
+    if np.isnan(out).any():
+        raise DomainError("the objective is nan inside the domain")
+    return out
 
-    Elements differ by ``args`` (broadcast); fn takes x or (x, *args), as in
-    ``monotone_root``.  A scan calls fn on _SCAN_N nodes, even or even in
-    logit, x of shape (nodes,) and args as columns (one call per block of
-    rows); every scan-local minimum is then refined from (node - 1, node,
-    node + 1), an end from (end, end, node), by Chandrupatla's quadratic-fit
-    sectioning (Comput. Methods Appl. Mech. Engrg. 152, 1998), all at once.
-    A bracket is done when f1 - 2 f2 + f3 <= ftol = 4 eps (1 + |f2|) or its
-    larger half is within twice the distance over which its parabola rises
-    by ftol.  Raises DomainError when fn is nan, ZonoidLabError after
-    _MIN_ITERS steps.  The name is historical.
-    """
-    def call(x, params):
-        out = np.asarray(fn((x, *params)) if params else fn(x), dtype=np.float64)
-        if np.isnan(out).any():
-            raise DomainError("the objective is nan inside the domain")
-        return out
 
-    args = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in args))
-    shape, args = (args[0].shape if args else ()), [a.ravel() for a in args]
-    size = args[0].size if args else 1
+def _scan_nodes(lo: float, hi: float, logit: bool) -> np.ndarray:
+    """The _SCAN_N scan nodes of both minimisers on [lo, hi]: the ends and an
+    even (or, with ``logit``, even in logit) run between them."""
     t = np.linspace(*(math.log(v / (1.0 - v)) if logit else v for v in (lo, hi)), _SCAN_N)[1:-1]
-    nodes = np.concatenate(([lo, lo], 1.0 / (1.0 + np.exp(-t)) if logit else t, [hi, hi]))
-    best_x, best_f, brackets = np.empty(size), np.empty(size), []
-    block = _SCAN_CELLS // nodes.size  # rows per scan call: its matrix stays near 0.25 MB
-    for i in range(0, size, block):
-        scan = np.broadcast_to(call(nodes, [a[i:i + block, None] for a in args]),
-                               (min(block, size - i), nodes.size))
-        best = np.argmin(scan, axis=1)
-        best_x[i:i + block], best_f[i:i + block] = nodes[best], scan[np.arange(len(scan)), best]
-        mid, left, right = scan[:, 1:-1], scan[:, :-2], scan[:, 2:]
-        mask = (mid <= left) & (mid <= right) & ((mid < left) | (mid < right))
-        r, j = np.divmod(np.flatnonzero(mask), nodes.size - 2)  # 10x faster than 2-d nonzero
-        brackets.append((r + i, j, scan[r, j], scan[r, j + 1], scan[r, j + 2]))
-    row, j, f1, f2, f3 = (np.concatenate(v) for v in zip(*brackets))
-    x1, x2, x3 = nodes[j], nodes[j + 1], nodes[j + 2]
+    return np.concatenate(([lo], 1.0 / (1.0 + np.exp(-t)) if logit else t, [hi]))
+
+
+def _section(call, row, x1, x2, x3, f1, f2, f3, best_x, best_f, scale: float) -> None:
+    """Chandrupatla's quadratic-fit sectioning (Comput. Methods Appl. Mech.
+    Engrg. 152, 1998) of every bracket (x1, x2, x3) at once, f2 no higher
+    than f1 and f3; bracket i belongs to element ``row[i]``, whose
+    ``best_x``/``best_f`` keep the lowest point found.  ``call(x, row)``
+    evaluates the objective of the elements ``row`` at x.  A bracket is done
+    when f1 - 2 f2 + f3 <= ftol = 4 eps (1 + |f2|) or its larger half is
+    within twice the distance over which its parabola rises by ftol (at
+    least 4 eps max(|x2|, ``scale``)).  ZonoidLabError after _MIN_ITERS steps."""
     q0 = x3
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MIN_ITERS):
@@ -367,14 +356,14 @@ def golden_section_min(fn: Callable[..., np.ndarray], lo: float, hi: float, *,
             # the distance over which the parabola through the points rises by
             # ftol, at least 4 eps of the larger of |x2| and the domain's ends
             xtol = np.fmax(np.sqrt(ftol * x21 * x32 * (x21 + x32) / (u + v)),
-                           4.0 * _EPS * np.maximum(np.abs(x2), max(abs(lo), abs(hi))))
+                           4.0 * _EPS * np.maximum(np.abs(x2), scale))
             # within 2 xtol, a step of xtol from x2 could land on x3 (the paper's rule)
             done = (f1 - 2.0 * f2 + f3 <= ftol) | (np.abs(x32) <= 2.0 * xtol)
             r, xd, fd = row[done], x2[done], f2[done]
             np.minimum.at(best_f, r, fd)  # each row keeps its best
             best_x[r[fd == best_f[r]]] = xd[fd == best_f[r]]
             if done.all():
-                break
+                return
             if done.any():
                 row, x1, x2, x3, f1, f2, f3, q0, u, v, x21, x32, xtol = (
                     w[~done] for w in (row, x1, x2, x3, f1, f2, f3, q0, u, v, x21, x32, xtol))
@@ -382,7 +371,7 @@ def golden_section_min(fn: Callable[..., np.ndarray], lo: float, hi: float, *,
             fit = np.abs(q1 - q0) < 0.5 * np.abs(x21)
             q1 = np.where(fit & (np.abs(q1 - x2) <= xtol), x2 + np.sign(x32) * xtol, q1)
             x = np.where(fit, q1, x2 + _GOLD * x32)
-            q0, f = q1, call(x, [a[row] for a in args])
+            q0, f = q1, call(x, row)
             # a higher point or (if lower) the old middle replaces x1 or x3
             up = f > f2
             xe, fe = np.where(up, x, x2), np.where(up, f, f2)
@@ -390,11 +379,76 @@ def golden_section_min(fn: Callable[..., np.ndarray], lo: float, hi: float, *,
             x1, f1, x3, f3 = (np.where(on1, xe, x1), np.where(on1, fe, f1),
                               np.where(on1, x3, xe), np.where(on1, f3, fe))
             x2, f2 = np.where(up, x2, x), np.where(up, f2, f)
-        else:
-            raise ZonoidLabError(f"minimiser did not converge in {_MIN_ITERS} steps")
+    raise ZonoidLabError(f"minimiser did not converge in {_MIN_ITERS} steps")
+
+
+def golden_section_min(fn: Callable[..., np.ndarray], lo: float, hi: float, *,
+                       args: tuple = (), logit: bool = False):
+    """Minimise fn over [lo, hi] for every element at once; returns (argmin, min).
+
+    Elements differ by ``args`` (broadcast); fn takes x or (x, *args), as in
+    ``monotone_root``.  A scan calls fn on the _SCAN_N nodes of
+    ``_scan_nodes``, x of shape (nodes,) and args as columns (one call per
+    block of rows); every scan-local minimum is then refined from (node - 1,
+    node, node + 1), an end from (end, end, node), by ``_section``, all at
+    once.  For any objective: ``implied_y_minimization`` and
+    ``inverse_boundary_positive``'s closed-form branch; the separable
+    objectives g(x) + d x of the transforms take ``_legendre_scan_min``.
+    Raises DomainError when fn is nan, ZonoidLabError after _MIN_ITERS
+    steps.  The name is historical.
+    """
+    def call(x, params):
+        return _checked(fn((x, *params)) if params else fn(x))
+
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in args))
+    shape, args = (args[0].shape if args else ()), [a.ravel() for a in args]
+    size = args[0].size if args else 1
+    nodes = np.concatenate(([lo], _scan_nodes(lo, hi, logit), [hi]))
+    best_x, best_f, brackets = np.empty(size), np.empty(size), []
+    block = _SCAN_CELLS // nodes.size  # rows per scan call: its matrix stays near 0.25 MB
+    for i in range(0, size, block):
+        scan = np.broadcast_to(call(nodes, [a[i:i + block, None] for a in args]),
+                               (min(block, size - i), nodes.size))
+        best = np.argmin(scan, axis=1)
+        best_x[i:i + block], best_f[i:i + block] = nodes[best], scan[np.arange(len(scan)), best]
+        mid, left, right = scan[:, 1:-1], scan[:, :-2], scan[:, 2:]
+        mask = (mid <= left) & (mid <= right) & ((mid < left) | (mid < right))
+        r, j = np.divmod(np.flatnonzero(mask), nodes.size - 2)  # 10x faster than 2-d nonzero
+        brackets.append((r + i, j, scan[r, j], scan[r, j + 1], scan[r, j + 2]))
+    row, j, f1, f2, f3 = (np.concatenate(v) for v in zip(*brackets))
+    _section(lambda x, rows: call(x, [a[rows] for a in args]), row,
+             nodes[j], nodes[j + 1], nodes[j + 2], f1, f2, f3, best_x, best_f,
+             max(abs(lo), abs(hi)))
     if not shape:
         return float(best_x[0]), float(best_f[0])
     return best_x.reshape(shape), best_f.reshape(shape)
+
+
+def _legendre_scan_min(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                       dual: np.ndarray, logit: bool) -> np.ndarray:
+    """min_x [g(x) + d x] over [lo, hi] at every d of ``dual``: the minimum of
+    ``golden_section_min`` for that separable objective, with its scan made
+    by one g call on the (deduplicated) ``_scan_nodes`` and ``legendre_min``,
+    O(N + M log N) in place of the M x N scan matrix.  The kernel's node, with
+    its neighbours (an end doubled, as in the matrix scan), seeds one
+    ``_section`` bracket per d.  +inf nodes never win and are dropped; a
+    -inf node is the minimum at every d.  Refining only the scan's global
+    minimum, where the matrix scan refines every scan-local one, can leave a
+    flat run a few ulp higher.  DomainError when g is nan."""
+    x = np.unique(_scan_nodes(lo, hi, logit))
+    gx = _checked(g(x))
+    low = gx.min()
+    if not np.isfinite(low):  # -inf is the minimum everywhere; all +inf, nowhere lower
+        return np.full(dual.shape, low)
+    keep = np.flatnonzero(gx < np.inf)
+    best_f, i = legendre_min(x[keep], gx[keep], dual)
+    j = keep[i]
+    xp, gp = np.concatenate(([x[0]], x, [x[-1]])), np.concatenate(([gx[0]], gx, [gx[-1]]))
+    x1, x2, x3 = xp[j], xp[j + 1], xp[j + 2]
+    _section(lambda xs, rows: _checked(g(xs) + dual[rows] * xs), np.arange(dual.size),
+             x1, x2, x3, gp[j] + dual * x1, gp[j + 1] + dual * x2, gp[j + 2] + dual * x3,
+             x2.copy(), best_f, max(abs(lo), abs(hi)))
+    return best_f
 
 
 def _scaled(v: float) -> int:

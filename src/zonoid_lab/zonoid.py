@@ -17,7 +17,9 @@ They are conjugate to each other:
 with the exact endpoint values boundary(0) = 0 and boundary(1) = E(X).
 ``upper_boundary_from_calls`` and ``calls_from_upper_boundary`` implement the
 two directions through ``_conjugate``, the one routine that picks a route.  On
-grids it runs ``numerics.legendre_min``: O(N + M log N) for N nodes, M points.
+grids it runs ``numerics.legendre_min``: O(N + M log N) for N nodes, M points;
+on closed forms the same kernel scans the minimiser's nodes, and the
+minimiser refines each point's best node.
 Its convex chain and ``project_convex_decreasing``'s exact strict lower hull
 come from one routine, ``numerics.lower_hull``'s peel, with two turn tests:
 vectorised passes drop every node where the float slope does not rise (the
@@ -41,9 +43,9 @@ import numpy as np
 
 from .densities import DensityModel
 from .errors import DomainError, UnsupportedError, ValidationError
-from .numerics import (_real_array, as_float_array, gauss_kronrod, golden_section_min,
-                       increasing_grid, legendre_min, like_input, lower_hull, probabilities,
-                       real_scalar)
+from .numerics import (_legendre_scan_min, _real_array, as_float_array, gauss_kronrod,
+                       golden_section_min, increasing_grid, legendre_min, like_input,
+                       lower_hull, probabilities, real_scalar)
 
 _P_EPS = 1e-9          # probability clipping for continuous searches
 _Q_EPS = 1e-12         # quantile clipping for quadrature supports
@@ -372,7 +374,8 @@ def _conjugate(obj, dual, sign: int, lo: float, hi: float, logit: bool):
     the object's ``conjugate``, that transform itself (a family curve's: one
     G or H evaluation per p); "grid" runs the discrete Legendre transform
     over the stored nodes; "golden" minimises a closed form on [lo, hi] by
-    ``golden_section_min`` (scan even in x, or in logit x)."""
+    ``_legendre_scan_min``: the Legendre transform over the minimiser's scan
+    nodes (even in x, or in logit x), then its refinement."""
     if getattr(obj, "conjugate", None) is not None:
         return obj.conjugate(dual), dict(obj.provenance, route="exact")
     if obj.is_grid:
@@ -380,8 +383,7 @@ def _conjugate(obj, dual, sign: int, lo: float, hi: float, logit: bool):
         vals, _ = legendre_min(obj.sample_grid(), sign * obj.values, dual)
     else:
         route = "golden"
-        _, vals = golden_section_min(lambda xd: sign * obj(xd[0]) + xd[1] * xd[0],
-                                     lo, hi, args=(dual,), logit=logit)
+        vals = _legendre_scan_min(lambda x: sign * obj(x), lo, hi, dual, logit)
     # 0.0 - x keeps an exact zero at +0.0
     return (vals if sign > 0 else 0.0 - vals), dict(obj.provenance, route=route)
 

@@ -327,6 +327,16 @@ TYPED_RAISES = {
         lambda: inverse_boundary_positive(CallCurve.from_grid(
             [-2e-5, -1e-5], [2e-5 + 1e-7, 1e-5 + 1e-7], mean=1e-7), 5e-8),
         DomainError, "inverse_boundary_positive needs a grid strike above 0"),
+    # the golden route's kernel scan raises what the matrix scan raised
+    "calls_from_upper_boundary +inf boundary": (
+        lambda: calls_from_upper_boundary(ZonoidBoundary.from_function(
+            lambda p: np.where(np.asarray(p) < 1e-6, np.inf, p * (1.0 - p) + 0.5 * p), 0.5)),
+        DomainError, "values must be finite"),
+    "calls_from_upper_boundary nan at a scan node": (
+        lambda: calls_from_upper_boundary(ZonoidBoundary.from_function(
+            lambda p: np.where((0.0 < np.asarray(p)) & (np.asarray(p) < 1e-3), np.nan,
+                               p * (1.0 - p) + 0.5 * p), 0.5), np.linspace(-1.0, 2.0, 7)),
+        DomainError, "the objective is nan inside the domain"),
     "check_geometric_symmetry strikes": (
         lambda: check_geometric_symmetry(DiscreteDistribution([0.5, 1.5], [0.5, 0.5])
                                          .call_curve(), [-1.0, 1.0]),

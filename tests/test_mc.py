@@ -244,6 +244,16 @@ def test_worker_count_is_capped_by_the_blocks(monkeypatch):
     assert mc._worker_count(20 * mc._BLOCK) == 1
 
 
+def test_worker_count_reads_a_malformed_cap_as_the_cpu_count(monkeypatch):
+    # called directly, so no pool starts; a cap that is not an integer falls
+    # back to the CPU count, a negative one to a single worker
+    blocks = 3
+    monkeypatch.setenv("ZONOID_LAB_THREADS", "abc")
+    assert mc._worker_count(blocks * mc._BLOCK) == min(os.cpu_count() or 1, blocks)
+    monkeypatch.setenv("ZONOID_LAB_THREADS", "-3")
+    assert mc._worker_count(blocks * mc._BLOCK) == 1
+
+
 @pytest.mark.parametrize("model", ["bachelier", "black_scholes"])
 def test_blockwise_curve_against_brute_force(model):
     sample = simulate_terminal(SimConfig(model, 1.0, N_BLOCKS3, seed=13))

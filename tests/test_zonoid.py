@@ -10,6 +10,7 @@ import math
 import time
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from scipy.stats import norm
 from zonoid_lab.densities import DensityModel
 from zonoid_lab.errors import DomainError, UnsupportedError, ValidationError
 from zonoid_lab import numerics, peacocks, pricing, zonoid
-from zonoid_lab.numerics import legendre_min, monotone_root
+from zonoid_lab.numerics import golden_section_min, legendre_min, monotone_root
 from zonoid_lab.pricing import ModelParams, geometric_family_curve, linear_family_curve
 from zonoid_lab.zonoid import (CallCurve, DiscreteDistribution, ZonoidBoundary,
                                boundary_from_quantile_integral,
@@ -938,8 +939,11 @@ def test_exact_route_keeps_validate(monkeypatch):
 
 
 def test_golden_section_runs_only_for_user_closed_form_curves(monkeypatch):
-    calls = []
-    monkeypatch.setattr(zonoid, "golden_section_min", _counting(zonoid.golden_section_min, calls))
+    # the "golden" route scans through the Legendre kernel; neither transform
+    # runs golden_section_min's matrix scan
+    calls, matrix = [], []
+    monkeypatch.setattr(zonoid, "_legendre_scan_min", _counting(zonoid._legendre_scan_min, calls))
+    monkeypatch.setattr(zonoid, "golden_section_min", _counting(zonoid.golden_section_min, matrix))
     p = np.linspace(0.0, 1.0, 101)
     for name, curve in _family_curves().items():
         b = upper_boundary_from_calls(curve, p)
@@ -948,6 +952,9 @@ def test_golden_section_runs_only_for_user_closed_form_curves(monkeypatch):
         assert b.values[0] == 0.0 and b.values[-1] == curve.mean
     b = upper_boundary_from_calls(_golden_twin(_family_curves()["bachelier"]), p)
     assert b.provenance["route"] == "golden" and len(calls) >= 1
+    c = calls_from_upper_boundary(ZonoidBoundary.from_function(b, b.mean), np.linspace(-2, 2, 9))
+    assert c.provenance["route"] == "golden" and len(calls) >= 2
+    assert matrix == []
     calls.clear()
     b = upper_boundary_from_calls(COIN.call_curve(), p)
     assert (b.provenance["route"], len(calls)) == ("grid", 0)
@@ -1005,6 +1012,79 @@ def test_exact_route_equals_golden_section_property(name, kind, data):
 @given(data=st.data())
 def test_exact_route_equals_golden_section_custom_property(name, kind, data):
     _assert_routes_agree(name, kind, data)
+
+
+def _matrix_scan_conjugate(g, lo, hi, dual, logit):
+    """The golden route's conjugate by golden_section_min's matrix scan."""
+    return golden_section_min(lambda xd: g(xd[0]) + xd[1] * xd[0], lo, hi,
+                              args=(dual,), logit=logit)[1]
+
+
+def _assert_scans_agree(new, old, mean):
+    """Bit for bit, or within 8 eps max(1, |mean|): in a flat run rounding
+    leaves the matrix scan several scan-local minima, and it refines them all."""
+    assert new.provenance == old.provenance and new.provenance["route"] == "golden"
+    assert np.array_equal(new.sample_grid(), old.sample_grid())
+    bound = 8.0 * np.finfo(float).eps * max(1.0, abs(mean))
+    assert np.max(np.abs(new.values - old.values)) <= bound
+
+
+@pytest.mark.parametrize("kind", ["linear", "geometric"])
+@pytest.mark.parametrize("name", ["gaussian", "logistic"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_kernel_scan_equals_matrix_scan_property(name, kind, data):
+    # the golden route's kernel scan against golden_section_min on the same
+    # objective, both directions, on a drawn grid and on the default one
+    (s_lo, s_hi), (y_lo, y_hi) = _FAMILY_RANGES[kind]
+    s = data.draw(st.floats(s_lo, s_hi), label="s")
+    y = data.draw(st.floats(y_lo, y_hi), label="y")
+    curve = _golden_twin(pricing._family_curve(kind, _ORACLE_MODELS[name], s, y))
+    spec = peacocks.PeacockSpec(kind, _ORACLE_MODELS[name], s, peacocks.TimeChange.sqrt(y))
+    boundary = ZonoidBoundary.from_function(lambda p: peacocks.surface_boundary(spec, 1.0, p), s)
+    inner = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=9), label="u"))
+    p = np.unique(np.concatenate(([0.0, 1.0], inner)))
+    k = np.unique(np.concatenate(([curve.k_lo, curve.k_hi],
+                                  curve.k_lo + (curve.k_hi - curve.k_lo) * inner)))
+
+    def transforms():
+        return [upper_boundary_from_calls(curve, p), calls_from_upper_boundary(boundary, k),
+                upper_boundary_from_calls(curve), calls_from_upper_boundary(boundary)]
+
+    new = transforms()
+    with mock.patch.object(zonoid, "_legendre_scan_min", _matrix_scan_conjugate):
+        old = transforms()
+    for a, b in zip(new, old):
+        _assert_scans_agree(a, b, s)
+
+
+def test_kernel_scan_on_a_domain_of_repeated_scan_nodes():
+    # a domain four ulps wide: the scan's linspace repeats floats, which the
+    # kernel scan drops before legendre_min divides by the steps
+    k0 = 1.0
+    curve = CallCurve.from_function(lambda k: np.maximum(k0 - k, 0.0), mean=k0,
+                                    domain=(k0, k0 + 4.0 * math.ulp(1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = upper_boundary_from_calls(curve, np.linspace(0.0, 1.0, 5))
+    assert b.provenance["route"] == "golden"
+    assert b.values.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def _edge_boundary(edge):
+    """p (1 - p) + p / 2, mean 1/2, but ``edge`` for p < 1e-6."""
+    return ZonoidBoundary.from_function(
+        lambda p: np.where(np.asarray(p) < 1e-6, edge, p * (1.0 - p) + 0.5 * p), 0.5)
+
+
+def test_kernel_scan_drops_nodes_where_the_objective_is_plus_inf():
+    # a -inf boundary near p = 0 is a +inf objective there: it never wins
+    # (the boundary +inf there is a TYPED_RAISES row)
+    got = calls_from_upper_boundary(_edge_boundary(-np.inf))
+    with mock.patch.object(zonoid, "_legendre_scan_min", _matrix_scan_conjugate):
+        want = calls_from_upper_boundary(_edge_boundary(-np.inf))
+    _assert_scans_agree(got, want, 0.5)
+    got.validate()
 
 
 def test_call_curve_fn_sees_only_strikes_in_its_domain():
